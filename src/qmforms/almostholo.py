@@ -134,11 +134,6 @@ def completion(form, precision=DEFAULT_PRECISION):
     )
 
 
-def constant_term(form):
-    """The Yhat^0 coefficient of an almost holomorphic form."""
-    return form.constant_term
-
-
 def component_forms(form, precision=DEFAULT_PRECISION):
     """Completions of all reduced components of a quasi-modular form.
 

@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .almostholo import AlmostHolomorphicForm, constant_term
+from .almostholo import AlmostHolomorphicForm, completion
 from .exprparse import ExpressionError, parse_form
 from .numverify import (
     DEFAULT_TOLERANCE,
@@ -82,10 +82,6 @@ def _single_form(text):
     return form
 
 
-def _fraction_str(value):
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def _check_precision(precision):
     if precision < 1:
         raise UsageError("--precision must be a positive integer")
@@ -101,7 +97,7 @@ def cmd_expand(args):
             print(_canonical({
                 "weight": form.weight,
                 "precision": n,
-                "coeffs": [_fraction_str(c) for c in series.coeffs],
+                "coeffs": [str(c) for c in series.coeffs],
             }))
         else:
             print(series)
@@ -111,7 +107,7 @@ def cmd_expand(args):
             print(_canonical({
                 "weight": form.weight,
                 "precision": coeffs[0].precision,
-                "ycoeffs": [[_fraction_str(c) for c in s.coeffs] for s in coeffs],
+                "ycoeffs": [[str(c) for c in s.coeffs] for s in coeffs],
             }))
         else:
             for r, series in enumerate(coeffs):
@@ -123,7 +119,7 @@ def cmd_expand(args):
                 "m": form.m,
                 "weight_label_k": form.weight_label,
                 "precision": n,
-                "components": [[_fraction_str(c) for c in s.coeffs] for s in components],
+                "components": [[str(c) for c in s.coeffs] for s in components],
             }))
         else:
             for r, series in enumerate(components):
@@ -144,7 +140,6 @@ def cmd_convert(args):
     elif target == "completion":
         if not isinstance(form, QuasiModularForm):
             raise UsageError("--to completion needs a quasimodular form")
-        from .almostholo import completion
         print(_canonical(to_document(completion(form, args.precision))))
     elif target == "vvmf":
         if isinstance(form, list):
@@ -173,7 +168,7 @@ def cmd_convert(args):
             result = form.source
         elif isinstance(form, AlmostHolomorphicForm):
             try:
-                result = recognize(constant_term(form), form.weight, form.degree)
+                result = recognize(form.constant_term, form.weight, form.degree)
             except ValueError as exc:
                 raise UsageError(f"cannot recognize the constant term: {exc}") from None
         elif isinstance(form, QuasiModularForm):

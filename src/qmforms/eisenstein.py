@@ -6,7 +6,6 @@ the classical spaces M_k are obtained by counting monomials E4^a E6^b, so the
 dimension and the constructed basis can never disagree.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,25 +62,6 @@ def generator(name, precision=DEFAULT_PRECISION):
     if precision < 1:
         raise ValueError("precision must be positive")
     return build(precision)
-
-
-@dataclass(frozen=True)
-class GeneratorTable:
-    """The four generators expanded to a common precision."""
-
-    e2: QSeries
-    e4: QSeries
-    e6: QSeries
-    delta: QSeries
-
-    @classmethod
-    def at_precision(cls, precision=DEFAULT_PRECISION):
-        return cls(
-            e2=eisenstein_series(2, precision),
-            e4=eisenstein_series(4, precision),
-            e6=eisenstein_series(6, precision),
-            delta=delta_series(precision),
-        )
 
 
 def monomial_basis(weight):

@@ -11,14 +11,18 @@ class InconsistentSystem(ValueError):
     """The right-hand side is not in the column span."""
 
 
-def rank(rows):
-    """Rank of a matrix given as a list of rows of Fractions."""
-    work = [list(map(Fraction, row)) for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
+def _row_reduce(work, ncols):
+    """Gauss-Jordan elimination in place on the first ``ncols`` columns.
+
+    Pivot rows end up first, normalized and cleared above and below; extra
+    columns (an augmented right-hand side) are carried along.  Returns the
+    pivot columns in order.
+    """
+    pivots = []
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
         pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
@@ -29,10 +33,16 @@ def rank(rows):
             if i != r and work[i][col]:
                 factor = work[i][col]
                 work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+        pivots.append(col)
+    return pivots
+
+
+def rank(rows):
+    """Rank of a matrix given as a list of rows of Fractions."""
+    work = [list(map(Fraction, row)) for row in rows]
+    if not work:
+        return 0
+    return len(_row_reduce(work, len(work[0])))
 
 
 def solve_unique(rows, rhs):
@@ -49,29 +59,11 @@ def solve_unique(rows, rhs):
         raise UnderdeterminedSystem("empty system")
     ncols = len(rows[0])
     work = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][col]:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
+    pivots = _row_reduce(work, ncols)
     if len(pivots) < ncols:
         raise UnderdeterminedSystem(
             f"rank {len(pivots)} < {ncols} unknowns at this precision"
         )
-    for i in range(r, nrows):
-        if work[i][ncols]:
-            raise InconsistentSystem("no exact solution")
-    solution = [Fraction(0)] * ncols
-    for row_index, col in enumerate(pivots):
-        solution[col] = work[row_index][ncols]
-    return solution
+    if any(work[i][ncols] for i in range(ncols, nrows)):
+        raise InconsistentSystem("no exact solution")
+    return [work[i][ncols] for i in range(ncols)]

@@ -7,6 +7,7 @@ sample points keep Im tau >= 0.3 and all images keep Im(gamma tau) >= 0.25,
 which at 64 coefficients pushes truncation far below the 1e-8 tolerance.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -104,14 +105,9 @@ def all_within(residuals, tolerance):
     return all(r.relative < tolerance for r in residuals)
 
 
-_lambda_verified = False
-
-
+@functools.cache
 def _ensure_lambda():
     """One-time self-test of the cocycle constant via the E2 law."""
-    global _lambda_verified
-    if _lambda_verified:
-        return
     e2 = eisenstein_series(2, DEFAULT_PRECISION)
     tau = complex(0.3, 1.1)
     j = S.j(tau)
@@ -119,7 +115,6 @@ def _ensure_lambda():
     rhs = j ** 2 * e2.evaluate(tau).value + LAMBDA * S.jprime * j
     if abs(lhs - rhs) / max(1.0, abs(rhs)) > 1e-8:
         raise RuntimeError("cocycle constant self-test failed; LAMBDA is miscalibrated")
-    _lambda_verified = True
 
 
 def _call_evaluator(evaluator, tau):
@@ -129,92 +124,19 @@ def _call_evaluator(evaluator, tau):
     return Evaluation(complex(result), 0.0)
 
 
-def check_scalar(evaluator, weight, plan, label="scalar form"):
-    """Residuals of f(gamma tau) = j^weight f(tau) over the plan."""
+def _residuals(plan, label, sides):
+    """One residual per (gamma, tau) of the plan, in the Euclidean norm.
+
+    ``sides(gamma, tau)`` returns the left-hand values, the right-hand
+    values and the truncation error of that sample.
+    """
     _ensure_lambda()
     out = []
     for gamma in plan.gammas:
         for tau in plan.taus:
-            lhs = _call_evaluator(evaluator, gamma.act(tau))
-            base = _call_evaluator(evaluator, tau)
-            j_pow = gamma.j(tau) ** weight
-            rhs = j_pow * base.value
-            absolute = abs(lhs.value - rhs)
-            trunc = lhs.truncation_error + abs(j_pow) * base.truncation_error
-            out.append(
-                Residual(
-                    form=label,
-                    gamma=gamma,
-                    tau=tau,
-                    absolute=absolute,
-                    relative=absolute / max(1.0, abs(rhs)),
-                    truncation_error=trunc,
-                )
-            )
-    return out
-
-
-def check_quasimodular(form, plan, label=None):
-    """Residuals of the depth-d law
-    f(gamma tau) = sum_r j^(k-r) c^r LAMBDA^r fhat_r(tau)."""
-    _ensure_lambda()
-    if label is None:
-        label = str(form)
-    k = form.weight
-    expansions = [c.qexpansion(plan.precision) for c in form.components()]
-    series = form.qexpansion(plan.precision)
-    out = []
-    for gamma in plan.gammas:
-        for tau in plan.taus:
-            lhs = series.evaluate(gamma.act(tau))
-            j = gamma.j(tau)
-            rhs = 0j
-            trunc = lhs.truncation_error
-            factor = 1 + 0j
-            for r, expansion in enumerate(expansions):
-                scale = j ** (k - r) * factor
-                ev = expansion.evaluate(tau)
-                rhs += scale * ev.value
-                trunc += abs(scale) * ev.truncation_error
-                factor *= gamma.jprime * LAMBDA
-            absolute = abs(lhs.value - rhs)
-            out.append(
-                Residual(
-                    form=label,
-                    gamma=gamma,
-                    tau=tau,
-                    absolute=absolute,
-                    relative=absolute / max(1.0, abs(rhs)),
-                    truncation_error=trunc,
-                )
-            )
-    return out
-
-
-def check_vv(form, plan, label=None):
-    """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the
-    Euclidean norm."""
-    _ensure_lambda()
-    if label is None:
-        label = str(form)
-    k, m = form.weight_label, form.m
-    out = []
-    for gamma in plan.gammas:
-        matrix = sym_matrix(gamma, m)
-        for tau in plan.taus:
-            lhs = form.evaluate(gamma.act(tau), plan.precision)
-            base = form.evaluate(tau, plan.precision)
-            j_pow = gamma.j(tau) ** (k - m)
-            rhs = [
-                j_pow * sum(matrix[i][l] * base.values[l] for l in range(m + 1))
-                for i in range(m + 1)
-            ]
-            absolute = math.sqrt(
-                sum(abs(x - y) ** 2 for x, y in zip(lhs.values, rhs))
-            )
-            rhs_norm = math.sqrt(sum(abs(x) ** 2 for x in rhs))
-            matrix_scale = max(sum(abs(e) for e in row) for row in matrix)
-            trunc = lhs.truncation_error + abs(j_pow) * matrix_scale * base.truncation_error
+            lhs, rhs, trunc = sides(gamma, tau)
+            absolute = math.hypot(*(abs(x - y) for x, y in zip(lhs, rhs)))
+            rhs_norm = math.hypot(*(abs(y) for y in rhs))
             out.append(
                 Residual(
                     form=label,
@@ -226,3 +148,62 @@ def check_vv(form, plan, label=None):
                 )
             )
     return out
+
+
+def check_scalar(evaluator, weight, plan, label="scalar form"):
+    """Residuals of f(gamma tau) = j^weight f(tau) over the plan."""
+
+    def sides(gamma, tau):
+        lhs = _call_evaluator(evaluator, gamma.act(tau))
+        base = _call_evaluator(evaluator, tau)
+        j_pow = gamma.j(tau) ** weight
+        trunc = lhs.truncation_error + abs(j_pow) * base.truncation_error
+        return [lhs.value], [j_pow * base.value], trunc
+
+    return _residuals(plan, label, sides)
+
+
+def check_quasimodular(form, plan, label=None):
+    """Residuals of the depth-d law
+    f(gamma tau) = sum_r j^(k-r) c^r LAMBDA^r fhat_r(tau)."""
+    k = form.weight
+    expansions = [c.qexpansion(plan.precision) for c in form.components()]
+    series = form.qexpansion(plan.precision)
+
+    def sides(gamma, tau):
+        lhs = series.evaluate(gamma.act(tau))
+        j = gamma.j(tau)
+        rhs = 0j
+        trunc = lhs.truncation_error
+        factor = 1 + 0j
+        for r, expansion in enumerate(expansions):
+            scale = j ** (k - r) * factor
+            ev = expansion.evaluate(tau)
+            rhs += scale * ev.value
+            trunc += abs(scale) * ev.truncation_error
+            factor *= gamma.jprime * LAMBDA
+        return [lhs.value], [rhs], trunc
+
+    return _residuals(plan, str(form) if label is None else label, sides)
+
+
+def check_vv(form, plan, label=None):
+    """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the
+    Euclidean norm."""
+    k, m = form.weight_label, form.m
+    matrices = {g: sym_matrix(g, m) for g in plan.gammas}
+
+    def sides(gamma, tau):
+        matrix = matrices[gamma]
+        lhs = form.evaluate(gamma.act(tau), plan.precision)
+        base = form.evaluate(tau, plan.precision)
+        j_pow = gamma.j(tau) ** (k - m)
+        rhs = [
+            j_pow * sum(matrix[i][l] * base.values[l] for l in range(m + 1))
+            for i in range(m + 1)
+        ]
+        matrix_scale = max(sum(abs(e) for e in row) for row in matrix)
+        trunc = lhs.truncation_error + abs(j_pow) * matrix_scale * base.truncation_error
+        return lhs.values, rhs, trunc
+
+    return _residuals(plan, str(form) if label is None else label, sides)

@@ -11,8 +11,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-Rational = Fraction
-
 #: default number of stored coefficients (of q^0 ... q^(N-1))
 DEFAULT_PRECISION = 64
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .qseries import DEFAULT_PRECISION, QSeries
+from .qseries import DEFAULT_PRECISION, QSeries, _coerce
 from .eisenstein import eisenstein_series
 
 
@@ -28,14 +28,6 @@ class NoMatchError(ValueError):
 
 class UnderdeterminedError(ValueError):
     """The recognition precision cannot separate the candidate monomials."""
-
-
-def _coerce(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact integer or Fraction, got {type(value).__name__}")
 
 
 class QuasiModularForm:

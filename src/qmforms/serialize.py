@@ -21,10 +21,6 @@ class FormDocumentError(ValueError):
     """A document does not match the expected schema."""
 
 
-def _fraction_string(value):
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def _parse_fraction(text, where):
     try:
         return Fraction(str(text))
@@ -50,7 +46,7 @@ def to_document(form):
             "format": "almostholo",
             "version": FORMAT_VERSION,
             "weight": form.weight,
-            "ycoeffs": [[_fraction_string(c) for c in series.coeffs] for series in form.coeffs],
+            "ycoeffs": [[str(c) for c in series.coeffs] for series in form.coeffs],
         }
     if isinstance(form, VectorValuedForm):
         return {
@@ -63,10 +59,24 @@ def to_document(form):
     raise TypeError(f"cannot serialize {type(form).__name__}")
 
 
-def _require(doc, key, where):
+_JSON_TYPES = {int: "integer", list: "array", dict: "object"}
+
+
+def _checked(value, kind, what):
+    """``value`` if its type is exactly ``kind`` (so a bool is no int)."""
+    if type(value) is not kind:
+        raise FormDocumentError(
+            f"{what} must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(value, default=repr)}"
+        )
+    return value
+
+
+def _require(doc, key, where, kind=None):
     if key not in doc:
         raise FormDocumentError(f"missing field {key!r} in {where} document")
-    return doc[key]
+    if kind is None:
+        return doc[key]
+    return _checked(doc[key], kind, f"field {key!r} in {where} document")
 
 
 def from_document(doc):
@@ -74,51 +84,39 @@ def from_document(doc):
     if not isinstance(doc, dict):
         raise FormDocumentError(f"expected a JSON object, got {type(doc).__name__}")
     kind = _require(doc, "format", "form")
-    version = _require(doc, "version", kind)
+    version = _require(doc, "version", kind, int)
     if version != FORMAT_VERSION:
         raise FormDocumentError(f"unsupported format version {version}")
-    if kind == "quasimodular":
-        weight = _require(doc, "weight", kind)
-        monomials = {}
-        for term in _require(doc, "terms", kind):
-            key = (
-                _require(term, "e2", "term"),
-                _require(term, "e4", "term"),
-                _require(term, "e6", "term"),
-            )
-            num = _parse_fraction(_require(term, "num", "term"), "term")
-            den = _parse_fraction(_require(term, "den", "term"), "term")
-            if den == 0:
-                raise FormDocumentError("zero denominator in term")
-            monomials[key] = monomials.get(key, Fraction(0)) + num / den
-        try:
+    try:
+        if kind == "quasimodular":
+            weight = _require(doc, "weight", kind, int)
+            monomials = {}
+            for term in _require(doc, "terms", kind, list):
+                _checked(term, dict, "each term")
+                key = tuple(_require(term, e, "term", int) for e in ("e2", "e4", "e6"))
+                num = _parse_fraction(_require(term, "num", "term"), "term")
+                den = _parse_fraction(_require(term, "den", "term"), "term")
+                if den == 0:
+                    raise FormDocumentError("zero denominator in term")
+                monomials[key] = monomials.get(key, Fraction(0)) + num / den
             return QuasiModularForm(weight, monomials)
-        except ValueError as exc:
-            raise FormDocumentError(str(exc)) from None
-    if kind == "almostholo":
-        weight = _require(doc, "weight", kind)
-        rows = _require(doc, "ycoeffs", kind)
-        if not rows:
-            raise FormDocumentError("almostholo document needs at least one coefficient row")
-        coeffs = []
-        for row in rows:
-            if not row:
-                raise FormDocumentError("empty coefficient row")
-            coeffs.append(QSeries([_parse_fraction(x, "ycoeffs") for x in row]))
-        try:
+        if kind == "almostholo":
+            weight = _require(doc, "weight", kind, int)
+            rows = _require(doc, "ycoeffs", kind, list)
+            coeffs = [
+                QSeries([_parse_fraction(x, "ycoeffs") for x in _checked(row, list, "ycoeffs row")])
+                for row in rows
+            ]
             return AlmostHolomorphicForm(weight, coeffs)
-        except ValueError as exc:
-            raise FormDocumentError(str(exc)) from None
-    if kind == "vectorvalued":
-        m = _require(doc, "m", kind)
-        weight_label = _require(doc, "weight_label_k", kind)
-        source = from_document(_require(doc, "source", kind))
-        if not isinstance(source, QuasiModularForm):
-            raise FormDocumentError("vectorvalued source must be a quasimodular document")
-        try:
+        if kind == "vectorvalued":
+            m = _require(doc, "m", kind, int)
+            weight_label = _require(doc, "weight_label_k", kind, int)
+            source = from_document(_require(doc, "source", kind))
+            if not isinstance(source, QuasiModularForm):
+                raise FormDocumentError("vectorvalued source must be a quasimodular document")
             return VectorValuedForm(source, m, weight_label)
-        except ValueError as exc:
-            raise FormDocumentError(str(exc)) from None
+    except ValueError as exc:
+        raise FormDocumentError(str(exc)) from None
     raise FormDocumentError(f"unknown format {kind!r}")
 
 

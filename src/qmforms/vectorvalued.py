@@ -185,11 +185,6 @@ def to_quasimodular(form):
     return form.source
 
 
-def eval_standard(form, tau, precision=DEFAULT_PRECISION):
-    """Component values of ``form`` at tau (see VectorValuedForm.evaluate)."""
-    return form.evaluate(tau, precision)
-
-
 def holwt_component(form, s, precision=DEFAULT_PRECISION):
     """The weight-(k-2s) almost holomorphic component of the expansion in
     the basis (tau,1)^(m-s) (conj tau, 1)^s; zero beyond the depth."""
@@ -259,11 +254,6 @@ def vv_product(left, right):
         left.m + right.m,
         left.weight_label + right.weight_label,
     )
-
-
-def filtration_degree(form):
-    """Largest index with a nonvanishing component: the source depth."""
-    return form.source.depth
 
 
 def dim_vv(weight_label, m):

@@ -97,6 +97,23 @@ class TestExpand:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize(
+        "command, change",
+        [
+            ("expand", lambda d: d["terms"][0].update(e2="1")),
+            ("expand", lambda d: d.update(version=True)),
+            ("expand", lambda d: d.update(terms=5)),
+            ("verify", lambda d: d.update(m="x")),
+        ],
+    )
+    def test_mistyped_document_is_a_usage_error(self, capsys, command, change):
+        doc = json.loads(dumps(E2 if command == "expand" else from_quasimodular(E2, 1)))
+        change(doc)
+        code, out, err = run(capsys, command, json.dumps(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestConvert:
     def test_completion_and_back(self, capsys):

@@ -85,6 +85,42 @@ class TestVectorValuedDocuments:
         assert again == F and again.weight_label == 8 and again.m == 3
 
 
+SAMPLES = {
+    "quasimodular": E2,
+    "almostholo": completion(E2, 4),
+    "vectorvalued": from_quasimodular(E2, 1),
+}
+
+# (sample kind, path to the value to replace, replacement)
+MISTYPED = [
+    ("quasimodular", ("version",), True),
+    ("quasimodular", ("version",), 1.0),
+    ("quasimodular", ("weight",), 2.0),
+    ("quasimodular", ("weight",), "2"),
+    ("quasimodular", ("terms",), 5),
+    ("quasimodular", ("terms",), {"e2": 1}),
+    ("quasimodular", ("terms", 0), 7),
+    ("quasimodular", ("terms", 0), [1, 0, 0]),
+    ("quasimodular", ("terms", 0, "e2"), "1"),
+    ("quasimodular", ("terms", 0, "e4"), False),
+    ("quasimodular", ("terms", 0, "e6"), 0.0),
+    ("quasimodular", ("terms", 0, "e2"), None),
+    ("almostholo", ("weight",), True),
+    ("almostholo", ("ycoeffs",), "1"),
+    ("almostholo", ("ycoeffs",), []),
+    ("almostholo", ("ycoeffs", 0), 5),
+    ("almostholo", ("ycoeffs", 0), "1"),
+    ("almostholo", ("ycoeffs", 0), []),
+    ("almostholo", ("ycoeffs", 0, 0), "1/0"),
+    ("vectorvalued", ("m",), "x"),
+    ("vectorvalued", ("m",), 1.5),
+    ("vectorvalued", ("m",), True),
+    ("vectorvalued", ("weight_label_k",), "2"),
+    ("vectorvalued", ("source",), 5),
+    ("vectorvalued", ("source", "terms"), 5),
+]
+
+
 class TestErrors:
     def test_unknown_format(self):
         with pytest.raises(FormDocumentError):
@@ -132,6 +168,20 @@ class TestErrors:
         }
         with pytest.raises(FormDocumentError):
             from_document(doc)
+
+    @pytest.mark.parametrize(
+        "kind, path, value",
+        MISTYPED,
+        ids=[f"{k}.{'.'.join(map(str, p))}={json.dumps(v)}" for k, p, v in MISTYPED],
+    )
+    def test_mistyped_values_raise_document_errors(self, kind, path, value):
+        doc = to_document(SAMPLES[kind])
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(FormDocumentError):
+            loads(json.dumps(doc))
 
     def test_json_error_carries_position(self):
         with pytest.raises(json.JSONDecodeError):

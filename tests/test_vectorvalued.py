@@ -22,8 +22,6 @@ from qmforms import (
     dim_modular,
     dim_vv,
     embed_i,
-    eval_standard,
-    filtration_degree,
     from_quasimodular,
     holwt_component,
     image_test,
@@ -129,7 +127,7 @@ class TestWrapping:
         F = from_quasimodular(E4, 0)
         assert F.weight == 4 and F.m == 0
         tau = complex(0.1, 1.7)
-        values = eval_standard(F, tau).values
+        values = F.evaluate(tau).values
         assert len(values) == 1
         assert abs(values[0] - E4.qexpansion(64).evaluate(tau).value) < 1e-12
 
@@ -279,7 +277,7 @@ class TestWBasis:
         # recovers the top w-coefficient
         parts = [QuasiModularForm(0, {}), E6, QuasiModularForm(0, {})]
         F = w_compose(parts, m=2, weight_label=8)
-        top = filtration_degree(F)
+        top = F.depth
         assert top == 1
         assert holwt_component(F, top, 16) == completion(parts[top], 16)
 
@@ -304,7 +302,7 @@ class TestIotaLift:
     def test_e4(self):
         F = iota_lift(E4, 1, 2)
         assert to_quasimodular(F) == E4 * E2
-        assert filtration_degree(F) == 1
+        assert F.depth == 1
         assert to_quasimodular(F).reduced_component(1) == E4
 
     def test_e6_depth_two(self):
@@ -347,9 +345,7 @@ class TestProduct:
         for _ in range(10):
             F = from_quasimodular(random_form(rng), 7)
             G = from_quasimodular(random_form(rng), 7)
-            assert filtration_degree(vv_product(F, G)) <= (
-                filtration_degree(F) + filtration_degree(G)
-            )
+            assert vv_product(F, G).depth <= F.depth + G.depth
 
 
 class TestDimensions:
