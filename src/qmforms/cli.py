@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
+#: largest accepted --precision; expansions cost O(N) memory per cached series
+MAX_PRECISION = 2 ** 14
+
 
 class UsageError(Exception):
     pass
@@ -67,6 +70,8 @@ def _load_input(text):
         doc = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise UsageError(f"JSON parse error at position {exc.pos}: {exc.msg}") from None
+    except RecursionError:
+        raise UsageError("JSON nested too deeply") from None
     try:
         if isinstance(doc, list):
             return [from_document(entry) for entry in doc]
@@ -83,14 +88,14 @@ def _single_form(text):
 
 
 def _check_precision(precision):
-    if precision < 1:
-        raise UsageError("--precision must be a positive integer")
+    if not 1 <= precision <= MAX_PRECISION:
+        raise UsageError(f"--precision must be an integer from 1 to {MAX_PRECISION}")
     return precision
 
 
 def cmd_expand(args):
-    form = _single_form(args.form)
     n = _check_precision(args.precision)
+    form = _single_form(args.form)
     if isinstance(form, QuasiModularForm):
         series = form.qexpansion(n)
         if args.json:

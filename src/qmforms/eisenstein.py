@@ -15,17 +15,6 @@ _EISENSTEIN_FACTOR = {2: -24, 4: 240, 6: -504}
 
 
 @lru_cache(maxsize=None)
-def _divisor_power_sums(power, precision):
-    """sigma_power(n) for 0 <= n < precision, with sigma(0) = 0."""
-    sums = [0] * precision
-    for d in range(1, precision):
-        dk = d ** power
-        for n in range(d, precision, d):
-            sums[n] += dk
-    return tuple(sums)
-
-
-@lru_cache(maxsize=None)
 def eisenstein_series(weight, precision=DEFAULT_PRECISION):
     """The q-expansion of E2, E4 or E6 to the requested precision."""
     if weight not in _EISENSTEIN_FACTOR:
@@ -33,8 +22,13 @@ def eisenstein_series(weight, precision=DEFAULT_PRECISION):
     if precision < 1:
         raise ValueError("precision must be positive")
     factor = _EISENSTEIN_FACTOR[weight]
-    sums = _divisor_power_sums(weight - 1, precision)
-    return QSeries([Fraction(1)] + [Fraction(factor * s) for s in sums[1:]])
+    coeffs = [0] * precision
+    for d in range(1, precision):
+        term = factor * d ** (weight - 1)  # d contributes to sigma(n) for each multiple n
+        for n in range(d, precision, d):
+            coeffs[n] += term
+    coeffs[0] = 1
+    return QSeries._from_ints(coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 """Truncated q-expansions with exact rational coefficients.
 
 Every holomorphic object downstream is carried by a ``QSeries``: a finite
-list of Fourier coefficients in q = exp(2*pi*i*tau).  Arithmetic is exact
-(``fractions.Fraction``) and truncates to the shorter operand; precision is
-never extended silently.  The normalized derivative is D = q d/dq.
+list of Fourier coefficients in q = exp(2*pi*i*tau), kept as integer
+numerators over one common denominator.  Arithmetic is exact and truncates
+to the shorter operand; precision is never extended silently.  Products use
+Kronecker substitution: one bigint multiply per series product.  The
+normalized derivative is D = q d/dq.
 """
 
 import cmath
@@ -41,40 +43,86 @@ def _coerce(value):
     raise TypeError(f"expected an exact integer or Fraction, got {type(value).__name__}")
 
 
-class QSeries:
-    """A power series in q truncated to a fixed number of coefficients."""
+def _kronecker_product(a, b):
+    """Integer coefficients of a*b below q^len(a), for len(a) == len(b), by
+    Kronecker substitution: one bigint multiply of the operands packed into
+    byte-aligned slots of w bits, where every product coefficient c has
+    |c| < 2^(w-1).  A bias of 2^(w-1) per slot lets the slots read back
+    without borrows."""
+    n = len(a)
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length()
+    width = bits // 8 + 1
+    half = 1 << (8 * width - 1)
+    product = _pack(a, width) * _pack(b, width)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    slots = ((product + bias) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    return [int.from_bytes(slots[i:i + width], "little") - half for i in range(0, width * n, width)]
 
-    __slots__ = ("coeffs",)
+
+def _pack(nums, width):
+    """sum(nums[i] * 2^(8*width*i)); a negative slot, stored in two's
+    complement, carries 1 into the next slot, which the borrows take back."""
+    packed = int.from_bytes(b"".join(n.to_bytes(width, "little", signed=True) for n in nums), "little")
+    borrows = bytearray(width * len(nums))
+    borrows[::width] = bytes(n < 0 for n in nums)
+    return packed - (int.from_bytes(borrows, "little") << (8 * width))
+
+
+class QSeries:
+    """A power series in q truncated to a fixed number of coefficients, kept
+    as integer numerators over one positive denominator in lowest terms."""
+
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs):
-        coeffs = tuple(_coerce(c) for c in coeffs)
-        if not coeffs:
+        coeffs = [_coerce(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @classmethod
+    def _from_ints(cls, nums, den=1):
+        series = cls.__new__(cls)
+        series._set(nums, den)
+        return series
+
+    def _set(self, nums, den):
+        """Store sum(nums[n] q^n) / den in lowest terms."""
+        if not nums:
             raise ValueError("a q-series needs at least one coefficient")
-        self.coeffs = coeffs
+        g = math.gcd(den, *nums)
+        self.numerators = tuple(n // g for n in nums) if g > 1 else tuple(nums)
+        self.denominator = den // g
 
     @classmethod
     def zero(cls, precision=DEFAULT_PRECISION):
-        return cls([Fraction(0)] * precision)
+        return cls._from_ints([0] * precision)
 
     @classmethod
     def one(cls, precision=DEFAULT_PRECISION):
-        return cls([Fraction(1)] + [Fraction(0)] * (precision - 1))
+        return cls._from_ints([1] + [0] * (precision - 1))
+
+    @property
+    def coeffs(self):
+        """The coefficients as reduced ``Fraction``s."""
+        if self.denominator == 1:
+            return tuple(map(Fraction, self.numerators))
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     @property
     def precision(self):
-        return len(self.coeffs)
+        return len(self.numerators)
 
     @property
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.numerators)
 
     def coefficient(self, n):
         """Coefficient of q^n (n must lie below the precision)."""
-        return self.coeffs[n]
+        return Fraction(self.numerators[n], self.denominator)
 
     def valuation(self):
         """Index of the first nonzero coefficient, or the precision if zero."""
-        for n, c in enumerate(self.coeffs):
+        for n, c in enumerate(self.numerators):
             if c:
                 return n
         return self.precision
@@ -85,21 +133,22 @@ class QSeries:
             raise ValueError("precision must be positive")
         if precision >= self.precision:
             return self
-        return QSeries(self.coeffs[:precision])
+        return QSeries._from_ints(self.numerators[:precision], self.denominator)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, QSeries):
-            n = min(self.precision, other.precision)
-            return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
-        other = _coerce(other)
-        return QSeries((self.coeffs[0] + other,) + self.coeffs[1:])
+        if not isinstance(other, QSeries):
+            other = _coerce(other)
+            other = QSeries._from_ints([other.numerator] + [0] * (self.precision - 1), other.denominator)
+        den = math.lcm(self.denominator, other.denominator)
+        s, t = den // self.denominator, den // other.denominator
+        return QSeries._from_ints([a * s + b * t for a, b in zip(self.numerators, other.numerators)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs])
+        return QSeries._from_ints([-n for n in self.numerators], self.denominator)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, QSeries) else -_coerce(other))
@@ -110,45 +159,39 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
-            out = [Fraction(0)] * n
-            for i in range(n):
-                a = self.coeffs[i]
-                if not a:
-                    continue
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return QSeries(out)
+            nums = _kronecker_product(self.numerators[:n], other.numerators[:n])
+            return QSeries._from_ints(nums, self.denominator * other.denominator)
         other = _coerce(other)
-        return QSeries([other * c for c in self.coeffs])
+        return QSeries._from_ints([other.numerator * n for n in self.numerators],
+                                  other.denominator * self.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only non-negative integer powers are defined")
-        result = QSeries.one(self.precision)
+        result = None
         base = self
         while exponent:
             if exponent & 1:
-                result = result * base
+                result = base if result is None else result * base
             exponent >>= 1
             if exponent:
                 base = base * base
-        return result
+        return QSeries.one(self.precision) if result is None else result
 
     def __eq__(self, other):
-        return isinstance(other, QSeries) and self.coeffs == other.coeffs
+        return (isinstance(other, QSeries) and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     # -- calculus and evaluation -------------------------------------------
 
     def derive(self):
         """Normalized derivative D = q d/dq; coefficient n*a_n at q^n."""
-        return QSeries([n * c for n, c in enumerate(self.coeffs)])
+        return QSeries._from_ints([k * n for k, n in enumerate(self.numerators)], self.denominator)
 
     def evaluate(self, tau):
         """Evaluate at tau in the upper half-plane.
@@ -164,9 +207,11 @@ class QSeries:
         q = cmath.exp(2j * math.pi * tau)
         total = 0j
         qn = 1 + 0j
-        for c in self.coeffs:
-            if c:
-                total += float(c) * qn
+        den = self.denominator
+        for n in self.numerators:
+            if n:
+                # int / int is correctly rounded, exactly like float(Fraction)
+                total += n / den * qn
             qn *= q
         aq = abs(q)
         tail = aq ** self.precision / (1.0 - aq) if aq < 1.0 else math.inf
@@ -186,14 +231,14 @@ class QSeries:
 def format_series(series):
     """Human-readable q-expansion, e.g. ``1 + 240q + 2160q^2``."""
     pieces = []
-    for n, c in enumerate(series.coeffs):
-        if not c:
+    for n, num in enumerate(series.numerators):
+        if not num:
             continue
+        mag = Fraction(abs(num), series.denominator)
         if n == 0:
-            body = str(abs(c))
+            body = str(mag)
         else:
             q = "q" if n == 1 else f"q^{n}"
-            mag = abs(c)
             if mag == 1:
                 body = q
             elif mag.denominator == 1:
@@ -201,7 +246,7 @@ def format_series(series):
             else:
                 body = f"{mag}*{q}"
         if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
+            pieces.append(body if num > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(pieces) if pieces else "0"

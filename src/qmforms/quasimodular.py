@@ -14,7 +14,6 @@ numerically.  Differentiation D = q d/dq acts through the Ramanujan rules
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from . import linalg
@@ -217,20 +216,34 @@ class QuasiModularForm:
         return f"QuasiModularForm({self.weight}, {self})"
 
 
-@lru_cache(maxsize=None)
-def _generator_power(name, exponent, precision):
-    if exponent == 0:
-        return QSeries.one(precision)
-    weight = {"E2": 2, "E4": 4, "E6": 6}[name]
-    return _generator_power(name, exponent - 1, precision) * eisenstein_series(weight, precision)
+def _prefix_cache(build):
+    """Memoize ``build(*key, precision)``, keeping per key only the longest
+    expansion built so far: a shorter request is answered by truncation, a
+    longer one rebuilds and replaces the entry."""
+    entries = {}
+
+    def cached(*args):
+        key, precision = args[:-1], args[-1]
+        series = entries.get(key)
+        if series is None or series.precision < precision:
+            series = entries[key] = build(*args)
+        return series.truncate(precision)
+
+    cached.cache_clear = entries.clear
+    return cached
 
 
-@lru_cache(maxsize=None)
+@_prefix_cache
+def _generator_power(weight, exponent, precision):
+    return eisenstein_series(weight, precision) ** exponent if exponent else QSeries.one(precision)
+
+
+@_prefix_cache
 def _monomial_series(a, b, c, precision):
     return (
-        _generator_power("E2", a, precision)
-        * _generator_power("E4", b, precision)
-        * _generator_power("E6", c, precision)
+        _generator_power(2, a, precision)
+        * _generator_power(4, b, precision)
+        * _generator_power(6, c, precision)
     )
 
 
@@ -304,8 +317,9 @@ def recognize(series, weight, depth_bound):
             return QuasiModularForm(0, {})
         raise NoMatchError(f"no candidate monomials of weight {weight}, depth <= {depth_bound}")
     n = series.precision
-    columns = [_monomial_series(a, b, c, n) for (a, b, c) in keys]
-    rows = [[col.coeffs[i] for col in columns] for i in range(n)]
+    # generator monomials have integer coefficients: their numerators are the columns
+    columns = [_monomial_series(a, b, c, n).numerators for (a, b, c) in keys]
+    rows = list(zip(*columns))
     try:
         solution = linalg.solve_unique(rows, series.coeffs)
     except linalg.UnderdeterminedSystem as exc:

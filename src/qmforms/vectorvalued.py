@@ -13,7 +13,7 @@ so every conversion is exact.
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -290,8 +290,8 @@ def certify_dim_vv(weight_label, m, precision=16):
     """
     rows = []
     for form in basis_vv(weight_label, m):
-        row = []
-        for r in range(m + 1):
-            row.extend(form.source.reduced_component(r).qexpansion(precision).coeffs)
-        rows.append(row)
+        parts = [form.source.reduced_component(r).qexpansion(precision) for r in range(m + 1)]
+        # a row scaled by a nonzero constant keeps the rank: clear its denominators
+        scale = lcm(*(s.denominator for s in parts))
+        rows.append([n * (scale // s.denominator) for s in parts for n in s.numerators])
     return linalg.rank(rows)

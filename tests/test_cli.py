@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qmforms import E2, E4, E6, completion, dumps, from_quasimodular, loads, parse_form
-from qmforms.cli import main
+from qmforms.cli import MAX_PRECISION, _check_precision, main
 from qmforms.exprparse import ExpressionError
 
 
@@ -96,6 +96,17 @@ class TestExpand:
         code, _, err = run(capsys, "expand", '{"format": oops}')
         assert code == 2
         assert "position" in err
+
+    def test_deeply_nested_json_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "expand", "[" * 5000 + "]" * 5000)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_large_exponent(self, capsys):
+        code, out, _ = run(capsys, "expand", "E4^3000", "--precision", "2")
+        assert code == 0
+        assert out.strip() == "1 + 720000q"
 
     @pytest.mark.parametrize(
         "command, change",
@@ -222,6 +233,15 @@ class TestVerify:
     def test_bad_precision(self, capsys):
         code, _, _ = run(capsys, "expand", "E4", "--precision", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["expand", "verify", "convert"])
+    def test_precision_cap(self, capsys, command):
+        extra = ["--to", "completion"] if command == "convert" else []
+        code, out, err = run(capsys, command, "E2", "--precision", str(MAX_PRECISION + 1), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(MAX_PRECISION) in err
+        assert _check_precision(MAX_PRECISION) == MAX_PRECISION == 2 ** 14
 
 
 class TestDims:

@@ -1,12 +1,14 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qmforms import QSeries, format_series
+from qmforms import E2, E4, E6, QSeries, format_series
 from qmforms.eisenstein import delta_series, eisenstein_series
 
-from _oracles import delta_by_eta, eisenstein_by_divisors, mp_eval, sigma
+from _oracles import delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
 
 # frozen with a 60-digit independent summation of the full series at tau = i
 E4_AT_I = 1.455762892268709322462422
@@ -19,6 +21,11 @@ def series(*coeffs):
 
 def geometric(precision):
     return QSeries([1] * precision)
+
+
+def random_coeffs(rng, n, bits=8, dens=(1,)):
+    """``n`` signed Fractions with numerators below 2^bits in magnitude."""
+    return [Fraction(rng.randint(-(2 ** bits), 2 ** bits), rng.choice(dens)) for _ in range(n)]
 
 
 class TestConstruction:
@@ -85,6 +92,82 @@ class TestMul:
         assert series(1, 2) * Fraction(1, 2) == series(Fraction(1, 2), 1)
 
 
+class TestMulAgainstSchoolbook:
+    """The Kronecker-substitution product against the oracle's double loop."""
+
+    @staticmethod
+    def check(a, b):
+        product = QSeries(a) * QSeries(b)
+        assert list(product.coeffs) == mul_lists([Fraction(x) for x in a], [Fraction(x) for x in b])
+
+    def test_signed_mixed_denominators(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            n = rng.randint(1, 40)
+            self.check(random_coeffs(rng, n, dens=(1, 2, 3, 5, 12)), random_coeffs(rng, n, dens=(1, 7, 9)))
+
+    def test_zero_operand_and_leading_zeros(self):
+        a = random_coeffs(random.Random(5), 12, dens=(1, 4))
+        self.check(a, [0] * 12)
+        self.check([0] * 12, a)
+        self.check([0, 0, 0, 1, -2] + [0] * 7, [0, 0, 5, 0, -1, 3] + [0] * 6)
+        assert (QSeries([0] * 6) * QSeries([0] * 6)).is_zero
+
+    def test_precision_one(self):
+        self.check([-7], [Fraction(3, 4)])
+        self.check([0], [5])
+        assert (QSeries([-7]) * QSeries([5])).precision == 1
+
+    def test_unequal_precisions_truncate_to_the_shorter(self):
+        rng = random.Random(9)
+        a, b = random_coeffs(rng, 17, dens=(1, 2)), random_coeffs(rng, 6)
+        assert (QSeries(a) * QSeries(b)).precision == 6
+        assert (QSeries(b) * QSeries(a)).precision == 6
+        self.check(a, b)
+        self.check(b, a)
+
+    def test_coefficients_over_1000_bits(self):
+        rng = random.Random(13)
+        for _ in range(4):
+            self.check(random_coeffs(rng, 20, bits=1100, dens=(1, 3)), random_coeffs(rng, 20, bits=1030))
+        big = 2 ** 1200 - 1
+        self.check([big] * 10, [-big] * 10)
+
+    @pytest.mark.parametrize("magnitude", [1, 7, 127, 128, 255, 256, 2 ** 15, 2 ** 63 - 1, 2 ** 64])
+    def test_worst_case_slot_widths(self, magnitude):
+        # equal magnitudes make every coefficient reach the width bound
+        for n in (1, 2, 3, 8, 9, 33):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                self.check([sa * magnitude] * n, [sb * magnitude] * n)
+                self.check([sa * magnitude, -sa * magnitude] * n, [sb * magnitude] * (2 * n))
+
+
+class TestCanonicalForm:
+    def test_scaled_series_equals_and_hashes_like_its_reduced_form(self):
+        halved = QSeries([2, 4]) * Fraction(1, 2)
+        assert halved == QSeries([1, 2])
+        assert hash(halved) == hash(QSeries([1, 2]))
+        assert (halved.numerators, halved.denominator) == ((1, 2), 1)
+
+    def test_shared_denominator_in_lowest_terms(self):
+        s = QSeries([Fraction(1, 6), Fraction(-1, 4), 2])
+        assert (s.numerators, s.denominator) == ((2, -3, 24), 12)
+        assert s.coeffs == (Fraction(1, 6), Fraction(-1, 4), Fraction(2))
+        assert all(type(c) is Fraction for c in s.coeffs)
+        assert s.coefficient(1) == Fraction(-1, 4)
+
+    def test_operations_reduce(self):
+        assert (QSeries([Fraction(1, 2), 1]) * QSeries([2, 0])).denominator == 1
+        assert QSeries([1, Fraction(1, 2)]).truncate(1) == QSeries([1])
+        assert (QSeries([Fraction(1, 2), 0]) + Fraction(1, 2)).denominator == 1
+        assert QSeries([Fraction(1, 3), 1]).derive() == QSeries([0, 1])
+        assert (QSeries([Fraction(1, 3), Fraction(2, 3)]) - QSeries([Fraction(1, 3), Fraction(-1, 3)])) == series(0, 1)
+
+    def test_zero_series_has_denominator_one(self):
+        z = QSeries([Fraction(1, 3), 0]) * 0
+        assert z == QSeries.zero(2) and z.denominator == 1
+
+
 class TestDerive:
     def test_constant(self):
         assert QSeries.one(5).derive() == QSeries.zero(5)
@@ -143,6 +226,27 @@ class TestEvaluate:
         ours = s.evaluate(tau).value
         theirs = mp_eval(list(s.coeffs), tau)
         assert abs(ours - theirs) < 1e-10 * max(1, abs(theirs))
+
+    def test_bit_identical_to_fraction_accumulation(self):
+        # the numeric harness's weight-20 residuals sit close to its tolerance,
+        # so evaluation must reproduce the float(Fraction) sum exactly
+        rng = random.Random(17)
+        cases = [
+            eisenstein_series(4, 64),
+            delta_series(64),
+            (E2 ** 7 * E6 * Fraction(1, 7) - E4 ** 5 / 3).qexpansion(64),
+            QSeries(random_coeffs(rng, 48, bits=200, dens=(1, 3, 7, 10 ** 30 + 1))),
+        ]
+        taus = (1j, complex(0.3, 1.1), complex(-0.5, 0.87), complex(0.1, 0.25))
+        for s in cases:
+            for tau in taus:
+                q = cmath.exp(2j * math.pi * tau)
+                total, qn = 0j, 1 + 0j
+                for c in s.coeffs:
+                    if c:
+                        total += float(c) * qn
+                    qn *= q
+                assert s.evaluate(tau).value == total
 
     def test_rejects_lower_half_plane(self):
         s = QSeries.one(4)

@@ -20,7 +20,10 @@ from qmforms import (
     weight_op,
 )
 
-from _oracles import all_monomials, eisenstein_by_divisors, random_form
+from qmforms.eisenstein import eisenstein_series
+from qmforms.quasimodular import _generator_power, _monomial_series
+
+from _oracles import all_monomials, eisenstein_by_divisors, pow_list, random_form
 
 
 def sympy_components(form, r):
@@ -268,6 +271,71 @@ class TestQExpansion:
             assert (f * g).qexpansion(24) == f.qexpansion(24) * g.qexpansion(24)
             if f.weight == g.weight:
                 assert (f + g).qexpansion(24) == f.qexpansion(24) + g.qexpansion(24)
+
+
+def clear_expansion_caches():
+    for cache in (_monomial_series, _generator_power, eisenstein_series):
+        cache.cache_clear()
+
+
+def count_products(monkeypatch):
+    """A list that records the precision of every series x series product."""
+    calls = []
+    original = QSeries.__mul__
+
+    def counted(self, other):
+        if isinstance(other, QSeries):
+            calls.append(min(self.precision, other.precision))
+        return original(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    return calls
+
+
+class TestPrefixCache:
+    FORM = E2 ** 3 * E4 * E6 + DELTA * E2 ** 2
+
+    @pytest.mark.parametrize("first, second", [(256, 64), (64, 256)])
+    def test_either_order_matches_a_fresh_expansion(self, first, second):
+        fresh = {}
+        for n in (first, second):
+            clear_expansion_caches()
+            fresh[n] = self.FORM.qexpansion(n)
+        clear_expansion_caches()
+        assert self.FORM.qexpansion(first) == fresh[first]
+        assert self.FORM.qexpansion(second) == fresh[second]
+        assert self.FORM.qexpansion(first) == fresh[first]
+
+    def test_shorter_request_is_answered_by_truncation(self, monkeypatch):
+        clear_expansion_caches()
+        calls = count_products(monkeypatch)
+        self.FORM.qexpansion(128)
+        assert calls and set(calls) == {128}
+        calls.clear()
+        self.FORM.qexpansion(40)
+        assert calls == []
+        self.FORM.qexpansion(129)
+        assert calls and set(calls) == {129}
+
+    def test_cache_clear_empties_the_caches(self, monkeypatch):
+        clear_expansion_caches()
+        calls = count_products(monkeypatch)
+        _monomial_series(1, 2, 1, 32)
+        built = len(calls)
+        _monomial_series(1, 2, 1, 32)
+        assert built > 0 and len(calls) == built
+        _monomial_series.cache_clear()
+        _monomial_series(1, 2, 1, 32)
+        assert len(calls) == built + 2  # the powers are still cached
+        _monomial_series.cache_clear()
+        _generator_power.cache_clear()
+        _monomial_series(1, 2, 1, 32)
+        assert len(calls) == 2 * built + 2
+
+    def test_large_power_by_binary_powering(self):
+        clear_expansion_caches()
+        series = monomial(0, 3000, 0).qexpansion(8)
+        assert list(series.coeffs) == pow_list(eisenstein_by_divisors(4, 8), 3000)
 
 
 class TestRecognize:
