@@ -9,7 +9,7 @@ numeric value only in ``evaluate``.
 
 from fractions import Fraction
 
-from .qseries import DEFAULT_PRECISION, Evaluation, QSeries, yhat
+from .qseries import DEFAULT_PRECISION, QSeries, _powers, combine, yhat
 
 
 class NotHolomorphicError(ValueError):
@@ -106,18 +106,8 @@ class AlmostHolomorphicForm:
     def evaluate(self, tau):
         """Numeric value sum_r coeffs[r](tau) * (-3/(pi*Im tau))^r."""
         tau = complex(tau)
-        if not tau.imag > 0:
-            raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
-        yh = yhat(tau.imag)
-        total = 0j
-        error = 0.0
-        power = 1.0
-        for series in self.coeffs:
-            value = series.evaluate(tau)
-            total += value.value * power
-            error += value.truncation_error * abs(power)
-            power *= yh
-        return Evaluation(total, error)
+        values = [series.evaluate(tau) for series in self.coeffs]
+        return combine(zip(_powers(yhat(tau.imag), self.degree), values))
 
     def __str__(self):
         lines = [f"Y^{r}: {series}" for r, series in enumerate(self.coeffs)]

@@ -118,7 +118,8 @@ def cmd_expand(args):
             for r, series in enumerate(coeffs):
                 print(f"Y^{r}: {series}")
     elif isinstance(form, VectorValuedForm):
-        components = [form.source.reduced_component(r).qexpansion(n) for r in range(form.m + 1)]
+        full = completion(form.source, n)
+        components = [full.coefficient(r) for r in range(form.m + 1)]
         if args.json:
             print(_canonical({
                 "m": form.m,

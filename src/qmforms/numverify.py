@@ -7,13 +7,15 @@ sample points keep Im tau >= 0.3 and all images keep Im(gamma tau) >= 0.25,
 which at 64 coefficients pushes truncation far below the 1e-8 tolerance.
 """
 
+import cmath
 import functools
 import json
 import math
 from dataclasses import dataclass
 
+from .almostholo import completion
 from .eisenstein import eisenstein_series
-from .qseries import DEFAULT_PRECISION, Evaluation, LAMBDA
+from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _powers, combine
 from .vectorvalued import GroupElement, S, T, sym_matrix
 
 MIN_IM_TAU = 0.3
@@ -33,17 +35,18 @@ class SamplePlan:
     def __post_init__(self):
         if not self.taus or not self.gammas:
             raise ValueError("a sample plan needs at least one tau and one gamma")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # written so that NaN fails every comparison
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.precision < 1:
             raise ValueError("precision must be positive")
         for tau in self.taus:
-            if complex(tau).imag < MIN_IM_TAU:
-                raise ValueError(f"sample point {tau} has Im tau < {MIN_IM_TAU}")
+            if not (cmath.isfinite(tau) and complex(tau).imag >= MIN_IM_TAU):
+                raise ValueError(f"sample point {tau} must be finite with Im tau >= {MIN_IM_TAU}")
         for gamma in self.gammas:
             for tau in self.taus:
                 image = gamma.act(complex(tau))
-                if image.imag < MIN_IM_IMAGE:
+                if not image.imag >= MIN_IM_IMAGE:
                     raise ValueError(
                         f"image {gamma}*{tau} has Im = {image.imag:.4f} < {MIN_IM_IMAGE}"
                     )
@@ -112,7 +115,7 @@ def _ensure_lambda():
     tau = complex(0.3, 1.1)
     j = S.j(tau)
     lhs = e2.evaluate(S.act(tau)).value
-    rhs = j ** 2 * e2.evaluate(tau).value + LAMBDA * S.jprime * j
+    rhs = j ** 2 * e2.evaluate(tau).value + LAMBDA * S.c * j
     if abs(lhs - rhs) / max(1.0, abs(rhs)) > 1e-8:
         raise RuntimeError("cocycle constant self-test failed; LAMBDA is miscalibrated")
 
@@ -167,22 +170,18 @@ def check_quasimodular(form, plan, label=None):
     """Residuals of the depth-d law
     f(gamma tau) = sum_r j^(k-r) c^r LAMBDA^r fhat_r(tau)."""
     k = form.weight
-    expansions = [c.qexpansion(plan.precision) for c in form.components()]
-    series = form.qexpansion(plan.precision)
+    full = completion(form, plan.precision)
+    expansions = [full.coefficient(r) for r in range(form.depth + 1)]
 
     def sides(gamma, tau):
-        lhs = series.evaluate(gamma.act(tau))
+        lhs = expansions[0].evaluate(gamma.act(tau))
         j = gamma.j(tau)
-        rhs = 0j
-        trunc = lhs.truncation_error
-        factor = 1 + 0j
-        for r, expansion in enumerate(expansions):
-            scale = j ** (k - r) * factor
-            ev = expansion.evaluate(tau)
-            rhs += scale * ev.value
-            trunc += abs(scale) * ev.truncation_error
-            factor *= gamma.jprime * LAMBDA
-        return [lhs.value], [rhs], trunc
+        factors = _powers(gamma.c * LAMBDA, form.depth)
+        rhs = combine(
+            (j ** (k - r) * factor, expansion.evaluate(tau))
+            for r, (factor, expansion) in enumerate(zip(factors, expansions))
+        )
+        return [lhs.value], [rhs.value], lhs.truncation_error + rhs.truncation_error
 
     return _residuals(plan, str(form) if label is None else label, sides)
 

@@ -11,6 +11,8 @@ normalized derivative is D = q d/dq.
 import cmath
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
 
 #: default number of stored coefficients (of q^0 ... q^(N-1))
@@ -33,6 +35,23 @@ class Evaluation(NamedTuple):
 
     value: complex
     truncation_error: float
+
+
+def combine(terms):
+    """The weighted sum of ``(weight, Evaluation)`` pairs: the sum of
+    weight * value, with the tail estimate sum |weight| * truncation_error.
+    Terms are added in the order given."""
+    total = 0j
+    error = 0.0
+    for weight, evaluation in terms:
+        total += weight * evaluation.value
+        error += abs(weight) * evaluation.truncation_error
+    return Evaluation(total, error)
+
+
+def _powers(base, count):
+    """[base^0, ..., base^count], each the previous one times ``base``."""
+    return list(accumulate([base] * count, mul, initial=base ** 0))
 
 
 def _coerce(value):
@@ -99,7 +118,7 @@ class QSeries:
 
     @classmethod
     def one(cls, precision=DEFAULT_PRECISION):
-        return cls._from_ints([1] + [0] * (precision - 1))
+        return cls.zero(precision) + 1
 
     @property
     def coeffs(self):

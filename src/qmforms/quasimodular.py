@@ -18,7 +18,7 @@ from math import comb
 
 from . import linalg
 from .qseries import DEFAULT_PRECISION, QSeries, _coerce
-from .eisenstein import eisenstein_series
+from .eisenstein import eisenstein_series, monomial_basis
 
 
 class NoMatchError(ValueError):
@@ -290,13 +290,11 @@ def derivative_lift(modular_form, p):
 
 
 def _candidate_keys(weight, depth_bound):
-    keys = []
-    for a in range(min(depth_bound, weight // 2) + 1):
-        rest = weight - 2 * a
-        for b in range(rest // 4 + 1):
-            if (rest - 4 * b) % 6 == 0:
-                keys.append((a, b, (rest - 4 * b) // 6))
-    return sorted(keys)
+    return [
+        (a, b, c)
+        for a in range(min(depth_bound, weight // 2) + 1)
+        for (b, c) in monomial_basis(weight - 2 * a)
+    ]
 
 
 def recognize(series, weight, depth_bound):

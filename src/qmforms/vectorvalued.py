@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import linalg
 from .almostholo import completion
 from .eisenstein import dim_modular, monomial_basis
-from .qseries import DEFAULT_PRECISION, LAMBDA
+from .qseries import DEFAULT_PRECISION, LAMBDA, _powers, combine
 from .quasimodular import E2, E4, E6, QuasiModularForm
 
 
@@ -43,11 +43,6 @@ class GroupElement:
     def j(self, tau):
         """Factor of automorphy c*tau + d."""
         return self.c * tau + self.d
-
-    @property
-    def jprime(self):
-        """Derivative of the (linear) factor of automorphy: the entry c."""
-        return self.c
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
@@ -149,25 +144,18 @@ class VectorValuedForm:
         from (tau, 1) = tau*e1 + e2 and (1, 0) = e1.
         """
         tau = complex(tau)
-        if not tau.imag > 0:
-            raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
-        evaluations = [
-            c.qexpansion(precision).evaluate(tau) for c in self.source.components()
-        ]
-        values = []
-        error = 0.0
-        for i in range(self.m + 1):
-            component = 0j
-            lam_power = 1 + 0j
-            for r, ev in enumerate(evaluations):
-                binom = comb(self.m - r, i) if self.m - r >= i else 0
-                if binom:
-                    weight_factor = lam_power * binom * tau ** (self.m - r - i)
-                    component += weight_factor * ev.value
-                    error += abs(weight_factor) * ev.truncation_error
-                lam_power *= LAMBDA
-            values.append(component)
-        return VectorEvaluation(tuple(values), error)
+        full = completion(self.source, precision)
+        values = [full.coefficient(r).evaluate(tau) for r in range(self.depth + 1)]
+        lam_powers = _powers(LAMBDA, self.depth)
+        m = self.m
+        components, errors = zip(*(
+            combine([
+                (lam_powers[r] * comb(m - r, i) * tau ** (m - r - i), value)
+                for r, value in enumerate(values[:m - i + 1])
+            ])
+            for i in range(m + 1)
+        ))
+        return VectorEvaluation(components, sum(errors))
 
     def __str__(self):
         return f"VV(m={self.m}, k={self.weight_label}, source={self.source})"
@@ -290,7 +278,8 @@ def certify_dim_vv(weight_label, m, precision=16):
     """
     rows = []
     for form in basis_vv(weight_label, m):
-        parts = [form.source.reduced_component(r).qexpansion(precision) for r in range(m + 1)]
+        full = completion(form.source, precision)
+        parts = [full.coefficient(r) for r in range(m + 1)]
         # a row scaled by a nonzero constant keeps the rank: clear its denominators
         scale = lcm(*(s.denominator for s in parts))
         rows.append([n * (scale // s.denominator) for s in parts for n in s.numerators])

@@ -230,6 +230,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "E4", "--tolerance", "0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["E2", "--as-weight", "2", "--tolerance", "inf"],
+            ["E4", "--tolerance", "nan"],
+            ["E4", "--tau", "nan+1i"],
+        ],
+    )
+    def test_non_finite_plan_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_bad_precision(self, capsys):
         code, _, _ = run(capsys, "expand", "E4", "--precision", "0")
         assert code == 2

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -70,6 +71,19 @@ class TestPlan:
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
             SamplePlan(taus=(), gammas=(T,))
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            SamplePlan(taus=(complex(0.3, 1.1),), gammas=(T,), tolerance=tolerance)
+
+    @pytest.mark.parametrize(
+        "tau",
+        [complex(math.nan, 1.0), complex(0.3, math.nan), complex(math.inf, 1.0), complex(0.3, math.inf)],
+    )
+    def test_non_finite_sample_point_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            SamplePlan(taus=(tau,), gammas=(T,))
 
 
 class TestScalar:

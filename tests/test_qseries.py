@@ -7,6 +7,7 @@ import pytest
 
 from qmforms import E2, E4, E6, QSeries, format_series
 from qmforms.eisenstein import delta_series, eisenstein_series
+from qmforms.qseries import Evaluation, combine
 
 from _oracles import delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
 
@@ -39,6 +40,13 @@ class TestConstruction:
 
     def test_precision(self):
         assert series(1, 2, 3).precision == 3
+
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_one_rejects_non_positive_precision(self, precision):
+        with pytest.raises(ValueError):
+            QSeries.one(precision)
+        with pytest.raises(ValueError):
+            QSeries.zero(precision)
 
     def test_truncate_never_extends(self):
         s = series(1, 2, 3)
@@ -270,6 +278,15 @@ class TestEvaluate:
         e32 = geometric(32).evaluate(tau).truncation_error
         e64 = geometric(64).evaluate(tau).truncation_error
         assert 0 < e64 < e32
+
+
+class TestCombine:
+    def test_weighted_sum_and_tail(self):
+        terms = [(2.0, Evaluation(1 + 1j, 0.5)), (-3j, Evaluation(2 + 0j, 0.25)), (0.5, Evaluation(4j, 0.0))]
+        assert combine(terms) == Evaluation(2 - 2j, 1.75)
+
+    def test_empty_sum(self):
+        assert combine([]) == Evaluation(0j, 0.0)
 
 
 class TestFormatting:

@@ -1,9 +1,12 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qmforms import (
+    DELTA,
     E2,
     E4,
     E6,
@@ -47,7 +50,6 @@ class TestGroupElement:
         image = S.act(tau)
         assert abs(image - (-1 / tau)) < 1e-15
         assert S.j(tau) == tau
-        assert S.jprime == 1 and T.jprime == 0
 
     def test_product_and_inverse(self):
         gamma = GroupElement(2, 1, 1, 1)
@@ -139,6 +141,24 @@ class TestWrapping:
         values = w.evaluate(tau).values
         assert abs(values[0] - (LAMBDA + e2 * tau)) < 1e-12
         assert abs(values[1] - e2) < 1e-12
+
+    @pytest.mark.parametrize("tau", [complex(0.3, -1.1), complex(0.3, 0.0), complex(0.3, math.nan)])
+    def test_rejects_points_off_the_upper_half_plane(self, tau):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            from_quasimodular(E2 * E4, 2).evaluate(tau)
+
+    def test_truncation_error_counts_vanishing_components(self):
+        # at precision 1 both reduced components of Delta*E2 expand to zero,
+        # which the completion strips; their tails must still be counted
+        F = from_quasimodular(DELTA * E2, 2)
+        tau = complex(0.3, 1.1)
+        aq = abs(cmath.exp(2j * math.pi * tau))
+        expected = sum(
+            abs(LAMBDA) ** r * math.comb(2 - r, i) * abs(tau) ** (2 - r - i) * aq / (1 - aq)
+            for i in range(3)
+            for r in range(2)
+        )
+        assert F.evaluate(tau, 1).truncation_error == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestModularity:
