@@ -2,7 +2,8 @@
 
 Forms are given inline as JSON documents, as paths to JSON files, or as
 expressions like ``E2^2*E4 + 3*E6^2``.  Exit codes: 0 success, 1
-verification failure, 2 usage or parse error.
+verification failure, 2 any other error; ``main`` is the one place that
+turns an exception into a single ``error:`` line.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .numverify import (
 )
 from .qseries import DEFAULT_PRECISION
 from .quasimodular import QuasiModularForm, recognize
-from .serialize import FormDocumentError, from_document, to_document
+from .serialize import _canonical, from_document, to_document
 from .vectorvalued import (
     GroupElement,
     VectorValuedForm,
@@ -45,10 +46,6 @@ MAX_PRECISION = 2 ** 14
 
 class UsageError(Exception):
     pass
-
-
-def _canonical(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _load_input(text):
@@ -72,12 +69,9 @@ def _load_input(text):
         raise UsageError(f"JSON parse error at position {exc.pos}: {exc.msg}") from None
     except RecursionError:
         raise UsageError("JSON nested too deeply") from None
-    try:
-        if isinstance(doc, list):
-            return [from_document(entry) for entry in doc]
-        return from_document(doc)
-    except FormDocumentError as exc:
-        raise UsageError(str(exc)) from None
+    if isinstance(doc, list):
+        return [from_document(entry) for entry in doc]
+    return from_document(doc)
 
 
 def _single_form(text):
@@ -152,16 +146,10 @@ def cmd_convert(args):
             if not all(isinstance(p, QuasiModularForm) for p in form):
                 raise UsageError("w-basis parts must be quasimodular documents")
             rank = args.rank if args.rank is not None else len(form) - 1
-            try:
-                vv = w_compose(form, m=rank, weight_label=args.weight)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            vv = w_compose(form, m=rank, weight_label=args.weight)
         elif isinstance(form, QuasiModularForm):
             rank = args.rank if args.rank is not None else form.depth
-            try:
-                vv = from_quasimodular(form, rank)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            vv = from_quasimodular(form, rank)
         else:
             raise UsageError("--to vvmf needs a quasimodular form or an array of w-basis parts")
         print(_canonical(to_document(vv)))
@@ -205,27 +193,19 @@ def _parse_gamma(text):
         a, b, c, d = (int(p) for p in pieces)
     except ValueError:
         raise UsageError(f"group element entries in {text!r} must be integers") from None
-    try:
-        return GroupElement(a, b, c, d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return GroupElement(a, b, c, d)
 
 
 def cmd_verify(args):
     form = _single_form(args.form)
     _check_precision(args.precision)
-    try:
-        base = default_plan(tolerance=args.tolerance, precision=args.precision)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    taus = tuple(_parse_tau(t) for t in args.tau) if args.tau else base.taus
-    gammas = tuple(_parse_gamma(g) for g in args.gamma) if args.gamma else base.gammas
-    try:
-        plan = SamplePlan(
-            taus=taus, gammas=gammas, tolerance=args.tolerance, precision=args.precision
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    defaults = default_plan()
+    plan = SamplePlan(
+        taus=tuple(map(_parse_tau, args.tau)) if args.tau else defaults.taus,
+        gammas=tuple(map(_parse_gamma, args.gamma)) if args.gamma else defaults.gammas,
+        tolerance=args.tolerance,
+        precision=args.precision,
+    )
 
     if args.as_weight is not None:
         if isinstance(form, QuasiModularForm):
@@ -333,8 +313,12 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a usage error or a library ValueError already says what is wrong;
+        # any other exception is named so that its message makes sense
+        known = isinstance(exc, (UsageError, ValueError))
+        message = exc if known else f"{type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

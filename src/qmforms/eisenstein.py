@@ -53,8 +53,6 @@ def generator(name, precision=DEFAULT_PRECISION):
         build = _GENERATORS[name]
     except KeyError:
         raise ValueError(f"unknown generator {name!r}; expected one of {sorted(_GENERATORS)}") from None
-    if precision < 1:
-        raise ValueError("precision must be positive")
     return build(precision)
 
 

@@ -2,8 +2,16 @@
 
 Grammar: sums/differences of products of powers of E2, E4, E6, Delta and
 integer literals, with parentheses; '/' divides by a rational constant, so
-literals like 3/2 and scalings like (E4^3 - E6^2)/1728 work.  The result is
-a QuasiModularForm; weight homogeneity is enforced by the form arithmetic.
+literals like 3/2 and scalings like (E4^3 - E6^2)/1728 work.  Any operand
+may carry a sign, which binds looser than '^' and tighter than '*' and '/':
+-E4^2 and E4*-E4^2 both negate E4^2.  The result is a QuasiModularForm;
+weight homogeneity is enforced by the form arithmetic.
+
+    sum     := product (('+' | '-') product)*
+    product := signed (('*' | '/') signed)*
+    signed  := ('+' | '-') signed | power
+    power   := atom ('^' integer)?
+    atom    := integer | name | '(' sum ')'
 """
 
 import re
@@ -63,14 +71,7 @@ class _Parser:
         return form
 
     def sum(self):
-        kind, value = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            self.take()
-            negate = value == "-"
         form = self.product()
-        if negate:
-            form = -form
         while True:
             kind, value = self.peek()
             if kind == "op" and value in "+-":
@@ -84,12 +85,12 @@ class _Parser:
                 return form
 
     def product(self):
-        form = self.power()
+        form = self.signed()
         while True:
             kind, value = self.peek()
             if kind == "op" and value in "*/":
                 self.take()
-                rhs = self.power()
+                rhs = self.signed()
                 if value == "*":
                     form = form * rhs
                 else:
@@ -99,6 +100,14 @@ class _Parser:
                     form = form * (1 / scalar)
             else:
                 return form
+
+    def signed(self):
+        kind, value = self.peek()
+        if kind == "op" and value in "+-":
+            self.take()
+            form = self.signed()
+            return -form if value == "-" else form
+        return self.power()
 
     def power(self):
         base = self.atom()
@@ -126,8 +135,6 @@ class _Parser:
             form = self.sum()
             self.expect_op(")")
             return form
-        if kind == "op" and value == "-":
-            return -self.atom()
         raise ExpressionError(f"unexpected token {value!r}")
 
 
@@ -145,7 +152,10 @@ def parse_form(text):
     tokens = _tokenize(text)
     if not tokens:
         raise ExpressionError("empty expression")
-    form = _Parser(tokens).parse()
+    try:
+        form = _Parser(tokens).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
     if not isinstance(form, QuasiModularForm):
         raise ExpressionError("expression did not produce a form")
     return form

@@ -247,9 +247,22 @@ class QSeries:
         return f"QSeries({shown}{more}; precision={self.precision})"
 
 
+def _signed_sum(terms):
+    """Join ``(value, body)`` pairs, each body showing ``|value|``, as
+    ``a + b - c``: the first sign is glued to its body, the others spaced;
+    ``"0"`` when there are none."""
+    pieces = []
+    for value, body in terms:
+        if pieces:
+            pieces.append(f"- {body}" if value < 0 else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if value < 0 else body)
+    return " ".join(pieces) or "0"
+
+
 def format_series(series):
     """Human-readable q-expansion, e.g. ``1 + 240q + 2160q^2``."""
-    pieces = []
+    terms = []
     for n, num in enumerate(series.numerators):
         if not num:
             continue
@@ -264,8 +277,5 @@ def format_series(series):
                 body = f"{mag}{q}"
             else:
                 body = f"{mag}*{q}"
-        if not pieces:
-            pieces.append(body if num > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
-    return " ".join(pieces) if pieces else "0"
+        terms.append((num, body))
+    return _signed_sum(terms)

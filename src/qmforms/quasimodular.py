@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .qseries import DEFAULT_PRECISION, QSeries, _coerce
+from .qseries import DEFAULT_PRECISION, QSeries, _coerce, _signed_sum
 from .eisenstein import eisenstein_series, monomial_basis
 
 
@@ -66,10 +66,6 @@ class QuasiModularForm:
     def depth(self):
         """Degree in E2 (zero for the zero form)."""
         return max((a for (a, _, _) in self.monomials), default=0)
-
-    @property
-    def is_modular(self):
-        return self.depth == 0
 
     def __eq__(self, other):
         return (
@@ -190,9 +186,7 @@ class QuasiModularForm:
     # -- presentation --------------------------------------------------------------
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        pieces = []
+        terms = []
         for (a, b, c), v in sorted(self.monomials.items(), reverse=True):
             factors = []
             for name, e in (("E2", a), ("E4", b), ("E6", c)):
@@ -206,11 +200,8 @@ class QuasiModularForm:
                 body = str(mag)
             elif mag != 1:
                 body = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(body if v > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(pieces)
+            terms.append((v, body))
+        return _signed_sum(terms)
 
     def __repr__(self):
         return f"QuasiModularForm({self.weight}, {self})"

@@ -120,9 +120,14 @@ def from_document(doc):
     raise FormDocumentError(f"unknown format {kind!r}")
 
 
+def _canonical(payload):
+    """Canonical one-line JSON text: sorted keys, compact separators."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def dumps(form):
     """Canonical one-line JSON text for a form object."""
-    return json.dumps(to_document(form), sort_keys=True, separators=(",", ":"))
+    return _canonical(to_document(form))
 
 
 def loads(text):

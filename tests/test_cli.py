@@ -46,6 +46,22 @@ class TestExpressionParser:
         with pytest.raises(ExpressionError):
             parse_form("E4/E2")
 
+    def test_sign_binds_looser_than_power_wherever_an_operand_starts(self):
+        assert parse_form("E4*-E4^2") == -E4 ** 3
+        assert parse_form("E4*+E6") == E4 * E6
+        assert parse_form("-E4^2") == parse_form("0 - E4^2") == -E4 ** 2
+        assert parse_form("E4^2 - -E4^2") == 2 * E4 ** 2
+        assert parse_form("E4/-2") == parse_form("-1/2*E4") == -E4 / 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 3000 + "E4" + ")" * 3000, "-" * 3000 + "E4"],
+        ids=["nested-parentheses", "stacked-signs"],
+    )
+    def test_deep_nesting_is_an_expression_error(self, text):
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            parse_form(text)
+
 
 class TestExpand:
     def test_e4(self, capsys):
@@ -275,6 +291,28 @@ class TestDims:
         assert code == 0
         column = [line.split()[1] for line in out.strip().splitlines()[1:]]
         assert column == ["1", "0", "1", "1", "1", "1", "2"]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "(" * 3000 + "E4" + ")" * 3000],
+            ["expand", "--", "-" * 3000 + "E4"],
+            ["verify", "E4", "--as-weight", "100000"],
+            ["verify", dumps(E4 ** 1000)],
+        ],
+        ids=["nested-parentheses", "stacked-signs", "huge-as-weight", "weight-4000"],
+    )
+    def test_former_traceback_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unexpected_exception_is_named(self, capsys):
+        _, _, err = run(capsys, "verify", "E4", "--as-weight", "100000")
+        assert err.startswith("error: OverflowError: ")
 
 
 class TestUsage:

@@ -42,6 +42,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generator("E4", 0)
 
+    @pytest.mark.parametrize("name", ["E2", "E4", "E6", "Delta"])
+    @pytest.mark.parametrize("precision", [0, -3])
+    def test_every_generator_rejects_non_positive_precision(self, name, precision):
+        with pytest.raises(ValueError, match="precision must be positive"):
+            generator(name, precision)
+
     def test_table_invariants(self):
         e2, e4, e6, delta = (generator(name, 24) for name in ("E2", "E4", "E6", "Delta"))
         assert e2.coeffs[0] == 1
