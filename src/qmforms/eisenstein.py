@@ -7,15 +7,14 @@ dimension and the constructed basis can never disagree.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .qseries import DEFAULT_PRECISION, QSeries
+from .qseries import DEFAULT_PRECISION, QSeries, _prefix_cache
 
 _EISENSTEIN_FACTOR = {2: -24, 4: 240, 6: -504}
 
 
-@lru_cache(maxsize=None)
-def eisenstein_series(weight, precision=DEFAULT_PRECISION):
+@_prefix_cache
+def eisenstein_series(weight, precision=DEFAULT_PRECISION, /):
     """The q-expansion of E2, E4 or E6 to the requested precision."""
     if weight not in _EISENSTEIN_FACTOR:
         raise ValueError(f"no Eisenstein generator of weight {weight}")
@@ -31,29 +30,11 @@ def eisenstein_series(weight, precision=DEFAULT_PRECISION):
     return QSeries._from_ints(coeffs)
 
 
-@lru_cache(maxsize=None)
 def delta_series(precision=DEFAULT_PRECISION):
     """The discriminant cusp form (E4^3 - E6^2)/1728."""
     e4 = eisenstein_series(4, precision)
     e6 = eisenstein_series(6, precision)
     return (e4 ** 3 - e6 ** 2) * Fraction(1, 1728)
-
-
-_GENERATORS = {
-    "E2": lambda n: eisenstein_series(2, n),
-    "E4": lambda n: eisenstein_series(4, n),
-    "E6": lambda n: eisenstein_series(6, n),
-    "Delta": delta_series,
-}
-
-
-def generator(name, precision=DEFAULT_PRECISION):
-    """q-expansion of a named generator (E2, E4, E6 or Delta)."""
-    try:
-        build = _GENERATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown generator {name!r}; expected one of {sorted(_GENERATORS)}") from None
-    return build(precision)
 
 
 def monomial_basis(weight):

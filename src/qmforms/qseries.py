@@ -9,7 +9,9 @@ normalized derivative is D = q d/dq.
 """
 
 import cmath
+import functools
 import math
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -17,6 +19,10 @@ from typing import NamedTuple
 
 #: default number of stored coefficients (of q^0 ... q^(N-1))
 DEFAULT_PRECISION = 64
+
+#: most keys an expansion cache holds; the least recently used goes first
+CACHE_KEYS = 1024
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 # Cocycle constant of E2:  E2(g tau) = j^2 E2(tau) + LAMBDA * c * j with
 # j = c*tau + d and LAMBDA = 6/(pi*i) = -6i/pi.  Rationally 2*pi*i*LAMBDA = 12,
@@ -52,6 +58,52 @@ def combine(terms):
 def _powers(base, count):
     """[base^0, ..., base^count], each the previous one times ``base``."""
     return list(accumulate([base] * count, mul, initial=base ** 0))
+
+
+def _power(base, exponent, one):
+    """``base ** exponent`` by binary powering; ``one`` is the 0th power."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("only non-negative integer powers are defined")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = base if result is one else result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
+def _prefix_cache(build):
+    """Memoize ``build(*key, precision)``, keeping per key the longest
+    expansion built so far: a shorter request truncates it (a hit), a longer
+    one rebuilds and replaces it (a miss).  At most ``CACHE_KEYS`` keys stay,
+    least recently used out first; a left-out precision gets build's default."""
+    entries = OrderedDict()
+    counts = {"hits": 0, "misses": 0}
+    keys = build.__code__.co_argcount - 1
+
+    @functools.wraps(build)
+    def cached(*args):
+        key, (precision,) = args[:keys], args[keys:] or build.__defaults__
+        series = entries.pop(key, None)
+        if series is None or series.precision < precision:
+            series = build(*args)
+            counts["misses"] += 1
+        else:
+            counts["hits"] += 1
+        entries[key] = series
+        if len(entries) > CACHE_KEYS:
+            entries.popitem(last=False)
+        return series.truncate(precision)
+
+    def cache_clear():
+        entries.clear()
+        counts.update(hits=0, misses=0)
+
+    cached.cache_info = lambda: _CacheInfo(counts["hits"], counts["misses"], CACHE_KEYS, len(entries))
+    cached.cache_clear = cache_clear
+    return cached
 
 
 def _coerce(value):
@@ -187,17 +239,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        result = None
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return QSeries.one(self.precision) if result is None else result
+        return _power(self, exponent, QSeries.one(self.precision))
 
     def __eq__(self, other):
         return (isinstance(other, QSeries) and self.denominator == other.denominator

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .qseries import DEFAULT_PRECISION, QSeries, _coerce, _signed_sum
+from .qseries import DEFAULT_PRECISION, QSeries, _coerce, _power, _prefix_cache, _signed_sum
 from .eisenstein import eisenstein_series, monomial_basis
 
 
@@ -119,12 +119,7 @@ class QuasiModularForm:
         return self * (1 / scalar)
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(self, exponent, ONE)
 
     # -- components and operators ---------------------------------------------
 
@@ -207,25 +202,9 @@ class QuasiModularForm:
         return f"QuasiModularForm({self.weight}, {self})"
 
 
-def _prefix_cache(build):
-    """Memoize ``build(*key, precision)``, keeping per key only the longest
-    expansion built so far: a shorter request is answered by truncation, a
-    longer one rebuilds and replaces the entry."""
-    entries = {}
-
-    def cached(*args):
-        key, precision = args[:-1], args[-1]
-        series = entries.get(key)
-        if series is None or series.precision < precision:
-            series = entries[key] = build(*args)
-        return series.truncate(precision)
-
-    cached.cache_clear = entries.clear
-    return cached
-
-
 @_prefix_cache
 def _generator_power(weight, exponent, precision):
+    # E_k^0 is built without E_k, so a monomial builds only the series it uses
     return eisenstein_series(weight, precision) ** exponent if exponent else QSeries.one(precision)
 
 

@@ -3,8 +3,11 @@ grammar (and that text with one token spliced in or cut out) either parses
 or raises ExpressionError, and ``qmforms expand`` on it exits 0 or 2 with
 one ``error:`` line.
 
-Integer literals stay at most 99: exponents are not capped, so a huge one
-would only make an example slow, not find a fault.
+Integer literals stay at most 99.  Exponents on E2, E4, E6 and on literals
+run up to 9999, which binary powering keeps cheap.  Exponents on Delta stay
+at most 99 and those on a parenthesised group at most 3: the expanded
+polynomial of a sum grows with the exponent, so larger ones would only make
+an example slow, not find a fault.
 """
 
 import contextlib
@@ -18,7 +21,12 @@ from qmforms.exprparse import ExpressionError, parse_form
 SIGNS = st.sampled_from(["", "", "-", "+", "--", "-+"])
 LITERALS = st.integers(0, 99).map(str)
 ATOMS = st.one_of(st.sampled_from(["E2", "E4", "E6", "Delta"]), LITERALS)
-POWERS = st.one_of(ATOMS, st.builds("{}^{}".format, ATOMS, LITERALS))
+POWERS = st.one_of(
+    ATOMS,
+    st.builds("{}^{}".format, st.one_of(st.sampled_from(["E2", "E4", "E6"]), LITERALS), st.integers(0, 9999)),
+    # Delta has two monomials, so its n-th power has n + 1
+    st.builds("Delta^{}".format, st.integers(0, 99)),
+)
 OPERATORS = st.sampled_from(["+", "-", "*", "/", " + ", " - ", " * "])
 
 

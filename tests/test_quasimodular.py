@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmforms import (
+    DEFAULT_PRECISION,
     DELTA,
     E2,
     E4,
@@ -21,6 +25,7 @@ from qmforms import (
 )
 
 from qmforms.eisenstein import eisenstein_series
+from qmforms.qseries import CACHE_KEYS
 from qmforms.quasimodular import _generator_power, _monomial_series
 
 from _oracles import all_monomials, eisenstein_by_divisors, pow_list, random_form
@@ -336,6 +341,69 @@ class TestPrefixCache:
         clear_expansion_caches()
         series = monomial(0, 3000, 0).qexpansion(8)
         assert list(series.coeffs) == pow_list(eisenstein_by_divisors(4, 8), 3000)
+
+    def test_least_recently_used_key_goes_first(self):
+        clear_expansion_caches()
+        keys = [(0, b, 0) for b in range(CACHE_KEYS + 1)]
+        for key in keys:
+            _monomial_series(*key, 1)
+        info = _monomial_series.cache_info()
+        assert info.currsize == info.maxsize == CACHE_KEYS
+        assert _generator_power.cache_info().currsize == CACHE_KEYS
+        _monomial_series(*keys[-1], 1)
+        assert _monomial_series.cache_info().misses == info.misses
+        _monomial_series(*keys[0], 1)
+        assert _monomial_series.cache_info().misses == info.misses + 1
+
+    def test_cache_info_counts_truncations_and_builds(self):
+        clear_expansion_caches()
+        assert _monomial_series.cache_info() == (0, 0, CACHE_KEYS, 0)
+        for n in (32, 16, 32, 64):  # build, truncate, truncate, rebuild
+            _monomial_series(1, 2, 1, n)
+        info = _monomial_series.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 2, CACHE_KEYS, 1)
+        _monomial_series.cache_clear()
+        assert _monomial_series.cache_info() == (0, 0, CACHE_KEYS, 0)
+
+    def test_eisenstein_series_keeps_one_entry_per_weight(self):
+        clear_expansion_caches()
+        for n in range(1, 201):
+            E4.qexpansion(n)
+        assert eisenstein_series.cache_info().currsize == 1
+
+    def test_left_out_precision_is_the_default(self):
+        clear_expansion_caches()
+        assert eisenstein_series(4) == eisenstein_series(4, DEFAULT_PRECISION)
+        assert eisenstein_series(4, 2 * DEFAULT_PRECISION).precision == 2 * DEFAULT_PRECISION
+        assert eisenstein_series(4) == eisenstein_series(4, DEFAULT_PRECISION)
+
+
+class TestPower:
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 8))
+    def test_power_is_repeated_product(self, rng, n):
+        f = random_form(rng, max_weight=12)
+        assert f ** n == reduce(mul, [f] * n, ONE)
+        series = f.qexpansion(12)
+        assert series ** n == reduce(mul, [series] * n, QSeries.one(12))
+
+    def test_large_power_takes_logarithmically_many_products(self, monkeypatch):
+        calls = []
+        original = QuasiModularForm.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(QuasiModularForm, "__mul__", counted)
+        assert E4 ** 200000 == monomial(0, 200000, 0)
+        assert len(calls) <= 36
+
+    @pytest.mark.parametrize("exponent", [-1, 1.5])
+    def test_only_non_negative_integer_exponents(self, exponent):
+        for base in (E4, E4.qexpansion(4)):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                base ** exponent
 
 
 class TestRecognize:
