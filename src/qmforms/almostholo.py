@@ -9,7 +9,7 @@ numeric value only in ``evaluate``.
 
 from fractions import Fraction
 
-from .qseries import DEFAULT_PRECISION, QSeries, _powers, combine, yhat
+from .qseries import DEFAULT_PRECISION, QSeries, _evaluations, _powers, combine, yhat
 
 
 class NotHolomorphicError(ValueError):
@@ -106,7 +106,7 @@ class AlmostHolomorphicForm:
     def evaluate(self, tau):
         """Numeric value sum_r coeffs[r](tau) * (-3/(pi*Im tau))^r."""
         tau = complex(tau)
-        values = [series.evaluate(tau) for series in self.coeffs]
+        values = _evaluations(self.coeffs, tau)
         return combine(zip(_powers(yhat(tau.imag), self.degree), values))
 
     def __str__(self):

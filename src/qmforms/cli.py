@@ -311,6 +311,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    # exact coefficients of valid forms may pass the digit limit of int <-> str
+    # conversion (CPython 3.11, some 3.10 builds); lift it for this command
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits:
+        old_digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.func(args)
     except Exception as exc:
@@ -320,6 +326,9 @@ def main(argv=None):
         message = exc if known else f"{type(exc).__name__}: {exc}"
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if set_digits:
+            set_digits(old_digits)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .almostholo import completion
 from .eisenstein import eisenstein_series
-from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _powers, combine
+from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, combine
 from .vectorvalued import GroupElement, S, T, sym_matrix
 
 MIN_IM_TAU = 0.3
@@ -127,17 +127,19 @@ def _call_evaluator(evaluator, tau):
     return Evaluation(complex(result), 0.0)
 
 
-def _residuals(plan, label, sides):
+def _residuals(plan, label, base, sides):
     """One residual per (gamma, tau) of the plan, in the Euclidean norm.
 
-    ``sides(gamma, tau)`` returns the left-hand values, the right-hand
-    values and the truncation error of that sample.
+    ``base(tau)`` evaluates the form at a base point, once per tau;
+    ``sides(gamma, tau, base)`` returns, from that value, the left-hand
+    values, the right-hand values and the truncation error of the sample.
     """
     _ensure_lambda()
+    bases = [base(tau) for tau in plan.taus]
     out = []
     for gamma in plan.gammas:
-        for tau in plan.taus:
-            lhs, rhs, trunc = sides(gamma, tau)
+        for tau, at_tau in zip(plan.taus, bases):
+            lhs, rhs, trunc = sides(gamma, tau, at_tau)
             absolute = math.hypot(*(abs(x - y) for x, y in zip(lhs, rhs)))
             rhs_norm = math.hypot(*(abs(y) for y in rhs))
             out.append(
@@ -156,14 +158,13 @@ def _residuals(plan, label, sides):
 def check_scalar(evaluator, weight, plan, label="scalar form"):
     """Residuals of f(gamma tau) = j^weight f(tau) over the plan."""
 
-    def sides(gamma, tau):
+    def sides(gamma, tau, base):
         lhs = _call_evaluator(evaluator, gamma.act(tau))
-        base = _call_evaluator(evaluator, tau)
         j_pow = gamma.j(tau) ** weight
         trunc = lhs.truncation_error + abs(j_pow) * base.truncation_error
         return [lhs.value], [j_pow * base.value], trunc
 
-    return _residuals(plan, label, sides)
+    return _residuals(plan, label, lambda tau: _call_evaluator(evaluator, tau), sides)
 
 
 def check_quasimodular(form, plan, label=None):
@@ -173,17 +174,18 @@ def check_quasimodular(form, plan, label=None):
     full = completion(form, plan.precision)
     expansions = [full.coefficient(r) for r in range(form.depth + 1)]
 
-    def sides(gamma, tau):
+    def sides(gamma, tau, base):
         lhs = expansions[0].evaluate(gamma.act(tau))
         j = gamma.j(tau)
         factors = _powers(gamma.c * LAMBDA, form.depth)
         rhs = combine(
-            (j ** (k - r) * factor, expansion.evaluate(tau))
-            for r, (factor, expansion) in enumerate(zip(factors, expansions))
+            (j ** (k - r) * factor, value)
+            for r, (factor, value) in enumerate(zip(factors, base))
         )
         return [lhs.value], [rhs.value], lhs.truncation_error + rhs.truncation_error
 
-    return _residuals(plan, str(form) if label is None else label, sides)
+    label = str(form) if label is None else label
+    return _residuals(plan, label, lambda tau: _evaluations(expansions, tau), sides)
 
 
 def check_vv(form, plan, label=None):
@@ -192,10 +194,9 @@ def check_vv(form, plan, label=None):
     k, m = form.weight_label, form.m
     matrices = {g: sym_matrix(g, m) for g in plan.gammas}
 
-    def sides(gamma, tau):
+    def sides(gamma, tau, base):
         matrix = matrices[gamma]
         lhs = form.evaluate(gamma.act(tau), plan.precision)
-        base = form.evaluate(tau, plan.precision)
         j_pow = gamma.j(tau) ** (k - m)
         rhs = [
             j_pow * sum(matrix[i][l] * base.values[l] for l in range(m + 1))
@@ -205,4 +206,5 @@ def check_vv(form, plan, label=None):
         trunc = lhs.truncation_error + abs(j_pow) * matrix_scale * base.truncation_error
         return lhs.values, rhs, trunc
 
-    return _residuals(plan, str(form) if label is None else label, sides)
+    label = str(form) if label is None else label
+    return _residuals(plan, label, lambda tau: form.evaluate(tau, plan.precision), sides)

@@ -60,6 +60,30 @@ def _powers(base, count):
     return list(accumulate([base] * count, mul, initial=base ** 0))
 
 
+def _evaluations(series, tau):
+    """Evaluate each q-series at tau in the upper half-plane, from one table
+    of powers of q = exp(2*pi*i*tau): the double-precision truncated sum,
+    accumulated in ascending order of n so that extending the precision never
+    perturbs the shared coefficients' part, and the tail |q|^N / (1 - |q|)."""
+    tau = complex(tau)
+    if not tau.imag > 0:
+        raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
+    q = cmath.exp(2j * math.pi * tau)
+    aq = abs(q)
+    q_powers = _powers(q, max(s.precision for s in series) - 1)
+    out = []
+    for s in series:
+        total = 0j
+        den = s.denominator
+        for n, qn in zip(s.numerators, q_powers):
+            if n:
+                # int / int is correctly rounded, exactly like float(Fraction)
+                total += n / den * qn
+        tail = aq ** s.precision / (1.0 - aq) if aq < 1.0 else math.inf
+        out.append(Evaluation(total, tail))
+    return out
+
+
 def _power(base, exponent, one):
     """``base ** exponent`` by binary powering; ``one`` is the 0th power."""
     if not isinstance(exponent, int) or exponent < 0:
@@ -255,28 +279,8 @@ class QSeries:
         return QSeries._from_ints([k * n for k, n in enumerate(self.numerators)], self.denominator)
 
     def evaluate(self, tau):
-        """Evaluate at tau in the upper half-plane.
-
-        Returns the double-precision value of the truncated sum together
-        with the tail estimate |q|^N / (1 - |q|).  Terms are accumulated in
-        ascending order of n, so extending the precision of a series never
-        perturbs the contribution of the shared coefficients.
-        """
-        tau = complex(tau)
-        if not tau.imag > 0:
-            raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
-        q = cmath.exp(2j * math.pi * tau)
-        total = 0j
-        qn = 1 + 0j
-        den = self.denominator
-        for n in self.numerators:
-            if n:
-                # int / int is correctly rounded, exactly like float(Fraction)
-                total += n / den * qn
-            qn *= q
-        aq = abs(q)
-        tail = aq ** self.precision / (1.0 - aq) if aq < 1.0 else math.inf
-        return Evaluation(total, tail)
+        """Evaluate at tau in the upper half-plane (see ``_evaluations``)."""
+        return _evaluations([self], tau)[0]
 
     # -- presentation --------------------------------------------------------
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import linalg
 from .almostholo import completion
 from .eisenstein import dim_modular, monomial_basis
-from .qseries import DEFAULT_PRECISION, LAMBDA, _powers, combine
+from .qseries import DEFAULT_PRECISION, LAMBDA, _evaluations, _powers, combine
 from .quasimodular import E2, E4, E6, QuasiModularForm
 
 
@@ -95,7 +95,7 @@ class VectorEvaluation(NamedTuple):
 class VectorValuedForm:
     """A rank-(m+1) modular object built from a quasi-modular source."""
 
-    __slots__ = ("source", "m", "weight_label")
+    __slots__ = ("source", "m", "weight_label", "_completion")
 
     def __init__(self, source, m, weight_label=None):
         if m < 0:
@@ -111,6 +111,8 @@ class VectorValuedForm:
         self.source = source
         self.m = m
         self.weight_label = weight_label
+        # the completion ``evaluate`` used last: one expansion per precision
+        self._completion = None
 
     @property
     def weight(self):
@@ -144,8 +146,10 @@ class VectorValuedForm:
         from (tau, 1) = tau*e1 + e2 and (1, 0) = e1.
         """
         tau = complex(tau)
-        full = completion(self.source, precision)
-        values = [full.coefficient(r).evaluate(tau) for r in range(self.depth + 1)]
+        full = self._completion
+        if full is None or full.precision != precision:
+            full = self._completion = completion(self.source, precision)
+        values = _evaluations([full.coefficient(r) for r in range(self.depth + 1)], tau)
         lam_powers = _powers(LAMBDA, self.depth)
         m = self.m
         components, errors = zip(*(

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -123,6 +125,31 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", "E4^3000", "--precision", "2")
         assert code == 0
         assert out.strip() == "1 + 720000q"
+
+    def test_coefficient_beyond_the_str_digit_limit(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "expand", "--precision", "4", "--", "99^9999*E4")
+        assert (code, err) == (0, "")
+        first = out.split()[0]
+        assert first.isdigit() and len(first) == math.floor(9999 * math.log10(99)) + 1
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_runs_where_the_digit_limit_does_not_exist(self, capsys, monkeypatch):
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        code, out, _ = run(capsys, "expand", "E4", "--precision", "2")
+        assert (code, out.strip()) == (0, "1 + 240q")
+
+    def test_large_coefficient_json_converts_back(self, capsys):
+        code, out, _ = run(capsys, "expand", "--json", "--precision", "4", "--", "99^9999*E4")
+        assert code == 0
+        payload = json.loads(out)
+        doc = json.dumps({"format": "almostholo", "version": 1, "weight": payload["weight"],
+                          "ycoeffs": [payload["coeffs"]]})
+        code, out, err = run(capsys, "convert", doc, "--to", "quasimodular")
+        assert (code, err) == (0, "")
+        (term,) = json.loads(out)["terms"]
+        assert (term["e2"], term["e4"], term["e6"]) == (0, 1, 0)
+        assert (term["num"], term["den"]) == (payload["coeffs"][0], "1")
 
     @pytest.mark.parametrize(
         "command, change",

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qmforms import vectorvalued
 from qmforms import (
     E2,
     E4,
@@ -154,6 +155,72 @@ class TestVectorValued:
         assert max_relative(check_vv(good, plan)) < 1e-8
         bad = CorruptedComponents(good)
         assert max_relative(check_vv(bad, plan)) > 1e-3
+
+
+class CountingEvaluations:
+    """Passes every ``evaluate`` through to the inner form and records its tau."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.m = inner.m
+        self.weight_label = inner.weight_label
+        self.taus = []
+
+    def evaluate(self, tau, precision=64):
+        self.taus.append(tau)
+        return self.inner.evaluate(tau, precision)
+
+
+class TestWorkPerCheck:
+    @pytest.fixture
+    def completions(self, monkeypatch):
+        calls = []
+        honest = vectorvalued.completion
+
+        def counting(form, precision):
+            calls.append(precision)
+            return honest(form, precision)
+
+        monkeypatch.setattr(vectorvalued, "completion", counting)
+        return calls
+
+    def test_check_vv_expands_its_form_once(self, completions):
+        plan = default_plan()
+        check_vv(from_quasimodular(E2 ** 3 * E4, 4), plan)
+        assert completions == [plan.precision]
+
+    def test_other_precision_rebuilds_the_completion(self, completions):
+        form = from_quasimodular(E2 ** 2 * E6, 3)
+        tau = complex(0.3, 1.1)
+        form.evaluate(tau, 64)
+        form.evaluate(complex(-0.4, 0.9), 64)
+        assert completions == [64]
+        coarse = form.evaluate(tau, 12)
+        assert completions == [64, 12]
+        assert coarse == from_quasimodular(E2 ** 2 * E6, 3).evaluate(tau, 12)
+        assert form.evaluate(tau, 64) == from_quasimodular(E2 ** 2 * E6, 3).evaluate(tau, 64)
+
+    def test_each_base_point_is_evaluated_once(self):
+        plan = default_plan()
+        inner = from_quasimodular(E2 * E2, 2)
+        counting = CountingEvaluations(inner)
+        residuals = check_vv(counting, plan, label=str(inner))
+        assert len(counting.taus) == len(plan.gammas) * len(plan.taus) + len(plan.taus) == 21
+        assert all(counting.taus.count(tau) == 1 for tau in plan.taus)
+        assert residuals == check_vv(inner, plan)
+
+    def test_check_scalar_evaluates_each_base_point_once(self):
+        plan = default_plan()
+        seen = []
+        series = E4.qexpansion(plan.precision)
+
+        def evaluator(tau):
+            seen.append(tau)
+            return series.evaluate(tau)
+
+        check_scalar(evaluator, 4, plan)
+        assert len(seen) == len(plan.gammas) * len(plan.taus) + len(plan.taus)
+        assert all(seen.count(tau) == 1 for tau in plan.taus)
 
 
 class TestResidualScaling:

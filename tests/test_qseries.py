@@ -7,7 +7,7 @@ import pytest
 
 from qmforms import E2, E4, E6, QSeries, format_series
 from qmforms.eisenstein import delta_series, eisenstein_series
-from qmforms.qseries import Evaluation, combine
+from qmforms.qseries import Evaluation, _evaluations, combine
 
 from _oracles import delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
 
@@ -278,6 +278,48 @@ class TestEvaluate:
         e32 = geometric(32).evaluate(tau).truncation_error
         e64 = geometric(64).evaluate(tau).truncation_error
         assert 0 < e64 < e32
+
+
+class TestEvaluations:
+    """``_evaluations`` shares one q-power table between series and must give
+    what evaluating each series on its own in ascending n always gave."""
+
+    TAUS = (1j, complex(0.3, 1.1), complex(-0.4, 0.9), complex(0.1, 0.25), complex(2.5, 3.0))
+
+    @staticmethod
+    def one_by_one(s, tau):
+        q = cmath.exp(2j * math.pi * tau)
+        total, qn = 0j, 1 + 0j
+        for n in s.numerators:
+            if n:
+                total += n / s.denominator * qn
+            qn *= q
+        aq = abs(q)
+        return Evaluation(total, aq ** s.precision / (1.0 - aq))
+
+    def cases(self):
+        rng = random.Random(29)
+        out = []
+        for _ in range(20):
+            coeffs = random_coeffs(rng, rng.randint(1, 48), bits=rng.choice((4, 64, 200)),
+                                   dens=rng.choice(((1,), (1, 3, 7), (2, 10 ** 25 + 7))))
+            # runs of zero numerators, including a zero leading coefficient
+            out.append(QSeries([c if rng.random() < 0.6 else 0 for c in coeffs]))
+        return out + [QSeries.zero(5), QSeries.one(1), series(Fraction(-2, 3)), series(0, 0, Fraction(5, 2))]
+
+    def test_equals_an_ascending_loop_per_series(self):
+        cases = self.cases()
+        assert {s.precision for s in cases} >= {1, 5}
+        assert len({s.denominator for s in cases}) > 3
+        for tau in self.TAUS:
+            expected = [self.one_by_one(s, tau) for s in cases]
+            assert _evaluations(cases, tau) == expected
+            assert [s.evaluate(tau) for s in cases] == expected
+
+    def test_rejects_points_off_the_upper_half_plane(self):
+        for tau in (0j, complex(0.3, 0.0), complex(1.0, -0.5)):
+            with pytest.raises(ValueError, match="upper half-plane"):
+                _evaluations([QSeries.one(4), series(1, 2)], tau)
 
 
 class TestCombine:
