@@ -1,6 +1,17 @@
-"""Dense exact linear algebra over the rationals (small systems only)."""
+"""Exact linear algebra over Q: rows of ints or Fractions, scaled to integers,
+are eliminated modulo a prime near 2^61 to find pivots; the square pivot
+system is solved by a Newton-lifted inverse modulo p^(2^k) and rational
+reconstruction (Dixon, Numer. Math. 40, 1982; von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 5).  Every answer is checked exactly in
+integers, so a prime dividing a minor costs the next prime, never a wrong result.
+"""
 
 from fractions import Fraction
+from math import isqrt, lcm
+from operator import mul
+
+#: the primes tried in turn, fixed so that every run is reproducible
+PRIMES = tuple(2 ** 61 - d for d in (1, 31, 45, 229, 259, 283, 339, 391))
 
 
 class UnderdeterminedSystem(ValueError):
@@ -11,59 +22,130 @@ class InconsistentSystem(ValueError):
     """The right-hand side is not in the column span."""
 
 
-def _row_reduce(work, ncols):
-    """Gauss-Jordan elimination in place on the first ``ncols`` columns.
+def _integer_row(row):
+    # unpack a set, not a generator: a tuple grown by resizing bypasses the tuple
+    # free list when made but joins it when freed, and peak RSS grows with it
+    scale = lcm(*{x.denominator for x in row})
+    if scale == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (scale // x.denominator) for x in row]
 
-    Pivot rows end up first, normalized and cleared above and below; extra
-    columns (an augmented right-hand side) are carried along.  Returns the
-    pivot columns in order.
-    """
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _eliminate(rows, ncols, p):
+    """``(row index, pivot column, reduced row)`` for the first ``ncols``
+    rows independent modulo p, pivoting in the first ``ncols`` columns.  A
+    reduced row is 1 at its pivot and 0 at every earlier pivot's column."""
     pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
+    for i, row in enumerate(rows):
+        v = [x % p for x in row]
+        for _, c, r in pivots:
+            # reducing only the factor keeps entries below (1 + #pivots) p^2
+            if f := v[c] % p:
+                v = [x - f * y for x, y in zip(v, r)]
+        c = next((c for c in range(ncols) if v[c] % p), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            pivots.append((i, c, [x * inv % p for x in v]))
+            if len(pivots) == ncols:
+                break
     return pivots
 
 
-def rank(rows):
-    """Rank of a matrix given as a list of rows of Fractions."""
-    work = [list(map(Fraction, row)) for row in rows]
-    if not work:
-        return 0
-    return len(_row_reduce(work, len(work[0])))
+def _candidates(residues, modulus):
+    """Rationals congruent to ``residues``, as numerators over one common
+    denominator: the least integers, then the rational reconstruction with
+    both bounds sqrt(modulus / 2)."""
+    yield [r - modulus if 2 * r > modulus else r for r in residues], 1
+    bound, nums, den = isqrt(modulus // 2), [], 1
+    for residue in residues:
+        # half-extended Euclid on residue * den keeps later denominators small
+        r0, r1, t0, t1 = modulus, residue * den % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        nums, den = [n * abs(t1) for n in nums] + [r1 if t1 > 0 else -r1], den * abs(t1)
+    yield nums, den
 
 
-def solve_unique(rows, rhs):
-    """Solve M x = rhs for the unique x, exactly.
+def _square_solve(a, columns, p):
+    """One ``(numerators, denominator)`` solving a x = b exactly per b in
+    ``columns``, for a square integer matrix ``a`` invertible modulo p.  The
+    inverse C modulo M = p^(2^k) gives x modulo M and, by one correction
+    step, modulo M^2; a candidate is kept once a x = b holds exactly.
+    Otherwise C <- C (2I - a C) = C - M C (a C - I) / M, and M is squared."""
+    n = len(a)
+    rows = _eliminate([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], n, p)
+    # a second pass, last pivot first, clears each pivot column everywhere else
+    rows = _eliminate([r for _, _, r in reversed(rows)], n, p)
+    c = [r[n:] for _, _, r in sorted(rows, key=lambda pivot: pivot[1])]
+    modulus, solutions = p, [None] * len(columns)
+    while True:
+        square = modulus * modulus
+        for k, b in enumerate(columns):
+            if solutions[k] is None:
+                x = [_dot(row, b) % modulus for row in c]
+                residual = [(y - _dot(row, x)) // modulus for row, y in zip(a, b)]
+                x = [y + modulus * (_dot(row, residual) % modulus) for y, row in zip(x, c)]
+                for nums, den in _candidates(x, square):
+                    if all(_dot(row, nums) == den * y for row, y in zip(a, b)):
+                        solutions[k] = nums, den
+                        break
+        if all(solutions):
+            return solutions
+        error = [[(_dot(row, col) % square - (i == j)) // modulus for j, col in enumerate(zip(*c))]
+                 for i, row in enumerate(a)]
+        step = [[_dot(row, col) % modulus for col in zip(*error)] for row in c]
+        c = [[(x - modulus * y) % square for x, y in zip(u, v)] for u, v in zip(c, step)]
+        modulus = square
 
-    ``rows`` is the matrix M as a list of rows.  Raises
-    ``UnderdeterminedSystem`` if M lacks full column rank and
-    ``InconsistentSystem`` if no solution exists.
-    """
-    nrows = len(rows)
-    if nrows != len(rhs):
+
+def rank(rows, _primes=PRIMES):
+    """Exact rank of a list of rows of ints or Fractions.  The rank r modulo
+    p is exact when full; otherwise each other row, written as a combination
+    of the pivot rows by a square solve on the pivot minor and checked
+    exactly, proves rank <= r, and a failed check moves on to the next prime."""
+    rows = [_integer_row(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    for p in _primes:
+        pivots = _eliminate(rows, ncols, p)
+        if len(pivots) == min(len(rows), ncols):
+            return len(pivots)
+        used = {i for i, _, _ in pivots}
+        others = [row for i, row in enumerate(rows) if i not in used]
+        basis = [[rows[i][j] for i, _, _ in pivots] for j in range(ncols)]
+        solutions = _square_solve([basis[c] for _, c, _ in pivots],
+                                  [[row[c] for _, c, _ in pivots] for row in others], p)
+        if all(_dot(nums, col) == den * x for row, (nums, den) in zip(others, solutions)
+               for x, col in zip(row, basis)):
+            return len(pivots)
+    raise ArithmeticError(f"every one of {len(_primes)} primes divides a minor")
+
+
+def solve_unique(rows, rhs, _primes=PRIMES):
+    """The unique x with M x = rhs as Fractions, M a list of rows of ints or
+    Fractions, from the pivot rows' square system, checked on every row in
+    integers.  Raises ``UnderdeterminedSystem`` if M lacks full column rank
+    and ``InconsistentSystem`` if no solution exists."""
+    if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
-    if nrows == 0:
+    if not rows:
         raise UnderdeterminedSystem("empty system")
     ncols = len(rows[0])
-    work = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = _row_reduce(work, ncols)
-    if len(pivots) < ncols:
-        raise UnderdeterminedSystem(
-            f"rank {len(pivots)} < {ncols} unknowns at this precision"
-        )
-    if any(work[i][ncols] for i in range(ncols, nrows)):
-        raise InconsistentSystem("no exact solution")
-    return [work[i][ncols] for i in range(ncols)]
+    augmented = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    for p in _primes:
+        pivots = _eliminate(augmented, ncols, p)
+        if len(pivots) < ncols:
+            if (exact := rank(rows, _primes)) < ncols:
+                raise UnderdeterminedSystem(f"rank {exact} < {ncols} unknowns at this precision")
+            continue  # p divides every ncols-minor
+        [(nums, den)] = _square_solve([augmented[i][:ncols] for i, _, _ in pivots],
+                                      [[augmented[i][ncols] for i, _, _ in pivots]], p)
+        # the pivot system's solution is unique, so one failed row proves inconsistency
+        if any(_dot(row[:ncols], nums) != den * row[ncols] for row in augmented):
+            raise InconsistentSystem("no exact solution")
+        return [Fraction(n, den) for n in nums]
+    raise ArithmeticError(f"every one of {len(_primes)} primes divides a minor")

@@ -127,6 +127,19 @@ def _call_evaluator(evaluator, tau):
     return Evaluation(complex(result), 0.0)
 
 
+def _require_weight(plan, weight):
+    """Refuse a weight whose factor j^weight, j = c tau + d, would overflow
+    float64 on the plan: |weight ln|j|| must stay within 1023 ln 2."""
+    logs = [math.log(abs(gamma.j(tau))) for gamma in plan.gammas for tau in plan.taus]
+    span = 1023 * math.log(2)
+    top = math.floor(span / max(logs)) if max(logs) > 0 else math.inf
+    bottom = -math.floor(span / -min(logs)) if min(logs) < 0 else -math.inf
+    if not bottom <= weight <= top:
+        raise ValueError(
+            f"weight {weight} is outside {bottom}..{top}, the weights this sample plan can check"
+        )
+
+
 def _residuals(plan, label, base, sides):
     """One residual per (gamma, tau) of the plan, in the Euclidean norm.
 
@@ -157,6 +170,7 @@ def _residuals(plan, label, base, sides):
 
 def check_scalar(evaluator, weight, plan, label="scalar form"):
     """Residuals of f(gamma tau) = j^weight f(tau) over the plan."""
+    _require_weight(plan, weight)
 
     def sides(gamma, tau, base):
         lhs = _call_evaluator(evaluator, gamma.act(tau))
@@ -171,6 +185,7 @@ def check_quasimodular(form, plan, label=None):
     """Residuals of the depth-d law
     f(gamma tau) = sum_r j^(k-r) c^r LAMBDA^r fhat_r(tau)."""
     k = form.weight
+    _require_weight(plan, k)
     full = completion(form, plan.precision)
     expansions = [full.coefficient(r) for r in range(form.depth + 1)]
 
@@ -192,6 +207,7 @@ def check_vv(form, plan, label=None):
     """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the
     Euclidean norm."""
     k, m = form.weight_label, form.m
+    _require_weight(plan, k - m)
     matrices = {g: sym_matrix(g, m) for g in plan.gammas}
 
     def sides(gamma, tau, base):

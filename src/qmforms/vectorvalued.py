@@ -13,7 +13,7 @@ so every conversion is exact.
 """
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple
 
 from . import linalg
@@ -283,8 +283,5 @@ def certify_dim_vv(weight_label, m, precision=16):
     rows = []
     for form in basis_vv(weight_label, m):
         full = completion(form.source, precision)
-        parts = [full.coefficient(r) for r in range(m + 1)]
-        # a row scaled by a nonzero constant keeps the rank: clear its denominators
-        scale = lcm(*(s.denominator for s in parts))
-        rows.append([n * (scale // s.denominator) for s in parts for n in s.numerators])
+        rows.append([c for r in range(m + 1) for c in full.coefficient(r).coeffs])
     return linalg.rank(rows)

@@ -88,6 +88,24 @@ def exact_rank(rows):
     return Matrix([[Rational(x.numerator, x.denominator) for x in row] for row in rows]).rank()
 
 
+def exact_solve(rows, rhs):
+    """The unique solution of M x = rhs as Fractions via sympy, or None when
+    the system is inconsistent (independent of the package linear algebra)."""
+    from sympy import Matrix, Rational
+
+    def rational(x):
+        return Rational(x.numerator, x.denominator)
+
+    matrix = Matrix([[rational(x) for x in row] for row in rows])
+    try:
+        solution, params = matrix.gauss_jordan_solve(Matrix([rational(b) for b in rhs]))
+    except ValueError:
+        return None
+    if params:
+        raise ValueError("the system has no unique solution")
+    return [Fraction(int(v.p), int(v.q)) for v in solution]
+
+
 def kron(a, b):
     """Kronecker product of integer matrices as nested lists."""
     return [

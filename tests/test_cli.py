@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qmforms import E2, E4, E6, completion, dumps, from_quasimodular, loads, parse_form
+from qmforms import E2, E4, E6, cli, completion, dumps, from_quasimodular, loads, parse_form
 from qmforms.cli import MAX_PRECISION, _check_precision, main
 from qmforms.exprparse import ExpressionError
 
@@ -337,9 +337,20 @@ class TestErrorBoundary:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_unexpected_exception_is_named(self, capsys):
-        _, _, err = run(capsys, "verify", "E4", "--as-weight", "100000")
-        assert err.startswith("error: OverflowError: ")
+    def test_unexpected_exception_is_named(self, capsys, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise OverflowError("complex exponentiation")
+
+        monkeypatch.setattr(cli, "check_scalar", overflow)
+        _, _, err = run(capsys, "verify", "E4", "--as-weight", "4")
+        assert err == "error: OverflowError: complex exponentiation\n"
+
+    @pytest.mark.parametrize("weight", ["100000", "1006", "-100000"])
+    def test_weight_beyond_float64_names_the_limit(self, capsys, weight):
+        code, out, err = run(capsys, "verify", "E4", "--as-weight", weight)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: weight {weight} is outside ") and err.count("\n") == 1
+        assert "..1005," in err
 
 
 class TestUsage:

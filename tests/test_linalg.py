@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from qmforms.linalg import InconsistentSystem, UnderdeterminedSystem, rank, solve_unique
+from qmforms import linalg
+from qmforms.linalg import PRIMES, InconsistentSystem, UnderdeterminedSystem, rank, solve_unique
 
-from _oracles import exact_rank
+from _oracles import exact_rank, exact_solve
 
 
 def random_matrix(rng, nrows, ncols, rank_bound=None):
@@ -79,3 +81,116 @@ class TestSolveUnique:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             solve_unique([[1, 0], [0, 1]], [1])
+
+
+def big_system(rng, nrows, ncols, bits, fractions=False):
+    """A random system with entries of about ``bits`` bits and its solution."""
+    def entry():
+        n = rng.randrange(-2 ** bits, 2 ** bits)
+        return Fraction(n, rng.randrange(1, 2 ** 20)) if fractions else n
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    x = [Fraction(rng.randrange(-2 ** bits, 2 ** bits), rng.randrange(1, 2 ** 40))
+         for _ in range(ncols)]
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    return rows, x, rhs
+
+
+class TestSolveUniqueMatchesSympy:
+    @pytest.mark.parametrize(
+        "nrows, ncols, fractions", [(12, 6, False), (20, 9, False), (7, 7, False), (10, 5, True)]
+    )
+    def test_consistent_tall_system(self, nrows, ncols, fractions):
+        rng = random.Random(nrows * 100 + ncols)
+        for _ in range(3):
+            rows, x, rhs = big_system(rng, nrows, ncols, 110, fractions)
+            assert solve_unique(rows, rhs) == exact_solve(rows, rhs) == x
+
+    @pytest.mark.parametrize("nrows, ncols, fractions", [(12, 6, False), (10, 5, True)])
+    def test_inconsistent_tall_system(self, nrows, ncols, fractions):
+        rng = random.Random(nrows * 100 + ncols + 1)
+        for row in range(nrows):
+            rows, _, rhs = big_system(rng, nrows, ncols, 110, fractions)
+            rhs[row] += Fraction(1, 3)
+            assert exact_solve(rows, rhs) is None
+            with pytest.raises(InconsistentSystem):
+                solve_unique(rows, rhs)
+
+    def test_ten_thousand_bit_numerator_in_under_a_second(self):
+        rows, _, _ = big_system(random.Random(3), 10, 6, 30)
+        x = [Fraction(3 ** 6310, 7), Fraction(-5), Fraction(1, 11), 0, Fraction(-(2 ** 9999), 3), 1]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        assert x[0].numerator.bit_length() > 10000
+        start = time.perf_counter()
+        assert solve_unique(rows, rhs) == x
+        assert time.perf_counter() - start < 1.0
+
+
+class TestUnluckyPrime:
+    # every 2x2 minor of [[1, 1], [1, 1 + p], [2, 2 + p]] is divisible by p = PRIMES[0]
+    P = PRIMES[0]
+    ROWS = [[1, 1], [1, 1 + P], [2, 2 + P]]
+
+    def test_solution_is_right(self):
+        x = [Fraction(2, 3), Fraction(-7, 5)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in self.ROWS]
+        assert solve_unique(self.ROWS, rhs) == x
+        with pytest.raises(InconsistentSystem):
+            solve_unique(self.ROWS, [rhs[0], rhs[1], rhs[2] + 1])
+
+    def test_rank_is_right(self):
+        assert rank(self.ROWS) == exact_rank(self.ROWS) == 2
+        # singular modulo p, and not full: the row combinations prove rank 2
+        square = [[*row, 0] for row in self.ROWS]
+        assert rank(square) == exact_rank(square) == 2
+
+    def test_the_unlucky_prime_alone_certifies_nothing(self):
+        with pytest.raises(ArithmeticError):
+            rank(self.ROWS, _primes=(self.P,))
+        with pytest.raises(ArithmeticError):
+            solve_unique(self.ROWS, [0, 0, 0], _primes=(self.P,))
+
+    def test_small_forced_primes_match_sympy(self, monkeypatch):
+        used = []
+        eliminate = linalg._eliminate
+
+        def recording(rows, ncols, p):
+            used.append(p)
+            return eliminate(rows, ncols, p)
+
+        monkeypatch.setattr(linalg, "_eliminate", recording)
+        rng = random.Random(17)
+        for _ in range(20):
+            rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(6)]
+            assert rank(rows, _primes=(2, 3) + PRIMES) == exact_rank(rows)
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            if exact_rank(rows) == 4:
+                assert solve_unique(rows, rhs, _primes=(2, 3) + PRIMES) == x
+        assert 3 in used and PRIMES[0] in used
+
+
+class TestRankCertificate:
+    def test_deficient_rank_is_proved_by_row_combinations(self, monkeypatch):
+        combinations = []
+        square_solve = linalg._square_solve
+
+        def recording(minor, columns, p):
+            combinations.append((len(minor), len(columns)))
+            return square_solve(minor, columns, p)
+
+        monkeypatch.setattr(linalg, "_square_solve", recording)
+        rng = random.Random(23)
+        left = [[rng.randrange(-2 ** 100, 2 ** 100) for _ in range(3)] for _ in range(8)]
+        right = [[Fraction(rng.randrange(-2 ** 100, 2 ** 100), rng.randrange(1, 99))
+                  for _ in range(6)] for _ in range(3)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        assert rank(rows) == exact_rank(rows) == 3
+        # one square solve on the 3x3 pivot minor, for the 5 other rows
+        assert combinations == [(3, 5)]
+        rows[7][5] += 1
+        assert rank(rows) == exact_rank(rows) == 4
+
+    def test_zero_rows_are_combinations_of_nothing(self):
+        assert rank([[0, 0], [0, 0], [0, 0]]) == 0
+        assert rank([[0, 0, 0], [0, 1, 0], [0, 2, 0]]) == 1

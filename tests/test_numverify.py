@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qmforms import vectorvalued
+from qmforms import numverify, vectorvalued
 from qmforms import (
     E2,
     E4,
@@ -114,6 +114,34 @@ class TestScalar:
         plan = default_plan()
         residuals = check_scalar(lambda tau: 1 + 0j, 0, plan)
         assert max_relative(residuals) < 1e-14
+
+
+class TestWeightLimit:
+    # on default_plan() max|j| = |(0.1 + 1.7i) + 1|, and floor(1023 ln 2 / ln max|j|) = 1005
+    def test_largest_weight_is_checked(self):
+        plan = default_plan()
+        assert len(check_scalar(lambda tau: 1 + 0j, 1005, plan)) == 18
+
+    def test_weight_above_the_limit_is_refused(self):
+        plan = default_plan()
+        with pytest.raises(ValueError, match=r"weight 1006 is outside -\d+\.\.1005,"):
+            check_scalar(lambda tau: 1 + 0j, 1006, plan)
+
+    def test_every_check_refuses_it_before_expanding(self, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("expanded before the weight check")
+
+        monkeypatch.setattr(numverify, "completion", no_expansion)
+        monkeypatch.setattr(vectorvalued, "completion", no_expansion)
+        plan = default_plan()
+        with pytest.raises(ValueError, match=r"\.\.1005,"):
+            check_quasimodular(E4 ** 300, plan)
+        with pytest.raises(ValueError, match=r"\.\.1005,"):
+            check_vv(from_quasimodular(E4 ** 300, 0), plan)
+
+    def test_plan_without_growth_has_no_limit(self):
+        plan = SamplePlan(taus=(complex(0.3, 1.1),), gammas=(T,))
+        assert check_scalar(lambda tau: 1 + 0j, 10 ** 6, plan)[0].absolute == 0.0
 
 
 class TestQuasiModular:
