@@ -49,11 +49,6 @@ class AlmostHolomorphicForm:
     def is_zero(self):
         return len(self.coeffs) == 1 and self.coeffs[0].is_zero
 
-    @property
-    def constant_term(self):
-        """The Yhat^0 coefficient, a plain q-series."""
-        return self.coeffs[0]
-
     def coefficient(self, r):
         """The Yhat^r coefficient (zero series beyond the degree)."""
         if r < 0:

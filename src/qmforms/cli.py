@@ -162,7 +162,7 @@ def cmd_convert(args):
             result = form.source
         elif isinstance(form, AlmostHolomorphicForm):
             try:
-                result = recognize(form.constant_term, form.weight, form.degree)
+                result = recognize(form.coeffs[0], form.weight, form.degree)
             except ValueError as exc:
                 raise UsageError(f"cannot recognize the constant term: {exc}") from None
         elif isinstance(form, QuasiModularForm):

@@ -145,16 +145,19 @@ def _residuals(plan, label, base, sides):
 
     ``base(tau)`` evaluates the form at a base point, once per tau;
     ``sides(gamma, tau, base)`` returns, from that value, the left-hand
-    values, the right-hand values and the truncation error of the sample.
+    ``Evaluation``s, the automorphy factor and the right-hand ``Evaluation``s
+    before that factor.  The law is lhs_i = factor * rhs_i, and the
+    truncation error of the sample is sum lhs_i.te + |factor| sum rhs_i.te.
     """
     _ensure_lambda()
     bases = [base(tau) for tau in plan.taus]
     out = []
     for gamma in plan.gammas:
         for tau, at_tau in zip(plan.taus, bases):
-            lhs, rhs, trunc = sides(gamma, tau, at_tau)
-            absolute = math.hypot(*(abs(x - y) for x, y in zip(lhs, rhs)))
-            rhs_norm = math.hypot(*(abs(y) for y in rhs))
+            lhs, factor, rhs = sides(gamma, tau, at_tau)
+            scaled = [factor * y.value for y in rhs]
+            absolute = math.hypot(*(abs(x.value - y) for x, y in zip(lhs, scaled)))
+            rhs_norm = math.hypot(*(abs(y) for y in scaled))
             out.append(
                 Residual(
                     form=label,
@@ -162,7 +165,8 @@ def _residuals(plan, label, base, sides):
                     tau=tau,
                     absolute=absolute,
                     relative=absolute / max(1.0, rhs_norm),
-                    truncation_error=trunc,
+                    truncation_error=sum(x.truncation_error for x in lhs)
+                    + abs(factor) * sum(y.truncation_error for y in rhs),
                 )
             )
     return out
@@ -173,10 +177,7 @@ def check_scalar(evaluator, weight, plan, label="scalar form"):
     _require_weight(plan, weight)
 
     def sides(gamma, tau, base):
-        lhs = _call_evaluator(evaluator, gamma.act(tau))
-        j_pow = gamma.j(tau) ** weight
-        trunc = lhs.truncation_error + abs(j_pow) * base.truncation_error
-        return [lhs.value], [j_pow * base.value], trunc
+        return [_call_evaluator(evaluator, gamma.act(tau))], gamma.j(tau) ** weight, [base]
 
     return _residuals(plan, label, lambda tau: _call_evaluator(evaluator, tau), sides)
 
@@ -197,7 +198,7 @@ def check_quasimodular(form, plan, label=None):
             (j ** (k - r) * factor, value)
             for r, (factor, value) in enumerate(zip(factors, base))
         )
-        return [lhs.value], [rhs.value], lhs.truncation_error + rhs.truncation_error
+        return [lhs], 1, [rhs]
 
     label = str(form) if label is None else label
     return _residuals(plan, label, lambda tau: _evaluations(expansions, tau), sides)
@@ -211,16 +212,9 @@ def check_vv(form, plan, label=None):
     matrices = {g: sym_matrix(g, m) for g in plan.gammas}
 
     def sides(gamma, tau, base):
-        matrix = matrices[gamma]
         lhs = form.evaluate(gamma.act(tau), plan.precision)
-        j_pow = gamma.j(tau) ** (k - m)
-        rhs = [
-            j_pow * sum(matrix[i][l] * base.values[l] for l in range(m + 1))
-            for i in range(m + 1)
-        ]
-        matrix_scale = max(sum(abs(e) for e in row) for row in matrix)
-        trunc = lhs.truncation_error + abs(j_pow) * matrix_scale * base.truncation_error
-        return lhs.values, rhs, trunc
+        rhs = [combine(zip(row, base)) for row in matrices[gamma]]
+        return lhs, gamma.j(tau) ** (k - m), rhs
 
     label = str(form) if label is None else label
     return _residuals(plan, label, lambda tau: form.evaluate(tau, plan.precision), sides)

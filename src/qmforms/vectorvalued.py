@@ -14,7 +14,6 @@ so every conversion is exact.
 
 from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple
 
 from . import linalg
 from .almostholo import completion
@@ -85,13 +84,6 @@ def sym_matrix(gamma, m):
     return mat
 
 
-class VectorEvaluation(NamedTuple):
-    """Vector of component values plus an aggregate tail estimate."""
-
-    values: tuple
-    truncation_error: float
-
-
 class VectorValuedForm:
     """A rank-(m+1) modular object built from a quasi-modular source."""
 
@@ -108,6 +100,8 @@ class VectorValuedForm:
             raise ValueError(
                 f"weight label {weight_label} contradicts the source weight {source.weight}"
             )
+        if weight_label < 0 or weight_label % 2:
+            raise ValueError(f"weight label must be a non-negative even integer, got {weight_label}")
         self.source = source
         self.m = m
         self.weight_label = weight_label
@@ -140,7 +134,7 @@ class VectorValuedForm:
         return vv_product(self, other)
 
     def evaluate(self, tau, precision=DEFAULT_PRECISION):
-        """Component values in the basis e1^(m-i) e2^i.
+        """One ``Evaluation`` per component in the basis e1^(m-i) e2^i.
 
         Component i is sum_r LAMBDA^r fhat_r(tau) binom(m-r, i) tau^(m-r-i),
         from (tau, 1) = tau*e1 + e2 and (1, 0) = e1.
@@ -152,14 +146,13 @@ class VectorValuedForm:
         values = _evaluations([full.coefficient(r) for r in range(self.depth + 1)], tau)
         lam_powers = _powers(LAMBDA, self.depth)
         m = self.m
-        components, errors = zip(*(
+        return tuple(
             combine([
                 (lam_powers[r] * comb(m - r, i) * tau ** (m - r - i), value)
                 for r, value in enumerate(values[:m - i + 1])
             ])
             for i in range(m + 1)
-        ))
-        return VectorEvaluation(components, sum(errors))
+        )
 
     def __str__(self):
         return f"VV(m={self.m}, k={self.weight_label}, source={self.source})"
@@ -170,11 +163,6 @@ class VectorValuedForm:
 def from_quasimodular(form, m, weight_label=None):
     """Wrap a quasi-modular form of depth <= m as a rank-(m+1) object."""
     return VectorValuedForm(form, m, weight_label)
-
-
-def to_quasimodular(form):
-    """The coefficient of (tau, 1)^m: the quasi-modular source."""
-    return form.source
 
 
 def holwt_component(form, s, precision=DEFAULT_PRECISION):

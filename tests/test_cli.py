@@ -269,6 +269,16 @@ class TestVerify:
         assert code == 2
         assert "Im" in err
 
+    def test_zero_source_with_odd_weight_label_is_a_usage_error(self, capsys):
+        doc = json.loads(dumps(from_quasimodular(E2, 1)))
+        doc["source"]["terms"] = []
+        doc["source"]["weight"] = 0
+        doc["weight_label_k"] = 3
+        code, out, err = run(capsys, "verify", json.dumps(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "non-negative even integer, got 3" in err
+
     def test_bad_tolerance(self, capsys):
         code, _, _ = run(capsys, "verify", "E4", "--tolerance", "0")
         assert code == 2

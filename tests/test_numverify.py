@@ -8,13 +8,13 @@ from qmforms import (
     E2,
     E4,
     E6,
+    Evaluation,
     GroupElement,
     IDENTITY,
     QSeries,
     S,
     SamplePlan,
     T,
-    VectorEvaluation,
     all_within,
     check_quasimodular,
     check_scalar,
@@ -36,10 +36,10 @@ class CorruptedComponents:
         self.factor = factor
 
     def evaluate(self, tau, precision=64):
-        honest = self.inner.evaluate(tau, precision)
-        values = list(honest.values)
-        values[self.slot] *= self.factor
-        return VectorEvaluation(tuple(values), honest.truncation_error)
+        components = list(self.inner.evaluate(tau, precision))
+        value, error = components[self.slot]
+        components[self.slot] = Evaluation(value * self.factor, error)
+        return tuple(components)
 
 
 class TestPlan:
@@ -167,15 +167,30 @@ class TestVectorValued:
         assert max_relative(check_vv(from_quasimodular(E2, 1), plan)) < 1e-8
 
     def test_rank_zero_matches_scalar(self):
+        # the same residuals, truncation errors included
         plan = default_plan()
-        vv = check_vv(from_quasimodular(E4, 0), plan)
-        scalar = check_scalar(E4.qexpansion(plan.precision).evaluate, 4, plan)
-        for a, b in zip(vv, scalar):
-            assert abs(a.absolute - b.absolute) < 1e-12
+        for f in (E4, 2 * E4 ** 3 + E6 ** 2):
+            vv = check_vv(from_quasimodular(f, 0), plan, label="f")
+            scalar = check_scalar(f.qexpansion(plan.precision).evaluate, f.weight, plan, label="f")
+            assert len(vv) == 18 and vv == scalar
 
     def test_depth_two_rank_two(self):
         plan = default_plan()
         assert max_relative(check_vv(from_quasimodular(E2 * E2, 2), plan)) < 1e-8
+
+    def test_truncation_error_sums_both_sides(self):
+        # sum_i lhs_i.te + |j^(k-m)| sum_i sum_l |Sym^m(gamma)_il| base_l.te
+        form = from_quasimodular(E2 ** 2 * E4, 3)
+        gamma, tau = GroupElement(2, 1, 1, 1), complex(-0.4, 0.9)
+        plan = SamplePlan(taus=(tau,), gammas=(gamma,))
+        (residual,) = check_vv(form, plan)
+        lhs = form.evaluate(gamma.act(tau))
+        base = form.evaluate(tau)
+        matrix = vectorvalued.sym_matrix(gamma, 3)
+        expected = sum(e.truncation_error for e in lhs) + abs(gamma.j(tau) ** (8 - 3)) * sum(
+            abs(matrix[i][l]) * base[l].truncation_error for i in range(4) for l in range(4)
+        )
+        assert residual.truncation_error == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_corrupted_component_family_fails(self):
         plan = default_plan()
