@@ -11,7 +11,7 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .almostholo import completion
 from .eisenstein import eisenstein_series
@@ -23,16 +23,14 @@ MIN_IM_IMAGE = 0.25
 DEFAULT_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(namedtuple("SamplePlan", "taus gammas tolerance precision",
+                            defaults=(DEFAULT_TOLERANCE, DEFAULT_PRECISION))):
     """Sample points, group elements, tolerance, and expansion precision."""
 
-    taus: tuple
-    gammas: tuple
-    tolerance: float = DEFAULT_TOLERANCE
-    precision: int = DEFAULT_PRECISION
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.taus or not self.gammas:
             raise ValueError("a sample plan needs at least one tau and one gamma")
         # written so that NaN fails every comparison
@@ -47,9 +45,8 @@ class SamplePlan:
             for tau in self.taus:
                 image = gamma.act(complex(tau))
                 if not image.imag >= MIN_IM_IMAGE:
-                    raise ValueError(
-                        f"image {gamma}*{tau} has Im = {image.imag:.4f} < {MIN_IM_IMAGE}"
-                    )
+                    raise ValueError(f"image {gamma}*{tau} has Im = {image.imag:.4f} < {MIN_IM_IMAGE}")
+        return self
 
 
 def default_plan(tolerance=DEFAULT_TOLERANCE, precision=DEFAULT_PRECISION):
@@ -72,16 +69,10 @@ def default_plan(tolerance=DEFAULT_TOLERANCE, precision=DEFAULT_PRECISION):
     return SamplePlan(taus=taus, gammas=gammas, tolerance=tolerance, precision=precision)
 
 
-@dataclass
-class Residual:
+class Residual(namedtuple("Residual", "form gamma tau absolute relative truncation_error")):
     """Residual of one functional-equation sample."""
 
-    form: str
-    gamma: GroupElement
-    tau: complex
-    absolute: float
-    relative: float
-    truncation_error: float
+    __slots__ = ()
 
     def to_json(self):
         def sig12(x):

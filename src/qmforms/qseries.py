@@ -15,7 +15,6 @@ from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import NamedTuple
 
 #: default number of stored coefficients (of q^0 ... q^(N-1))
 DEFAULT_PRECISION = 64
@@ -36,11 +35,10 @@ def yhat(y):
     return -3.0 / (math.pi * y)
 
 
-class Evaluation(NamedTuple):
+class Evaluation(namedtuple("Evaluation", "value truncation_error")):
     """A complex series value together with a truncation-tail estimate."""
 
-    value: complex
-    truncation_error: float
+    __slots__ = ()
 
 
 def combine(terms):
@@ -75,10 +73,13 @@ def _evaluations(series, tau):
     for s in series:
         total = 0j
         den = s.denominator
-        for n, qn in zip(s.numerators, q_powers):
-            if n:
-                # int / int is correctly rounded, exactly like float(Fraction)
-                total += n / den * qn
+        try:
+            for n, qn in zip(s.numerators, q_powers):
+                if n:
+                    # int / int is correctly rounded, exactly like float(Fraction)
+                    total += n / den * qn
+        except OverflowError:
+            raise ValueError("a coefficient is outside the float64 range |x| < 2^1024") from None
         tail = aq ** s.precision / (1.0 - aq) if aq < 1.0 else math.inf
         out.append(Evaluation(total, tail))
     return out

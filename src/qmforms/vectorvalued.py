@@ -12,7 +12,6 @@ holomorphic-weight components, the w-basis) are derived views of the source,
 so every conversion is exact.
 """
 
-from dataclasses import dataclass
 from math import comb
 
 from . import linalg
@@ -21,19 +20,38 @@ from .eisenstein import dim_modular, monomial_basis
 from .qseries import DEFAULT_PRECISION, LAMBDA, _evaluations, _powers, combine
 from .quasimodular import E2, E4, E6, QuasiModularForm
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class GroupElement:
-    """An integer matrix [[a, b], [c, d]] of determinant one."""
+    """An immutable integer matrix [[a, b], [c, d]] of determinant one."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant of {self} must be 1")
+    def __init__(self, a, b, c, d):
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant of [[{a}, {b}], [{c}, {d}]] must be 1")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"GroupElement is immutable: cannot set or delete '{name}'")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return (self.a, self.b, self.c, self.d)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, GroupElement) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"GroupElement(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     def act(self, tau):
         """Moebius action (a*tau + b)/(c*tau + d)."""
@@ -90,17 +108,15 @@ class VectorValuedForm:
     __slots__ = ("source", "m", "weight_label", "_completion")
 
     def __init__(self, source, m, weight_label=None):
-        if m < 0:
-            raise ValueError("the rank parameter m must be non-negative")
+        if type(m) is not int or m < 0:
+            raise ValueError(f"the rank parameter m must be a non-negative integer, got {m}")
         if source.depth > m:
             raise ValueError(f"source depth {source.depth} exceeds the rank parameter m={m}")
         if weight_label is None:
             weight_label = source.weight
         elif not source.is_zero and weight_label != source.weight:
-            raise ValueError(
-                f"weight label {weight_label} contradicts the source weight {source.weight}"
-            )
-        if weight_label < 0 or weight_label % 2:
+            raise ValueError(f"weight label {weight_label} contradicts the source weight {source.weight}")
+        if type(weight_label) is not int or weight_label < 0 or weight_label % 2:
             raise ValueError(f"weight label must be a non-negative even integer, got {weight_label}")
         self.source = source
         self.m = m

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -361,6 +363,33 @@ class TestErrorBoundary:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: weight {weight} is outside ") and err.count("\n") == 1
         assert "..1005," in err
+
+
+    def test_coefficient_beyond_float64_names_the_range(self, capsys):
+        code, out, err = run(capsys, "verify", "--", "99^9999*E4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "float64 range" in err and "OverflowError" not in err
+
+
+class TestImportFootprint:
+    """Every command is a fresh interpreter, so what ``import qmforms.cli``
+    pulls in is paid on every call."""
+
+    def modules_after(self, code):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_cli_import_leaves_out_dataclasses_and_typing(self):
+        added = self.modules_after("import qmforms.cli") - self.modules_after("pass")
+        assert "qmforms.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
 class TestUsage:

@@ -87,6 +87,44 @@ class TestPlan:
             SamplePlan(taus=(tau,), gammas=(T,))
 
 
+class TestPlanContract:
+    def test_positional_and_keyword_construction_agree(self):
+        taus, gammas = (complex(0.3, 1.1),), (T, S)
+        positional = SamplePlan(taus, gammas, 1e-6, 32)
+        keyword = SamplePlan(precision=32, tolerance=1e-6, gammas=gammas, taus=taus)
+        assert positional == keyword
+        assert (keyword.taus, keyword.gammas, keyword.tolerance, keyword.precision) == (taus, gammas, 1e-6, 32)
+
+    def test_defaults(self):
+        plan = SamplePlan(taus=(complex(0.3, 1.1),), gammas=(T,))
+        assert plan.tolerance == numverify.DEFAULT_TOLERANCE == 1e-8
+        assert plan.precision == numverify.DEFAULT_PRECISION == 64
+
+    def test_immutable(self):
+        plan = SamplePlan(taus=(complex(0.3, 1.1),), gammas=(T,))
+        with pytest.raises(AttributeError):
+            plan.tolerance = 1.0
+
+
+class TestResidualContract:
+    def residual(self, **changes):
+        fields = dict(form="E4", gamma=S, tau=complex(0.3, 1.1), absolute=1.2345678901234567e-15,
+                      relative=0.1 + 0.2, truncation_error=1.57496990637e-192)
+        return numverify.Residual(**{**fields, **changes})
+
+    def test_equality(self):
+        assert self.residual() == self.residual()
+        assert self.residual() != self.residual(gamma=T)
+        assert self.residual() != self.residual(relative=0.3)
+
+    def test_json_line_is_unchanged(self):
+        # the text written by the dataclass version of Residual
+        assert self.residual().json_line() == (
+            '{"absolute": 1.23456789012e-15, "form": "E4", "gamma": [0, -1, 1, 0], "relative": 0.3, '
+            '"tau": [0.3, 1.1], "truncation_error": 1.57496990637e-192}'
+        )
+
+
 class TestScalar:
     def test_e4_weight_four(self):
         plan = default_plan()

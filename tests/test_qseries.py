@@ -321,6 +321,13 @@ class TestEvaluations:
             with pytest.raises(ValueError, match="upper half-plane"):
                 _evaluations([QSeries.one(4), series(1, 2)], tau)
 
+    def test_coefficient_beyond_float64_is_a_value_error(self):
+        huge = series(1, 2 ** 1024, 3)
+        with pytest.raises(ValueError, match="float64 range"):
+            _evaluations([QSeries.one(3), huge], 1j)
+        # the largest numerator that still rounds below 2^1024 evaluates
+        assert math.isfinite(series(0, 2 ** 1024 - 2 ** 970 - 1).evaluate(1j).value.real)
+
 
 class TestCombine:
     def test_weighted_sum_and_tail(self):

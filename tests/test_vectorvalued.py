@@ -44,6 +44,36 @@ class TestGroupElement:
         with pytest.raises(ValueError):
             GroupElement(1, 1, 1, 1)
 
+    def test_equality_and_hash_follow_the_entries(self):
+        assert GroupElement(2, 1, 1, 1) == GroupElement(2, 1, 1, 1)
+        assert GroupElement(2, 1, 1, 1) != GroupElement(1, 1, 0, 1)
+        assert hash(GroupElement(0, -1, 1, 0)) == hash(S) == hash((0, -1, 1, 0))
+        assert len({S, T, S * S * S * S, IDENTITY}) == 3
+        assert S != (0, -1, 1, 0)
+
+    def test_repr_and_str(self):
+        assert repr(S) == "GroupElement(a=0, b=-1, c=1, d=0)"
+        assert str(S) == "[[0, -1], [1, 0]]"
+
+    @pytest.mark.parametrize("name", ["a", "d", "other"])
+    def test_immutable(self, name):
+        gamma = GroupElement(2, 1, 1, 1)
+        with pytest.raises(AttributeError):
+            setattr(gamma, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(gamma, name)
+        assert gamma == GroupElement(2, 1, 1, 1)
+
+    def test_product_with_a_number_is_refused(self):
+        with pytest.raises(TypeError):
+            T * 3
+        with pytest.raises(TypeError):
+            3 * T
+
+    def test_determinant_message(self):
+        with pytest.raises(ValueError, match=r"determinant of \[\[2, 0\], \[0, 1\]\] must be 1"):
+            GroupElement(2, 0, 0, 1)
+
     def test_action_and_factor(self):
         tau = complex(0.3, 1.1)
         image = S.act(tau)
@@ -129,6 +159,12 @@ class TestWrapping:
         zero = QuasiModularForm(0, {})
         with pytest.raises(ValueError, match=f"non-negative even integer, got {label}"):
             from_quasimodular(zero, 2, label)
+
+    @pytest.mark.parametrize("args", [(0, 4.0), (1.0,), (True,)], ids=repr)
+    def test_labels_must_be_integers(self, args):
+        # a float or bool label would be written by dumps and refused by loads
+        with pytest.raises(ValueError, match="must be a non-negative (even )?integer"):
+            from_quasimodular(E4, *args)
 
     def test_rank_zero_is_scalar(self):
         F = from_quasimodular(E4, 0)
