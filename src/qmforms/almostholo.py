@@ -9,7 +9,7 @@ numeric value only in ``evaluate``.
 
 from fractions import Fraction
 
-from .qseries import DEFAULT_PRECISION, QSeries, _evaluations, _powers, combine, yhat
+from .qseries import DEFAULT_PRECISION, QSeries, _evaluations, _natural, _powers, combine, yhat
 
 
 class NotHolomorphicError(ValueError):
@@ -32,9 +32,7 @@ class AlmostHolomorphicForm:
             coeffs = coeffs[:-1]
         if len(coeffs) == 1 and coeffs[0].is_zero:
             weight = 0
-        elif weight < 0 or weight % 2:
-            raise ValueError(f"weight must be a non-negative even integer, got {weight}")
-        self.weight = weight
+        self.weight = _natural(weight, "weight", even=True)
         self.coeffs = coeffs
 
     @property
@@ -51,9 +49,7 @@ class AlmostHolomorphicForm:
 
     def coefficient(self, r):
         """The Yhat^r coefficient (zero series beyond the degree)."""
-        if r < 0:
-            raise ValueError("index must be non-negative")
-        if r > self.degree:
+        if _natural(r, "Yhat index") > self.degree:
             return QSeries.zero(self.precision)
         return self.coeffs[r]
 
@@ -128,6 +124,20 @@ def component_forms(form, precision=DEFAULT_PRECISION):
     return [completion(c, precision) for c in form.components()]
 
 
+def _graded_weight(parts, weight=None):
+    """The weight k of a family whose nonzero part s has weight k - 2s:
+    ``weight`` when given, else the first nonzero part's weight + 2s; None
+    when no part fixes it.  A part of another weight is a ``ValueError``."""
+    for s, part in enumerate(parts):
+        if part.is_zero:
+            continue
+        if weight is None:
+            weight = part.weight + 2 * s
+        elif part.weight != weight - 2 * s:
+            raise ValueError(f"part {s} has weight {part.weight}, expected {weight - 2 * s}")
+    return weight
+
+
 def reconstruct(parts):
     """Recover the holomorphic q-expansion from a component family.
 
@@ -143,16 +153,7 @@ def reconstruct(parts):
     precisions = {p.precision for p in parts}
     if len(precisions) != 1:
         raise ValueError(f"precision mismatch across parts: {sorted(precisions)}")
-    weight = None
-    for s, part in enumerate(parts):
-        if part.is_zero:
-            continue
-        if weight is None:
-            weight = part.weight + 2 * s
-        elif part.weight != weight - 2 * s:
-            raise ValueError(
-                f"part {s} has weight {part.weight}, expected {weight - 2 * s}"
-            )
+    _graded_weight(parts)
     n = parts[0].precision
     length = max(s + p.degree for s, p in enumerate(parts)) + 1
     acc = [QSeries.zero(n) for _ in range(length)]

@@ -180,8 +180,6 @@ def _parse_tau(text):
         value = complex(text.replace(" ", "").replace("i", "j"))
     except ValueError:
         raise UsageError(f"cannot parse sample point {text!r}; expected x+yi") from None
-    if not value.imag > 0:
-        raise UsageError(f"sample point {text!r} must have positive imaginary part")
     return value
 
 

@@ -8,7 +8,7 @@ dimension and the constructed basis can never disagree.
 
 from fractions import Fraction
 
-from .qseries import DEFAULT_PRECISION, QSeries, _prefix_cache
+from .qseries import DEFAULT_PRECISION, QSeries, _natural, _prefix_cache
 
 _EISENSTEIN_FACTOR = {2: -24, 4: 240, 6: -504}
 
@@ -43,9 +43,7 @@ def monomial_basis(weight):
     The monomials E4^a E6^b form a basis of the weight-``weight`` modular
     forms for the full modular group.
     """
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
-    if weight % 2:
+    if _natural(weight, "weight") % 2:
         return []
     basis = []
     for a in range(weight // 4 + 1):
@@ -57,16 +55,10 @@ def monomial_basis(weight):
 
 def dim_modular(weight):
     """Dimension of the modular forms of the given weight (level one)."""
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
     return len(monomial_basis(weight))
 
 
 def dim_cusp(weight):
-    """Dimension of the cusp forms: one less than dim_modular once an
-    Eisenstein series exists (weight >= 4), otherwise zero."""
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
-    if weight >= 4 and weight % 2 == 0:
-        return dim_modular(weight) - 1
-    return 0
+    """Dimension of the cusp forms: one less than a nonzero dim_modular, as
+    each nonzero space holds one form (E_k, or a constant) that is no cusp form."""
+    return max(dim_modular(weight) - 1, 0)

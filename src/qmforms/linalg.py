@@ -103,26 +103,33 @@ def _square_solve(a, columns, p):
         modulus = square
 
 
-def rank(rows, _primes=PRIMES):
-    """Exact rank of a list of rows of ints or Fractions.  The rank r modulo
-    p is exact when full; otherwise each other row, written as a combination
+def _certified_pivots(rows, ncols, primes):
+    """``(pivots, p)`` from ``_eliminate(rows, ncols, p)`` at the first prime
+    p whose pivot count r is the exact rank of the first ``ncols`` columns.
+    r is exact when full; otherwise each other row, written as a combination
     of the pivot rows by a square solve on the pivot minor and checked
-    exactly, proves rank <= r, and a failed check moves on to the next prime."""
-    rows = [_integer_row(row) for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    for p in _primes:
+    exactly in those columns, proves rank <= r, and a failed check moves on
+    to the next prime."""
+    for p in primes:
         pivots = _eliminate(rows, ncols, p)
         if len(pivots) == min(len(rows), ncols):
-            return len(pivots)
+            return pivots, p
         used = {i for i, _, _ in pivots}
         others = [row for i, row in enumerate(rows) if i not in used]
         basis = [[rows[i][j] for i, _, _ in pivots] for j in range(ncols)]
         solutions = _square_solve([basis[c] for _, c, _ in pivots],
                                   [[row[c] for _, c, _ in pivots] for row in others], p)
+        # a row may carry a right-hand side past ncols; zip stops at the basis
         if all(_dot(nums, col) == den * x for row, (nums, den) in zip(others, solutions)
                for x, col in zip(row, basis)):
-            return len(pivots)
-    raise ArithmeticError(f"every one of {len(_primes)} primes divides a minor")
+            return pivots, p
+    raise ArithmeticError(f"every one of {len(primes)} primes divides a minor")
+
+
+def rank(rows, _primes=PRIMES):
+    """Exact rank of a list of rows of ints or Fractions."""
+    rows = [_integer_row(row) for row in rows]
+    return len(_certified_pivots(rows, len(rows[0]) if rows else 0, _primes)[0])
 
 
 def solve_unique(rows, rhs, _primes=PRIMES):
@@ -136,16 +143,12 @@ def solve_unique(rows, rhs, _primes=PRIMES):
         raise UnderdeterminedSystem("empty system")
     ncols = len(rows[0])
     augmented = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
-    for p in _primes:
-        pivots = _eliminate(augmented, ncols, p)
-        if len(pivots) < ncols:
-            if (exact := rank(rows, _primes)) < ncols:
-                raise UnderdeterminedSystem(f"rank {exact} < {ncols} unknowns at this precision")
-            continue  # p divides every ncols-minor
-        [(nums, den)] = _square_solve([augmented[i][:ncols] for i, _, _ in pivots],
-                                      [[augmented[i][ncols] for i, _, _ in pivots]], p)
-        # the pivot system's solution is unique, so one failed row proves inconsistency
-        if any(_dot(row[:ncols], nums) != den * row[ncols] for row in augmented):
-            raise InconsistentSystem("no exact solution")
-        return [Fraction(n, den) for n in nums]
-    raise ArithmeticError(f"every one of {len(_primes)} primes divides a minor")
+    pivots, p = _certified_pivots(augmented, ncols, _primes)
+    if len(pivots) < ncols:
+        raise UnderdeterminedSystem(f"rank {len(pivots)} < {ncols} unknowns at this precision")
+    [(nums, den)] = _square_solve([augmented[i][:ncols] for i, _, _ in pivots],
+                                  [[augmented[i][ncols] for i, _, _ in pivots]], p)
+    # the pivot system's solution is unique, so one failed row proves inconsistency
+    if any(_dot(row[:ncols], nums) != den * row[ncols] for row in augmented):
+        raise InconsistentSystem("no exact solution")
+    return [Fraction(n, den) for n in nums]

@@ -48,6 +48,12 @@ class SamplePlan(namedtuple("SamplePlan", "taus gammas tolerance precision",
                     raise ValueError(f"image {gamma}*{tau} has Im = {image.imag:.4f} < {MIN_IM_IMAGE}")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple builds through tuple.__new__, and its _replace through
+        # _make; both must pass the checks above
+        return cls(*iterable)
+
 
 def default_plan(tolerance=DEFAULT_TOLERANCE, precision=DEFAULT_PRECISION):
     """The standard plan: three base points and six group elements.

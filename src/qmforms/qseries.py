@@ -87,8 +87,7 @@ def _evaluations(series, tau):
 
 def _power(base, exponent, one):
     """``base ** exponent`` by binary powering; ``one`` is the 0th power."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("only non-negative integer powers are defined")
+    _natural(exponent, "exponent")
     result = one
     while exponent:
         if exponent & 1:
@@ -137,6 +136,15 @@ def _coerce(value):
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact integer or Fraction, got {type(value).__name__}")
+
+
+def _natural(value, what, even=False):
+    """``value`` if it is an int (a bool or float is not), at least 0 and,
+    with ``even``, even; otherwise a ``ValueError`` that names ``what``."""
+    if type(value) is not int or value < 0 or (even and value % 2):
+        kind = "even integer" if even else "integer"
+        raise ValueError(f"{what} must be a non-negative {kind}, got {value!r}")
+    return value
 
 
 def _kronecker_product(a, b):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .qseries import DEFAULT_PRECISION, QSeries, _coerce, _power, _prefix_cache, _signed_sum
+from .qseries import DEFAULT_PRECISION, QSeries, _coerce, _natural, _power, _prefix_cache, _signed_sum
 from .eisenstein import eisenstein_series, monomial_basis
 
 
@@ -40,9 +40,7 @@ class QuasiModularForm:
             value = _coerce(value)
             if not value:
                 continue
-            a, b, c = key
-            if a < 0 or b < 0 or c < 0:
-                raise ValueError(f"negative exponent in monomial {key}")
+            a, b, c = (_natural(e, "monomial exponent") for e in key)
             if 2 * a + 4 * b + 6 * c != weight:
                 raise ValueError(
                     f"monomial E2^{a} E4^{b} E6^{c} has weight {2*a+4*b+6*c}, not {weight}"
@@ -51,9 +49,7 @@ class QuasiModularForm:
         if not cleaned:
             # the zero form carries no weight information of its own
             weight = 0
-        elif weight < 0 or weight % 2:
-            raise ValueError(f"weight must be a non-negative even integer, got {weight}")
-        self.weight = weight
+        self.weight = _natural(weight, "weight", even=True)
         self.monomials = cleaned
 
     # -- structure -----------------------------------------------------------
@@ -125,9 +121,7 @@ class QuasiModularForm:
 
     def reduced_component(self, r):
         """The reduced component fhat_r = (1/r!) d^r/dE2^r applied to self."""
-        if r < 0:
-            raise ValueError("component index must be non-negative")
-        if r == 0:
+        if _natural(r, "component index") == 0:
             return self
         out = {}
         for (a, b, c), value in self.monomials.items():
@@ -164,8 +158,7 @@ class QuasiModularForm:
 
     def e2_coefficient(self, t):
         """Coefficient of E2^t: a depth-0 form of weight (k - 2t)."""
-        if t < 0:
-            raise ValueError("exponent must be non-negative")
+        _natural(t, "E2 exponent")
         out = {(0, b, c): v for (a, b, c), v in self.monomials.items() if a == t}
         return QuasiModularForm(self.weight - 2 * t if out else 0, out)
 
@@ -244,8 +237,7 @@ def derivative_lift(modular_form, p):
     """
     if modular_form.depth > 0:
         raise ValueError("derivative_lift needs a modular (depth-0) input")
-    if p < 0:
-        raise ValueError("derivative order must be non-negative")
+    _natural(p, "derivative order")
     l = modular_form.weight
     derivatives = [modular_form]
     for _ in range(p):

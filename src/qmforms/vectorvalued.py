@@ -15,9 +15,9 @@ so every conversion is exact.
 from math import comb
 
 from . import linalg
-from .almostholo import completion
+from .almostholo import _graded_weight, completion
 from .eisenstein import dim_modular, monomial_basis
-from .qseries import DEFAULT_PRECISION, LAMBDA, _evaluations, _powers, combine
+from .qseries import DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, combine
 from .quasimodular import E2, E4, E6, QuasiModularForm
 
 _set = object.__setattr__
@@ -89,8 +89,7 @@ def sym_matrix(gamma, m):
     gamma sends e1 to a*e1 + c*e2 and e2 to b*e1 + d*e2; the matrix is
     exactly multiplicative: sym_matrix(g*h) = sym_matrix(g) @ sym_matrix(h).
     """
-    if m < 0:
-        raise ValueError("the symmetric power must be non-negative")
+    _natural(m, "the symmetric power m")
     a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
     mat = [[0] * (m + 1) for _ in range(m + 1)]
     for i in range(m + 1):
@@ -108,19 +107,16 @@ class VectorValuedForm:
     __slots__ = ("source", "m", "weight_label", "_completion")
 
     def __init__(self, source, m, weight_label=None):
-        if type(m) is not int or m < 0:
-            raise ValueError(f"the rank parameter m must be a non-negative integer, got {m}")
+        _natural(m, "the rank parameter m")
         if source.depth > m:
             raise ValueError(f"source depth {source.depth} exceeds the rank parameter m={m}")
         if weight_label is None:
             weight_label = source.weight
         elif not source.is_zero and weight_label != source.weight:
             raise ValueError(f"weight label {weight_label} contradicts the source weight {source.weight}")
-        if type(weight_label) is not int or weight_label < 0 or weight_label % 2:
-            raise ValueError(f"weight label must be a non-negative even integer, got {weight_label}")
         self.source = source
         self.m = m
-        self.weight_label = weight_label
+        self.weight_label = _natural(weight_label, "weight label", even=True)
         # the completion ``evaluate`` used last: one expansion per precision
         self._completion = None
 
@@ -218,19 +214,12 @@ def w_compose(parts, m=None, weight_label=None):
         m = len(parts) - 1
     if len(parts) != m + 1:
         raise ValueError(f"need m + 1 = {m + 1} parts, got {len(parts)}")
-    k = weight_label
-    source = QuasiModularForm(0, {})
     for t, part in enumerate(parts):
         if part.depth > 0:
             raise ValueError(f"part {t} has depth {part.depth}; w-basis parts must be modular")
-        if part.is_zero:
-            continue
-        if k is None:
-            k = part.weight + 2 * t
-        elif part.weight != k - 2 * t:
-            raise ValueError(f"part {t} has weight {part.weight}, expected {k - 2 * t}")
-        source = source + part * E2 ** t
-    return VectorValuedForm(source, m, k if k is not None else 0)
+    k = _graded_weight(parts, weight_label)
+    source = sum((part * E2 ** t for t, part in enumerate(parts)), QuasiModularForm(0, {}))
+    return VectorValuedForm(source, m, 0 if k is None else k)
 
 
 def iota_lift(modular_form, p, m):
@@ -255,10 +244,8 @@ def vv_product(left, right):
 def dim_vv(weight_label, m):
     """Dimension of the holomorphic forms of rank m and weight k - m:
     the sum of the scalar dimensions in weights k, k-2, ..., k-2m."""
-    if weight_label < 0 or weight_label % 2:
-        raise ValueError(f"weight label must be a non-negative even integer, got {weight_label}")
-    if m < 0:
-        raise ValueError("the rank parameter m must be non-negative")
+    _natural(weight_label, "weight label", even=True)
+    _natural(m, "the rank parameter m")
     return sum(
         dim_modular(weight_label - 2 * t)
         for t in range(m + 1)

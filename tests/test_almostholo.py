@@ -64,6 +64,13 @@ class TestConstruction:
         F = AlmostHolomorphicForm(6, [QSeries.zero(8)])
         assert F.is_zero and F.weight == 0
 
+    @pytest.mark.parametrize("value", [4.0, True, -2])
+    def test_weight_and_index_are_non_negative_ints(self, value):
+        with pytest.raises(ValueError, match="weight must be a non-negative even integer"):
+            AlmostHolomorphicForm(value, [E4.qexpansion(4)])
+        with pytest.raises(ValueError, match="index must be a non-negative integer"):
+            completion(E4, 4).coefficient(value)
+
     def test_odd_weight_rejected(self):
         with pytest.raises(ValueError):
             AlmostHolomorphicForm(3, [QSeries.one(8)])

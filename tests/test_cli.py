@@ -265,6 +265,7 @@ class TestVerify:
     def test_invalid_tau(self, capsys):
         code, _, err = run(capsys, "verify", "E4", "--tau", "1.0-2.0i")
         assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Im tau >= 0.3" in err
 
     def test_low_image_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "E4", "--gamma", "1,-1,2,-1")

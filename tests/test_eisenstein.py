@@ -89,6 +89,12 @@ class TestDimensions:
         with pytest.raises(ValueError):
             dim_cusp(-4)
 
+    @pytest.mark.parametrize("weight", [4.0, True])
+    def test_weight_must_be_an_int(self, weight):
+        for count in (monomial_basis, dim_modular, dim_cusp):
+            with pytest.raises(ValueError, match="weight must be a non-negative integer"):
+                count(weight)
+
     def test_cusp_dimensions(self):
         assert dim_cusp(12) == 1
         assert dim_cusp(0) == 0

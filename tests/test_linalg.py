@@ -66,6 +66,21 @@ class TestSolveUnique:
         with pytest.raises(UnderdeterminedSystem):
             solve_unique(rows, [0] * 6)
 
+    def test_underdetermined_system_is_eliminated_once(self, monkeypatch):
+        calls = []
+        eliminate = linalg._eliminate
+
+        def recording(rows, ncols, p):
+            calls.append(len(rows))
+            return eliminate(rows, ncols, p)
+
+        monkeypatch.setattr(linalg, "_eliminate", recording)
+        rows = random_matrix(random.Random(6), 6, 4, rank_bound=3)
+        with pytest.raises(UnderdeterminedSystem, match="rank 3 < 4"):
+            solve_unique(rows, [0] * 6)
+        # the square solves of the rank certificate eliminate only the 3x3 pivot minor
+        assert calls.count(6) == 1
+
     def test_wide_is_underdetermined(self):
         with pytest.raises(UnderdeterminedSystem):
             solve_unique([[1, 2, 3]], [1])

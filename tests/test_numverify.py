@@ -105,6 +105,19 @@ class TestPlanContract:
         with pytest.raises(AttributeError):
             plan.tolerance = 1.0
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: default_plan()._replace(tolerance=math.nan), lambda: SamplePlan._make(((), (), 1e-8, 64))],
+        ids=["_replace", "_make"],
+    )
+    def test_namedtuple_constructors_are_checked(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_replace_keeps_the_plan_type(self):
+        plan = default_plan()._replace(tolerance=1e-6)
+        assert type(plan) is SamplePlan and plan == default_plan(tolerance=1e-6)
+
 
 class TestResidualContract:
     def residual(self, **changes):

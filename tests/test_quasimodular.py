@@ -64,6 +64,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QuasiModularForm(-2, {(0, 0, 0): 1})
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: QuasiModularForm(4.0, {(0, 1, 0): 1}), "weight"),
+            (lambda: QuasiModularForm(4, {(0, True, 0): 1}), "exponent"),
+            (lambda: QuasiModularForm(4, {(0, 1.0, 0): 1}), "exponent"),
+            (lambda: QuasiModularForm(4, {(0, -1, 2): 1}), "exponent"),
+            (lambda: E2.reduced_component(1.0), "component index"),
+            (lambda: E2.e2_coefficient(True), "E2 exponent"),
+            (lambda: derivative_lift(E4, -1), "derivative order"),
+        ],
+        ids=["float weight", "bool exponent", "float exponent", "negative exponent",
+             "float index", "bool E2 exponent", "negative order"],
+    )
+    def test_integer_rule(self, build, name):
+        # a bool or float would be written by dumps and refused by loads
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative (even )?integer"):
+            build()
+
     def test_zero_form_normalizes(self):
         zero = QuasiModularForm(8, {})
         assert zero.is_zero and zero.weight == 0 and zero.depth == 0
@@ -399,7 +418,7 @@ class TestPower:
         assert E4 ** 200000 == monomial(0, 200000, 0)
         assert len(calls) <= 36
 
-    @pytest.mark.parametrize("exponent", [-1, 1.5])
+    @pytest.mark.parametrize("exponent", [-1, 1.5, True])
     def test_only_non_negative_integer_exponents(self, exponent):
         for base in (E4, E4.qexpansion(4)):
             with pytest.raises(ValueError, match="non-negative integer"):

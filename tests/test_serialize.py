@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmforms import (
     E2,
@@ -17,7 +18,7 @@ from qmforms import (
     to_document,
 )
 
-from _oracles import random_form
+from _oracles import all_monomials, random_form
 
 
 class TestQuasiModularDocuments:
@@ -186,3 +187,62 @@ class TestErrors:
     def test_json_error_carries_position(self):
         with pytest.raises(json.JSONDecodeError):
             json.loads('{"format": quasimodular}')
+
+
+@st.composite
+def quasimodular_forms(draw):
+    """Up to four monomials of one even weight, with rational coefficients
+    (zero among them, so the zero form occurs too)."""
+    weight = 2 * draw(st.integers(0, 12))
+    chosen = draw(st.lists(st.sampled_from(all_monomials(weight)), max_size=4, unique=True))
+    coefficients = st.fractions(min_value=-99, max_value=99, max_denominator=9)
+    return QuasiModularForm(weight, {key: draw(coefficients) for key in chosen})
+
+
+@st.composite
+def forms(draw):
+    """A quasi-modular form, its completion or a vector-valued form wrapping it."""
+    f = draw(quasimodular_forms())
+    kind = draw(st.sampled_from(["quasimodular", "almostholo", "vectorvalued"]))
+    if kind == "almostholo":
+        return completion(f, draw(st.integers(1, 6)))
+    if kind == "vectorvalued":
+        label = 2 * draw(st.integers(0, 12)) if f.is_zero else None
+        return from_quasimodular(f, f.depth + draw(st.integers(0, 2)), label)
+    return f
+
+
+def _paths(node, path=()):
+    """The path to every object member and array entry of a document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(forms())
+    def test_loads_inverts_dumps(self, form):
+        assert loads(dumps(form)) == form
+
+    @settings(max_examples=200, deadline=None)
+    @given(forms(), st.data())
+    def test_one_replaced_field_loads_or_raises_document_error(self, form, data):
+        doc = to_document(form)
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(st.sampled_from([True, 4.0, "4", [], {}, None, -1]))
+        try:
+            loaded = loads(json.dumps(doc))
+        except FormDocumentError:
+            return
+        # whatever loads accepts, dumps writes in a form that loads accepts again
+        assert loads(dumps(loaded)) == loaded

@@ -415,6 +415,15 @@ class TestDimensions:
         for k in range(0, 25, 2):
             assert dim_vv(k, 0) == dim_modular(k)
 
+    @pytest.mark.parametrize(
+        "label, m, name",
+        [(4, True, "rank parameter m"), (4, -1, "rank parameter m"),
+         (4.0, 1, "weight label"), (3, 1, "weight label")],
+    )
+    def test_arguments_follow_the_integer_rule(self, label, m, name):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative (even )?integer"):
+            dim_vv(label, m)
+
     def test_spot_values(self):
         assert dim_vv(12, 2) == 4
         assert dim_vv(4, 2) == 2
