@@ -109,10 +109,14 @@ class AlmostHolomorphicForm:
 
 
 def completion(form, precision=DEFAULT_PRECISION):
-    """The almost holomorphic completion sum_r qexp(fhat_r) * Yhat^r."""
-    return AlmostHolomorphicForm(
-        form.weight, [c.qexpansion(precision) for c in form.components()]
-    )
+    """The almost holomorphic completion sum_r qexp(fhat_r) * Yhat^r.  The
+    form keeps the last one built, so a repeat at its precision is free."""
+    full = form._completion
+    if full is None or full.precision != precision:
+        full = form._completion = AlmostHolomorphicForm(
+            form.weight, [c.qexpansion(precision) for c in form.components()]
+        )
+    return full
 
 
 def component_forms(form, precision=DEFAULT_PRECISION):

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .almostholo import completion
 from .eisenstein import eisenstein_series
-from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, combine
+from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, combine
 from .vectorvalued import GroupElement, S, T, sym_matrix
 
 MIN_IM_TAU = 0.3
@@ -36,8 +36,7 @@ class SamplePlan(namedtuple("SamplePlan", "taus gammas tolerance precision",
         # written so that NaN fails every comparison
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.precision < 1:
-            raise ValueError("precision must be positive")
+        _precision(self.precision)
         for tau in self.taus:
             if not (cmath.isfinite(tau) and complex(tau).imag >= MIN_IM_TAU):
                 raise ValueError(f"sample point {tau} must be finite with Im tau >= {MIN_IM_TAU}")

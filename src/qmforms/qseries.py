@@ -66,20 +66,15 @@ def _evaluations(series, tau):
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
-    q = cmath.exp(2j * math.pi * tau)
-    aq = abs(q)
-    q_powers = _powers(q, max(s.precision for s in series) - 1)
+    q_powers, aq = _q_table(tau, max(s.precision for s in series))
     out = []
     for s in series:
         total = 0j
-        den = s.denominator
-        try:
-            for n, qn in zip(s.numerators, q_powers):
-                if n:
-                    # int / int is correctly rounded, exactly like float(Fraction)
-                    total += n / den * qn
-        except OverflowError:
-            raise ValueError("a coefficient is outside the float64 range |x| < 2^1024") from None
+        # a plain loop: sum() of floats compensates from Python 3.12 on, and
+        # either it or math.fsum would change the rounding of every value
+        for c, qn in zip(s._float_coeffs(), q_powers):
+            if c:
+                total += c * qn
         tail = aq ** s.precision / (1.0 - aq) if aq < 1.0 else math.inf
         out.append(Evaluation(total, tail))
     return out
@@ -100,7 +95,7 @@ def _power(base, exponent, one):
 
 def _prefix_cache(build):
     """Memoize ``build(*key, precision)``, keeping per key the longest
-    expansion built so far: a shorter request truncates it (a hit), a longer
+    result built so far: a shorter request truncates it (a hit), a longer
     one rebuilds and replaces it (a miss).  At most ``CACHE_KEYS`` keys stay,
     least recently used out first; a left-out precision gets build's default."""
     entries = OrderedDict()
@@ -130,6 +125,26 @@ def _prefix_cache(build):
     return cached
 
 
+class _QTable(namedtuple("QTable", "powers modulus")):
+    """The powers q^0, ..., q^(N-1) of q = exp(2*pi*i*tau), and |q|."""
+
+    __slots__ = ()
+
+    @property
+    def precision(self):
+        return len(self.powers)
+
+    def truncate(self, precision):
+        # every sum stops at its own series' length, so a longer table serves
+        return self
+
+
+@_prefix_cache
+def _q_table(tau, precision):
+    q = cmath.exp(2j * math.pi * tau)
+    return _QTable(_powers(q, precision - 1), abs(q))
+
+
 def _coerce(value):
     if isinstance(value, Fraction):
         return value
@@ -145,6 +160,14 @@ def _natural(value, what, even=False):
         kind = "even integer" if even else "integer"
         raise ValueError(f"{what} must be a non-negative {kind}, got {value!r}")
     return value
+
+
+def _precision(value):
+    """``value`` if ``_natural`` takes it as a number of coefficients and it
+    is at least 1; otherwise a ``ValueError``."""
+    if type(value) is int and value < 1:
+        raise ValueError(f"precision must be positive, got {value}")
+    return _natural(value, "precision")
 
 
 def _kronecker_product(a, b):
@@ -176,7 +199,7 @@ class QSeries:
     """A power series in q truncated to a fixed number of coefficients, kept
     as integer numerators over one positive denominator in lowest terms."""
 
-    __slots__ = ("numerators", "denominator")
+    __slots__ = ("numerators", "denominator", "_floats")
 
     def __init__(self, coeffs):
         coeffs = [_coerce(c) for c in coeffs]
@@ -196,6 +219,18 @@ class QSeries:
         g = math.gcd(den, *nums)
         self.numerators = tuple(n // g for n in nums) if g > 1 else tuple(nums)
         self.denominator = den // g
+        self._floats = None
+
+    def _float_coeffs(self):
+        """The coefficients as floats, converted on the first call only."""
+        if self._floats is None:
+            den = self.denominator
+            try:
+                # int / int is correctly rounded, exactly like float(Fraction)
+                self._floats = tuple(n / den for n in self.numerators)
+            except OverflowError:
+                raise ValueError("a coefficient is outside the float64 range |x| < 2^1024") from None
+        return self._floats
 
     @classmethod
     def zero(cls, precision=DEFAULT_PRECISION):
@@ -233,9 +268,7 @@ class QSeries:
 
     def truncate(self, precision):
         """Drop coefficients beyond ``precision`` (never extends)."""
-        if precision < 1:
-            raise ValueError("precision must be positive")
-        if precision >= self.precision:
+        if _precision(precision) >= self.precision:
             return self
         return QSeries._from_ints(self.numerators[:precision], self.denominator)
 

@@ -32,7 +32,7 @@ class UnderdeterminedError(ValueError):
 class QuasiModularForm:
     """Weight-homogeneous polynomial in E2, E4, E6 with rational coefficients."""
 
-    __slots__ = ("weight", "monomials")
+    __slots__ = ("weight", "monomials", "_completion")
 
     def __init__(self, weight, monomials):
         cleaned = {}
@@ -51,6 +51,8 @@ class QuasiModularForm:
             weight = 0
         self.weight = _natural(weight, "weight", even=True)
         self.monomials = cleaned
+        # the last ``almostholo.completion`` built: one expansion per precision
+        self._completion = None
 
     # -- structure -----------------------------------------------------------
 

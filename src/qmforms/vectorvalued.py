@@ -104,7 +104,7 @@ def sym_matrix(gamma, m):
 class VectorValuedForm:
     """A rank-(m+1) modular object built from a quasi-modular source."""
 
-    __slots__ = ("source", "m", "weight_label", "_completion")
+    __slots__ = ("source", "m", "weight_label")
 
     def __init__(self, source, m, weight_label=None):
         _natural(m, "the rank parameter m")
@@ -117,8 +117,6 @@ class VectorValuedForm:
         self.source = source
         self.m = m
         self.weight_label = _natural(weight_label, "weight label", even=True)
-        # the completion ``evaluate`` used last: one expansion per precision
-        self._completion = None
 
     @property
     def weight(self):
@@ -152,9 +150,7 @@ class VectorValuedForm:
         from (tau, 1) = tau*e1 + e2 and (1, 0) = e1.
         """
         tau = complex(tau)
-        full = self._completion
-        if full is None or full.precision != precision:
-            full = self._completion = completion(self.source, precision)
+        full = completion(self.source, precision)
         values = _evaluations([full.coefficient(r) for r in range(self.depth + 1)], tau)
         lam_powers = _powers(LAMBDA, self.depth)
         m = self.m

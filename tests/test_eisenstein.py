@@ -51,6 +51,18 @@ class TestGenerators:
         with pytest.raises(ValueError, match="precision must be positive"):
             build(precision)
 
+    @pytest.mark.parametrize("precision", [64.0, 2.5, True])
+    def test_precision_must_be_an_int(self, precision):
+        # refused both when the series is built and when a cached one is cut
+        eisenstein_series.cache_clear()
+        with pytest.raises(ValueError, match="precision"):
+            eisenstein_series(4, precision)
+        eisenstein_series(4, 64)
+        with pytest.raises(ValueError, match="precision"):
+            eisenstein_series(4, precision)
+        with pytest.raises(ValueError, match="precision"):
+            delta_series(precision)
+
     def test_table_invariants(self):
         e2, e4, e6 = (eisenstein_series(weight, 24) for weight in (2, 4, 6))
         delta = delta_series(24)

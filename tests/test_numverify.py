@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from qmforms import numverify, vectorvalued
+from qmforms import almostholo, numverify, vectorvalued
 from qmforms import (
     E2,
     E4,
@@ -113,6 +114,13 @@ class TestPlanContract:
     def test_namedtuple_constructors_are_checked(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize("precision", [64.0, 2.5, True])
+    def test_precision_must_be_an_int(self, precision):
+        with pytest.raises(ValueError, match="precision"):
+            SamplePlan(taus=(complex(0.3, 1.1),), gammas=(S,), precision=precision)
+        with pytest.raises(ValueError, match="precision"):
+            default_plan(precision=precision)
 
     def test_replace_keeps_the_plan_type(self):
         plan = default_plan()._replace(tolerance=1e-6)
@@ -268,15 +276,18 @@ class CountingEvaluations:
 class TestWorkPerCheck:
     @pytest.fixture
     def completions(self, monkeypatch):
-        calls = []
-        honest = vectorvalued.completion
+        """The precision of every completion built (not merely asked for)."""
+        builds = []
 
-        def counting(form, precision):
-            calls.append(precision)
-            return honest(form, precision)
+        class Counting(almostholo.AlmostHolomorphicForm):
+            __slots__ = ()
 
-        monkeypatch.setattr(vectorvalued, "completion", counting)
-        return calls
+            def __init__(self, weight, coeffs):
+                super().__init__(weight, coeffs)
+                builds.append(self.precision)
+
+        monkeypatch.setattr(almostholo, "AlmostHolomorphicForm", Counting)
+        return builds
 
     def test_check_vv_expands_its_form_once(self, completions):
         plan = default_plan()
@@ -293,6 +304,16 @@ class TestWorkPerCheck:
         assert completions == [64, 12]
         assert coarse == from_quasimodular(E2 ** 2 * E6, 3).evaluate(tau, 12)
         assert form.evaluate(tau, 64) == from_quasimodular(E2 ** 2 * E6, 3).evaluate(tau, 64)
+
+    def test_check_quasimodular_reuses_the_completion_of_check_vv(self, completions):
+        plan = default_plan()
+        form = E2 ** 2 * E4 - E6 * E2 * Fraction(3, 2)
+        vv = check_vv(from_quasimodular(form, 3), plan)
+        scalar = check_quasimodular(form, plan)
+        assert completions == [plan.precision]
+        # a fresh copy of the form builds its own completion, to the same residuals
+        assert vv == check_vv(from_quasimodular(form * 1, 3), plan)
+        assert scalar == check_quasimodular(form * 1, plan)
 
     def test_each_base_point_is_evaluated_once(self):
         plan = default_plan()

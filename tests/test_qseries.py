@@ -7,7 +7,9 @@ import pytest
 
 from qmforms import E2, E4, E6, QSeries, format_series
 from qmforms.eisenstein import delta_series, eisenstein_series
-from qmforms.qseries import Evaluation, _evaluations, combine
+from qmforms.numverify import check_quasimodular, check_vv, default_plan
+from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _q_table, combine
+from qmforms.vectorvalued import from_quasimodular
 
 from _oracles import delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
 
@@ -52,6 +54,11 @@ class TestConstruction:
         s = series(1, 2, 3)
         assert s.truncate(10) is s
         assert s.truncate(2) == series(1, 2)
+
+    @pytest.mark.parametrize("precision", [64.0, 2.5, True, 0, -3])
+    def test_truncate_takes_only_a_positive_int(self, precision):
+        with pytest.raises(ValueError, match="precision"):
+            series(1, 2, 3).truncate(precision)
 
 
 class TestAdd:
@@ -321,12 +328,72 @@ class TestEvaluations:
             with pytest.raises(ValueError, match="upper half-plane"):
                 _evaluations([QSeries.one(4), series(1, 2)], tau)
 
+    def test_coefficients_convert_to_floats_once(self):
+        s = series(1, Fraction(1, 3), 0, -2 ** 60)
+        floats = s._float_coeffs()
+        assert floats == (1.0, 1 / 3, 0.0, -2.0 ** 60)
+        s.evaluate(self.TAUS[1])
+        assert s._float_coeffs() is floats
+
     def test_coefficient_beyond_float64_is_a_value_error(self):
         huge = series(1, 2 ** 1024, 3)
         with pytest.raises(ValueError, match="float64 range"):
             _evaluations([QSeries.one(3), huge], 1j)
         # the largest numerator that still rounds below 2^1024 evaluates
         assert math.isfinite(series(0, 2 ** 1024 - 2 ** 970 - 1).evaluate(1j).value.real)
+
+
+class TestQTable:
+    """``_evaluations`` takes its powers of q from ``_q_table``: one
+    prefix-cached table per tau, which serves every shorter series as is."""
+
+    TAU = complex(0.3, 1.1)
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        _q_table.cache_clear()
+
+    def counts(self):
+        info = _q_table.cache_info()
+        return info.hits, info.misses
+
+    def test_default_plan_builds_each_point_once(self):
+        plan = default_plan()
+        form = E2 ** 2 * E4
+        check_vv(from_quasimodular(form, 2), plan)
+        hits, misses = self.counts()
+        assert misses == _q_table.cache_info().currsize == 21
+        check_quasimodular(form, plan)
+        assert self.counts() == (hits + 21, 21)
+
+    def test_shorter_series_hit_and_longer_ones_rebuild(self):
+        _evaluations([geometric(32)], self.TAU)
+        _evaluations([geometric(8)], self.TAU)
+        assert self.counts() == (1, 1)
+        _evaluations([geometric(48)], self.TAU)
+        assert self.counts() == (1, 2)
+        assert _q_table(self.TAU, 1).precision == 48
+
+    def test_one_call_mixes_precisions(self):
+        cases = [geometric(3), eisenstein_series(6, 40), QSeries.one(1), delta_series(17)]
+        for tau in TestEvaluations.TAUS:
+            assert _evaluations(cases, tau) == [TestEvaluations.one_by_one(s, tau) for s in cases]
+        assert self.counts() == (0, len(TestEvaluations.TAUS))
+
+    def test_value_does_not_depend_on_the_cache(self):
+        s = eisenstein_series(4, 24) * Fraction(1, 3)
+        cold = s.evaluate(self.TAU)
+        warm = s.evaluate(self.TAU)
+        _evaluations([geometric(64)], self.TAU)
+        # a fresh copy converts its floats again and reads the longer table
+        assert cold == warm == QSeries(s.coeffs).evaluate(self.TAU) == s.evaluate(self.TAU)
+        assert self.counts() == (3, 2)
+
+    def test_cache_clear(self):
+        _evaluations([geometric(4)], self.TAU)
+        assert _q_table.cache_info().currsize == 1
+        _q_table.cache_clear()
+        assert _q_table.cache_info() == (0, 0, CACHE_KEYS, 0)
 
 
 class TestCombine:
