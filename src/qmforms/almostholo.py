@@ -9,7 +9,7 @@ numeric value only in ``evaluate``.
 
 from fractions import Fraction
 
-from .qseries import DEFAULT_PRECISION, QSeries, _evaluations, _natural, _powers, combine, yhat
+from .qseries import DEFAULT_PRECISION, QSeries, _evaluations, _natural, _powers, _weighted_sum, combine, yhat
 
 
 class NotHolomorphicError(ValueError):
@@ -159,18 +159,18 @@ def reconstruct(parts):
         raise ValueError(f"precision mismatch across parts: {sorted(precisions)}")
     _graded_weight(parts)
     n = parts[0].precision
-    length = max(s + p.degree for s, p in enumerate(parts)) + 1
-    acc = [QSeries.zero(n) for _ in range(length)]
-    for s, part in enumerate(parts):
-        sign = Fraction(-1 if s % 2 else 1)
-        for r, series in enumerate(part.coeffs):
-            acc[s + r] = acc[s + r] + sign * series
-    for r in range(1, length):
-        if not acc[r].is_zero:
+
+    def coefficient(r):
+        # the Yhat^r coefficient of sum_s parts[s] * (-Yhat)^s
+        return _weighted_sum((((-1) ** s, part.coeffs[r - s])
+                              for s, part in enumerate(parts[:r + 1]) if r - s <= part.degree), n)
+
+    for r in range(1, max(s + p.degree for s, p in enumerate(parts)) + 1):
+        if not coefficient(r).is_zero:
             raise NotHolomorphicError(
                 f"not holomorphic: Yhat^{r} coefficient does not cancel"
             )
-    return acc[0]
+    return coefficient(0)
 
 
 def raise_op(form):

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q: rows of ints or Fractions, scaled to integers,
+"""Exact linear algebra over Q: rows of ints, or of Fractions scaled to integers,
 are eliminated modulo a prime near 2^61 to find pivots; the square pivot
 system is solved by a Newton-lifted inverse modulo p^(2^k) and rational
 reconstruction (Dixon, Numer. Math. 40, 1982; von zur Gathen and Gerhard,
@@ -23,6 +23,10 @@ class InconsistentSystem(ValueError):
 
 
 def _integer_row(row):
+    """``row`` itself when all its entries are ints, else the row times the
+    least common denominator of its entries, as ints."""
+    if all(type(x) is int for x in row):
+        return row
     # unpack a set, not a generator: a tuple grown by resizing bypasses the tuple
     # free list when made but joins it when freed, and peak RSS grows with it
     scale = lcm(*{x.denominator for x in row})

@@ -53,6 +53,21 @@ def combine(terms):
     return Evaluation(total, error)
 
 
+def _weighted_sum(terms, precision):
+    """The exact sum of weight * series over ``(weight, QSeries)`` pairs, each
+    weight an int or Fraction, truncated to ``precision``: every term over one
+    common denominator, its integer numerators added in one pass, and one
+    reduction at the end.  The exact counterpart of ``combine``."""
+    # QSeries.zero refuses a bad precision before any term is built
+    total = QSeries.zero(precision).numerators
+    terms = list(terms)
+    den = math.lcm(*(w.denominator * s.denominator for w, s in terms))
+    for w, s in terms:
+        scale = w.numerator * (den // (w.denominator * s.denominator))
+        total = [t + scale * n for t, n in zip(total, s.numerators)]
+    return QSeries._from_ints(total, den)
+
+
 def _powers(base, count):
     """[base^0, ..., base^count], each the previous one times ``base``."""
     return list(accumulate([base] * count, mul, initial=base ** 0))
@@ -105,13 +120,14 @@ def _prefix_cache(build):
     @functools.wraps(build)
     def cached(*args):
         key, (precision,) = args[:keys], args[keys:] or build.__defaults__
-        series = entries.pop(key, None)
+        # the entry stays until build returns, so a refused request keeps it
+        series = entries.get(key)
         if series is None or series.precision < precision:
-            series = build(*args)
+            entries[key] = series = build(*args)
             counts["misses"] += 1
         else:
             counts["hits"] += 1
-        entries[key] = series
+        entries.move_to_end(key)
         if len(entries) > CACHE_KEYS:
             entries.popitem(last=False)
         return series.truncate(precision)

@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .qseries import DEFAULT_PRECISION, QSeries, _coerce, _natural, _power, _prefix_cache, _signed_sum
+from .qseries import (DEFAULT_PRECISION, QSeries, _coerce, _natural, _power, _prefix_cache, _signed_sum,
+                      _weighted_sum)
 from .eisenstein import eisenstein_series, monomial_basis
 
 
@@ -168,10 +169,8 @@ class QuasiModularForm:
 
     def qexpansion(self, precision=DEFAULT_PRECISION):
         """Substitute the generator series into the polynomial."""
-        total = QSeries.zero(precision)
-        for (a, b, c), value in self.monomials.items():
-            total = total + value * _monomial_series(a, b, c, precision)
-        return total
+        return _weighted_sum(((value, _monomial_series(a, b, c, precision))
+                              for (a, b, c), value in self.monomials.items()), precision)
 
     # -- presentation --------------------------------------------------------------
 
@@ -283,11 +282,11 @@ def recognize(series, weight, depth_bound):
     columns = [_monomial_series(a, b, c, n).numerators for (a, b, c) in keys]
     rows = list(zip(*columns))
     try:
-        solution = linalg.solve_unique(rows, series.coeffs)
+        solution = linalg.solve_unique(rows, series.numerators)
     except linalg.UnderdeterminedSystem as exc:
         raise UnderdeterminedError(f"underdetermined: {exc}") from exc
     except linalg.InconsistentSystem:
         raise NoMatchError(
             f"no match: series is not a weight-{weight} form of depth <= {depth_bound}"
         ) from None
-    return QuasiModularForm(weight, dict(zip(keys, solution)))
+    return QuasiModularForm(weight, {key: x / series.denominator for key, x in zip(keys, solution)})

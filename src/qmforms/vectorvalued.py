@@ -12,7 +12,7 @@ holomorphic-weight components, the w-basis) are derived views of the source,
 so every conversion is exact.
 """
 
-from math import comb
+from math import comb, lcm
 
 from . import linalg
 from .almostholo import _graded_weight, completion
@@ -270,5 +270,8 @@ def certify_dim_vv(weight_label, m, precision=16):
     rows = []
     for form in basis_vv(weight_label, m):
         full = completion(form.source, precision)
-        rows.append([c for r in range(m + 1) for c in full.coefficient(r).coeffs])
+        parts = [full.coefficient(r) for r in range(m + 1)]
+        # the row times its common denominator: integers, and the same rank
+        den = lcm(*(s.denominator for s in parts))
+        rows.append([n * (den // s.denominator) for s in parts for n in s.numerators])
     return linalg.rank(rows)

@@ -124,6 +124,18 @@ class TestReconstruct:
         with pytest.raises(NotHolomorphicError):
             reconstruct(corrupted)
 
+    @pytest.mark.parametrize("part, r", [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)])
+    def test_tampered_coefficient_fails_at_its_power(self, part, r):
+        parts = component_forms(E2 * E2 * E4, N)
+        coeffs = list(parts[part].coeffs)
+        coeffs[r] = coeffs[r] + QSeries([0] * 5 + [Fraction(1, 7)] + [0] * (N - 6))
+        parts[part] = AlmostHolomorphicForm(parts[part].weight, coeffs)
+        if part + r == 0:
+            assert reconstruct(parts) != (E2 * E2 * E4).qexpansion(N)
+        else:
+            with pytest.raises(NotHolomorphicError, match=rf"Yhat\^{part + r} coefficient"):
+                reconstruct(parts)
+
     def test_precision_mismatch_fails_loudly(self):
         parts = [completion(E2, 16), completion(ONE, 8)]
         with pytest.raises(ValueError, match="precision"):

@@ -49,6 +49,13 @@ class TestRank:
         assert rank(rows) == 2
         assert rows == [[2, 4], [1, 3]]
 
+    def test_integer_rows_are_used_as_they_are(self):
+        rows = [[2, 4, 6], [1, 3, 5]]
+        assert [linalg._integer_row(row) for row in rows] == rows
+        assert all(linalg._integer_row(row) is row for row in rows)
+        assert rank(rows) == 2 and rows == [[2, 4, 6], [1, 3, 5]]
+        assert linalg._integer_row([Fraction(1, 2), 3, True]) == [1, 6, 2]
+
 
 class TestSolveUnique:
     def test_unique_solution(self):

@@ -8,7 +8,7 @@ import pytest
 from qmforms import E2, E4, E6, QSeries, format_series
 from qmforms.eisenstein import delta_series, eisenstein_series
 from qmforms.numverify import check_quasimodular, check_vv, default_plan
-from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _q_table, combine
+from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _q_table, _weighted_sum, combine
 from qmforms.vectorvalued import from_quasimodular
 
 from _oracles import delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
@@ -403,6 +403,54 @@ class TestCombine:
 
     def test_empty_sum(self):
         assert combine([]) == Evaluation(0j, 0.0)
+
+
+class TestWeightedSum:
+    def oracle(self, terms, precision):
+        total = QSeries.zero(precision)
+        for weight, s in terms:
+            total = total + weight * s
+        return total
+
+    def test_mixed_denominators_match_term_by_term_addition(self):
+        rng = random.Random(101)
+        for _ in range(20):
+            n = rng.randint(1, 24)
+            terms = [(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                      QSeries(random_coeffs(rng, n, dens=(1, 2, 3, 5, 7))))
+                     for _ in range(rng.randint(0, 5))]
+            assert _weighted_sum(iter(terms), n) == self.oracle(terms, n)
+
+    def test_int_weights_and_a_full_cancellation(self):
+        s = series(Fraction(1, 3), Fraction(-2, 5), 7)
+        assert _weighted_sum([(1, s), (-1, s)], 3) == QSeries.zero(3)
+        assert _weighted_sum([(2, s), (Fraction(1, 2), s)], 3) == Fraction(5, 2) * s
+
+    def test_no_terms_is_the_zero_series(self):
+        assert _weighted_sum([], 5) == QSeries.zero(5)
+        assert _weighted_sum([], 1) == QSeries.zero(1)
+
+    def test_truncates_to_the_precision(self):
+        s = series(1, 2, 3, 4)
+        assert _weighted_sum([(Fraction(1, 2), s)], 1) == series(Fraction(1, 2))
+        assert _weighted_sum([(3, s)], 2) == series(3, 6)
+
+    def test_result_is_in_lowest_terms(self):
+        total = _weighted_sum([(Fraction(1, 6), series(2, 4)), (Fraction(1, 3), series(2, 4))], 2)
+        assert (total.numerators, total.denominator) == ((1, 2), 1)
+
+    @pytest.mark.parametrize("precision, error, message", [
+        (0, ValueError, "a q-series needs at least one coefficient"),
+        (-2, ValueError, "a q-series needs at least one coefficient"),
+        (2.5, TypeError, "can't multiply sequence by non-int of type 'float'"),
+    ])
+    def test_bad_precision_is_refused_before_any_term_is_built(self, precision, error, message):
+        def terms():
+            raise AssertionError("a term was built")
+            yield
+
+        with pytest.raises(error, match=f"^{message}$"):
+            _weighted_sum(terms(), precision)
 
 
 class TestFormatting:

@@ -27,6 +27,7 @@ from qmforms import (
 from qmforms.eisenstein import eisenstein_series
 from qmforms.qseries import CACHE_KEYS
 from qmforms.quasimodular import _generator_power, _monomial_series
+from qmforms import linalg
 
 from _oracles import all_monomials, eisenstein_by_divisors, pow_list, random_form
 
@@ -297,6 +298,59 @@ class TestQExpansion:
                 assert (f + g).qexpansion(24) == f.qexpansion(24) + g.qexpansion(24)
 
 
+@st.composite
+def forms(draw):
+    """A quasi-modular form of weight <= 16 with up to four terms whose
+    coefficients have denominators 1 to 6; the zero form is drawn too."""
+    weight = draw(st.sampled_from(range(0, 17, 2)))
+    keys = draw(st.lists(st.sampled_from(all_monomials(weight)), max_size=4, unique=True))
+    values = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6))
+    return QuasiModularForm(weight, {key: draw(values) for key in keys})
+
+
+def term_by_term(form, precision):
+    """The expansion as the sum of value * monomial series, one QSeries
+    addition per term."""
+    total = QSeries.zero(precision)
+    for (a, b, c), value in form.monomials.items():
+        total = total + value * _monomial_series(a, b, c, precision)
+    return total
+
+
+class TestQExpansionIsExact:
+    @settings(max_examples=80, deadline=None)
+    @given(forms(), st.integers(1, 40))
+    def test_matches_the_term_by_term_sum(self, form, precision):
+        assert form.qexpansion(precision) == term_by_term(form, precision)
+
+    @pytest.mark.parametrize("precision", [1, 2, 17])
+    def test_zero_form(self, precision):
+        assert QuasiModularForm(0, {}).qexpansion(precision) == QSeries.zero(precision)
+
+    def test_precision_one_is_the_constant_term(self):
+        form = E2 ** 4 / 6 - E4 * E2 ** 2 / 4 + Fraction(5, 3) * E2 * E6
+        assert form.qexpansion(1) == QSeries([Fraction(1, 6) - Fraction(1, 4) + Fraction(5, 3)])
+
+    def test_mixed_denominators(self):
+        form = QuasiModularForm(12, {(6, 0, 0): Fraction(1, 2), (3, 0, 1): Fraction(-2, 3),
+                                     (0, 3, 0): Fraction(1, 5), (0, 0, 2): Fraction(7, 6)})
+        series = form.qexpansion(30)
+        assert series == term_by_term(form, 30)
+        assert series.coefficient(0) == Fraction(1, 2) - Fraction(2, 3) + Fraction(1, 5) + Fraction(7, 6)
+
+    @pytest.mark.parametrize("precision, error, message", [
+        (0, ValueError, "a q-series needs at least one coefficient"),
+        (2.5, TypeError, "can't multiply sequence by non-int of type 'float'"),
+    ])
+    @pytest.mark.parametrize("form", [E2 * E4 / 3, QuasiModularForm(0, {})], ids=["E2*E4/3", "zero"])
+    def test_bad_precision_keeps_its_error(self, form, precision, error, message):
+        clear_expansion_caches()
+        for _ in ("cold", "with the monomials cached"):
+            with pytest.raises(error, match=f"^{message}$"):
+                form.qexpansion(precision)
+            form.qexpansion(8)
+
+
 def clear_expansion_caches():
     for cache in (_monomial_series, _generator_power, eisenstein_series):
         cache.cache_clear()
@@ -390,6 +444,15 @@ class TestPrefixCache:
             E4.qexpansion(n)
         assert eisenstein_series.cache_info().currsize == 1
 
+    def test_refused_request_keeps_the_entry(self):
+        clear_expansion_caches()
+        eisenstein_series(4, 64)
+        with pytest.raises(ValueError, match="precision"):
+            eisenstein_series(4, 100.0)
+        assert eisenstein_series.cache_info().currsize == 1
+        eisenstein_series(4, 64)
+        assert eisenstein_series.cache_info().misses == 1
+
     def test_left_out_precision_is_the_default(self):
         clear_expansion_caches()
         assert eisenstein_series(4) == eisenstein_series(4, DEFAULT_PRECISION)
@@ -458,3 +521,19 @@ class TestRecognize:
 
     def test_zero_series(self):
         assert recognize(QSeries.zero(8), 4, 2).is_zero
+
+    def test_solves_in_integers(self, monkeypatch):
+        systems = []
+        original = linalg.solve_unique
+
+        def spy(rows, rhs):
+            systems.append((rows, rhs))
+            return original(rows, rhs)
+
+        monkeypatch.setattr(linalg, "solve_unique", spy)
+        f = E2 ** 3 / 7 - Fraction(5, 6) * E2 * E4 + E6 / 4
+        assert f.qexpansion(24).denominator > 1
+        assert recognize(f.qexpansion(24), 6, 3) == f
+        [(rows, rhs)] = systems
+        assert all(type(x) is int for row in rows for x in row)
+        assert all(type(x) is int for x in rhs)

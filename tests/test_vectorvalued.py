@@ -35,6 +35,7 @@ from qmforms import (
     w_compose,
     w_decompose,
 )
+from qmforms import linalg
 
 from _oracles import exact_rank, random_form, sym_power_by_tensors
 
@@ -429,9 +430,23 @@ class TestDimensions:
         assert dim_vv(4, 2) == 2
 
     def test_certified_ranks(self):
-        for k in (0, 4, 10, 12, 16):
-            for m in (0, 1, 2, 3):
+        for k in range(0, 49, 2):
+            for m in range(7):
                 assert certify_dim_vv(k, m) == dim_vv(k, m)
+
+    def test_certify_ranks_integer_rows(self, monkeypatch):
+        calls = []
+        original = linalg.rank
+
+        def spy(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "rank", spy)
+        assert certify_dim_vv(12, 3) == dim_vv(12, 3)
+        [rows] = calls
+        assert len(rows) == dim_vv(12, 3)
+        assert all(type(x) is int for row in rows for x in row)
 
     def test_basis_matches_independent_rank(self):
         k, m, n = 12, 2, 12
