@@ -16,7 +16,7 @@ from collections import namedtuple
 from .almostholo import completion
 from .eisenstein import eisenstein_series
 from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, combine
-from .vectorvalued import GroupElement, S, T, sym_matrix
+from .vectorvalued import GroupElement, S, T, _sym_rows
 
 MIN_IM_TAU = 0.3
 MIN_IM_IMAGE = 0.25
@@ -205,11 +205,10 @@ def check_vv(form, plan, label=None):
     Euclidean norm."""
     k, m = form.weight_label, form.m
     _require_weight(plan, k - m)
-    matrices = {g: sym_matrix(g, m) for g in plan.gammas}
 
     def sides(gamma, tau, base):
         lhs = form.evaluate(gamma.act(tau), plan.precision)
-        rhs = [combine(zip(row, base)) for row in matrices[gamma]]
+        rhs = [combine(zip(row, base)) for row in _sym_rows(gamma, m)]
         return lhs, gamma.j(tau) ** (k - m), rhs
 
     label = str(form) if label is None else label

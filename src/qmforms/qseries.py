@@ -77,21 +77,34 @@ def _evaluations(series, tau):
     """Evaluate each q-series at tau in the upper half-plane, from one table
     of powers of q = exp(2*pi*i*tau): the double-precision truncated sum,
     accumulated in ascending order of n so that extending the precision never
-    perturbs the shared coefficients' part, and the tail |q|^N / (1 - |q|)."""
+    perturbs the shared coefficients' part, and the tail |q|^N / (1 - |q|).
+    Each series keeps its values by tau, at most ``CACHE_KEYS`` of them."""
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
-    q_powers, aq = _q_table(tau, max(s.precision for s in series))
+    reals, imags, aq = _q_table(tau, max(s.precision for s in series))
     out = []
     for s in series:
-        total = 0j
-        # a plain loop: sum() of floats compensates from Python 3.12 on, and
-        # either it or math.fsum would change the rounding of every value
-        for c, qn in zip(s._float_coeffs(), q_powers):
-            if c:
-                total += c * qn
-        tail = aq ** s.precision / (1.0 - aq) if aq < 1.0 else math.inf
-        out.append(Evaluation(total, tail))
+        values = s._values
+        if values is None:
+            values = s._values = {}
+        evaluation = values.get(tau)
+        if evaluation is None:
+            if len(values) >= CACHE_KEYS:
+                values.clear()
+            # two plain float sums: sum() of floats compensates from Python
+            # 3.12 on, and it or math.fsum would change the rounding of every
+            # value.  They round exactly like the complex total += c * q^n,
+            # whose parts c*x - 0*y and c*y + 0*x differ from c*x and c*y at
+            # most in the sign of a zero, as does a zero coefficient's term:
+            # a total that starts at +0.0 ignores both
+            re = im = 0.0
+            for c, x, y in zip(s._float_coeffs(), reals, imags):
+                re += c * x
+                im += c * y
+            tail = aq ** s.precision / (1.0 - aq) if aq < 1.0 else math.inf
+            evaluation = values[tau] = Evaluation(complex(re, im), tail)
+        out.append(evaluation)
     return out
 
 
@@ -120,7 +133,9 @@ def _prefix_cache(build):
     @functools.wraps(build)
     def cached(*args):
         key, (precision,) = args[:keys], args[keys:] or build.__defaults__
-        # the entry stays until build returns, so a refused request keeps it
+        # a refused precision is neither a hit nor a miss, and the entry
+        # stays until build returns, so a refused build keeps it
+        _precision(precision)
         series = entries.get(key)
         if series is None or series.precision < precision:
             entries[key] = series = build(*args)
@@ -141,14 +156,15 @@ def _prefix_cache(build):
     return cached
 
 
-class _QTable(namedtuple("QTable", "powers modulus")):
-    """The powers q^0, ..., q^(N-1) of q = exp(2*pi*i*tau), and |q|."""
+class _QTable(namedtuple("QTable", "reals imags modulus")):
+    """The real and the imaginary parts of q^0, ..., q^(N-1) for
+    q = exp(2*pi*i*tau), and |q|."""
 
     __slots__ = ()
 
     @property
     def precision(self):
-        return len(self.powers)
+        return len(self.reals)
 
     def truncate(self, precision):
         # every sum stops at its own series' length, so a longer table serves
@@ -158,7 +174,8 @@ class _QTable(namedtuple("QTable", "powers modulus")):
 @_prefix_cache
 def _q_table(tau, precision):
     q = cmath.exp(2j * math.pi * tau)
-    return _QTable(_powers(q, precision - 1), abs(q))
+    powers = _powers(q, precision - 1)
+    return _QTable(tuple(p.real for p in powers), tuple(p.imag for p in powers), abs(q))
 
 
 def _coerce(value):
@@ -215,7 +232,7 @@ class QSeries:
     """A power series in q truncated to a fixed number of coefficients, kept
     as integer numerators over one positive denominator in lowest terms."""
 
-    __slots__ = ("numerators", "denominator", "_floats")
+    __slots__ = ("numerators", "denominator", "_floats", "_values")
 
     def __init__(self, coeffs):
         coeffs = [_coerce(c) for c in coeffs]
@@ -235,7 +252,7 @@ class QSeries:
         g = math.gcd(den, *nums)
         self.numerators = tuple(n // g for n in nums) if g > 1 else tuple(nums)
         self.denominator = den // g
-        self._floats = None
+        self._floats = self._values = None
 
     def _float_coeffs(self):
         """The coefficients as floats, converted on the first call only."""
@@ -250,7 +267,7 @@ class QSeries:
 
     @classmethod
     def zero(cls, precision=DEFAULT_PRECISION):
-        return cls._from_ints([0] * precision)
+        return cls._from_ints([0] * _precision(precision))
 
     @classmethod
     def one(cls, precision=DEFAULT_PRECISION):

@@ -12,12 +12,13 @@ holomorphic-weight components, the w-basis) are derived views of the source,
 so every conversion is exact.
 """
 
+from functools import lru_cache
 from math import comb, lcm
 
 from . import linalg
 from .almostholo import _graded_weight, completion
 from .eisenstein import dim_modular, monomial_basis
-from .qseries import DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, combine
+from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, combine
 from .quasimodular import E2, E4, E6, QuasiModularForm
 
 _set = object.__setattr__
@@ -89,7 +90,12 @@ def sym_matrix(gamma, m):
     gamma sends e1 to a*e1 + c*e2 and e2 to b*e1 + d*e2; the matrix is
     exactly multiplicative: sym_matrix(g*h) = sym_matrix(g) @ sym_matrix(h).
     """
-    _natural(m, "the symmetric power m")
+    return [list(row) for row in _sym_rows(gamma, _natural(m, "the symmetric power m"))]
+
+
+@lru_cache(maxsize=CACHE_KEYS)
+def _sym_rows(gamma, m):
+    """The rows of ``sym_matrix(gamma, m)`` as tuples, built once per (gamma, m)."""
     a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
     mat = [[0] * (m + 1) for _ in range(m + 1)]
     for i in range(m + 1):
@@ -98,7 +104,18 @@ def sym_matrix(gamma, m):
             left = comb(m - i, p) * a ** (m - i - p) * c ** p
             for q in range(i + 1):
                 mat[p + q][i] += left * comb(i, q) * b ** (i - q) * d ** q
-    return mat
+    return tuple(map(tuple, mat))
+
+
+@lru_cache(maxsize=CACHE_KEYS)
+def _component_weights(depth, m):
+    """Row i holds LAMBDA^r binom(m-r, i) for r = 0..min(depth, m-i): the
+    weights of component i of ``VectorValuedForm.evaluate`` before tau^(m-r-i)."""
+    lam_powers = _powers(LAMBDA, depth)
+    return tuple(
+        tuple(lam_powers[r] * comb(m - r, i) for r in range(min(depth, m - i) + 1))
+        for i in range(m + 1)
+    )
 
 
 class VectorValuedForm:
@@ -152,14 +169,15 @@ class VectorValuedForm:
         tau = complex(tau)
         full = completion(self.source, precision)
         values = _evaluations([full.coefficient(r) for r in range(self.depth + 1)], tau)
-        lam_powers = _powers(LAMBDA, self.depth)
         m = self.m
+        # by **: repeated multiplication (_powers) rounds differently
+        tau_powers = [tau ** e for e in range(m + 1)]
         return tuple(
             combine([
-                (lam_powers[r] * comb(m - r, i) * tau ** (m - r - i), value)
-                for r, value in enumerate(values[:m - i + 1])
+                (weight * tau_powers[m - r - i], value)
+                for r, (weight, value) in enumerate(zip(row, values))
             ])
-            for i in range(m + 1)
+            for i, row in enumerate(_component_weights(self.depth, m))
         )
 
     def __str__(self):

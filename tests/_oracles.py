@@ -5,6 +5,8 @@ or polynomial arithmetic: divisor sums by trial division, the discriminant
 by the eta product, high-precision evaluation by mpmath, ranks by sympy.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
 import mpmath
@@ -77,6 +79,21 @@ def mp_eval(coeffs, tau, dps=40):
                 total += mpmath.mpf(c.numerator) / c.denominator * qn
             qn *= q
         return complex(total)
+
+
+def ascending_complex_sum(coeffs, tau):
+    """Double-precision value and tail estimate |q|^N / (1 - |q|) of a
+    truncated q-expansion, summed as one complex multiply-add per nonzero
+    coefficient in ascending n, with q^n by repeated multiplication: the
+    rounding that the evaluator's separate real and imaginary sums keep."""
+    q = cmath.exp(2j * math.pi * tau)
+    total, qn = 0j, 1 + 0j
+    for c in coeffs:
+        if c:
+            total += float(c) * qn
+        qn *= q
+    aq = abs(q)
+    return total, aq ** len(coeffs) / (1.0 - aq)
 
 
 def exact_rank(rows):

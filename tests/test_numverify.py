@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qmforms import almostholo, numverify, vectorvalued
+from qmforms.qseries import CACHE_KEYS
 from qmforms import (
     E2,
     E4,
@@ -336,6 +337,58 @@ class TestWorkPerCheck:
         check_scalar(evaluator, 4, plan)
         assert len(seen) == len(plan.gammas) * len(plan.taus) + len(plan.taus)
         assert all(seen.count(tau) == 1 for tau in plan.taus)
+
+
+class TestValueMemo:
+    """Each series keeps its values by tau, so two checks that share a form's
+    completion sum each component once per point."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """Every series summed at some tau (each sum reads the float coefficients)."""
+        summed = []
+        original = QSeries._float_coeffs
+
+        def counted(series):
+            summed.append(series)
+            return original(series)
+
+        monkeypatch.setattr(QSeries, "_float_coeffs", counted)
+        return summed
+
+    def test_check_quasimodular_after_check_vv_sums_nothing(self, sums):
+        numverify._ensure_lambda()
+        plan = default_plan()
+        form = E2 ** 2 * E4 - E6 * E2 * Fraction(3, 2)
+        check_vv(from_quasimodular(form, 3), plan)
+        # three components (depth 2) at 18 images and 3 base points
+        assert len(sums) == 3 * 21
+        sums.clear()
+        check_quasimodular(form, plan)
+        assert sums == []
+
+    def test_memo_holds_at_most_cache_keys_values(self):
+        series = QSeries([1, Fraction(-2, 3), 5])
+        taus = [complex(n / CACHE_KEYS, 1.0) for n in range(CACHE_KEYS + 1)]
+        for tau in taus:
+            series.evaluate(tau)
+        assert 0 < len(series._values) <= CACHE_KEYS
+        assert series.evaluate(taus[0]) == QSeries(series.coeffs).evaluate(taus[0])
+
+    def test_thinnest_margin_is_the_same_cold_and_warm(self):
+        # E2^10 at m = 11 keeps the battery's thinnest margin: 7.9e-9 against 1e-8
+        plan = default_plan()
+        form = E2 ** 10
+
+        def residuals():
+            return check_vv(from_quasimodular(form, 11), plan) + check_quasimodular(form, plan)
+
+        def bits(rs):
+            return [(r.absolute.hex(), r.relative.hex(), r.truncation_error.hex()) for r in rs]
+
+        cold = residuals()
+        assert bits(residuals()) == bits(cold)
+        assert 7.8e-9 < max_relative(cold) < plan.tolerance
 
 
 class TestResidualScaling:

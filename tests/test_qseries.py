@@ -1,9 +1,9 @@
-import cmath
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmforms import E2, E4, E6, QSeries, format_series
 from qmforms.eisenstein import delta_series, eisenstein_series
@@ -11,7 +11,7 @@ from qmforms.numverify import check_quasimodular, check_vv, default_plan
 from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _q_table, _weighted_sum, combine
 from qmforms.vectorvalued import from_quasimodular
 
-from _oracles import delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
+from _oracles import ascending_complex_sum, delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
 
 # frozen with a 60-digit independent summation of the full series at tau = i
 E4_AT_I = 1.455762892268709322462422
@@ -255,13 +255,7 @@ class TestEvaluate:
         taus = (1j, complex(0.3, 1.1), complex(-0.5, 0.87), complex(0.1, 0.25))
         for s in cases:
             for tau in taus:
-                q = cmath.exp(2j * math.pi * tau)
-                total, qn = 0j, 1 + 0j
-                for c in s.coeffs:
-                    if c:
-                        total += float(c) * qn
-                    qn *= q
-                assert s.evaluate(tau).value == total
+                assert s.evaluate(tau).value == ascending_complex_sum(s.coeffs, tau)[0]
 
     def test_rejects_lower_half_plane(self):
         s = QSeries.one(4)
@@ -295,14 +289,7 @@ class TestEvaluations:
 
     @staticmethod
     def one_by_one(s, tau):
-        q = cmath.exp(2j * math.pi * tau)
-        total, qn = 0j, 1 + 0j
-        for n in s.numerators:
-            if n:
-                total += n / s.denominator * qn
-            qn *= q
-        aq = abs(q)
-        return Evaluation(total, aq ** s.precision / (1.0 - aq))
+        return Evaluation(*ascending_complex_sum(s.coeffs, tau))
 
     def cases(self):
         rng = random.Random(29)
@@ -322,6 +309,23 @@ class TestEvaluations:
             expected = [self.one_by_one(s, tau) for s in cases]
             assert _evaluations(cases, tau) == expected
             assert [s.evaluate(tau) for s in cases] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300),
+           st.lists(st.one_of(
+               st.just(Fraction(0)),
+               st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.sampled_from((1, 3, 7, 10 ** 25 + 7))),
+           ), min_size=1, max_size=40),
+           st.builds(complex, st.floats(-1, 1), st.floats(0.01, 1.7)))
+    def test_split_sums_round_like_the_complex_loop(self, precision, pattern, tau):
+        # at Im tau = 1.7 the powers of q reach subnormals by n = 66 and zero later
+        coeffs = [pattern[n % len(pattern)] for n in range(precision)]
+        s = QSeries(coeffs)
+        value, tail = ascending_complex_sum(coeffs, tau)
+        expected = [value.real.hex(), value.imag.hex(), tail.hex()]
+        for _ in ("cold", "from the memo"):
+            got = _evaluations([s], tau)[0]
+            assert [got.value.real.hex(), got.value.imag.hex(), got.truncation_error.hex()] == expected
 
     def test_rejects_points_off_the_upper_half_plane(self):
         for tau in (0j, complex(0.3, 0.0), complex(1.0, -0.5)):
@@ -440,9 +444,10 @@ class TestWeightedSum:
         assert (total.numerators, total.denominator) == ((1, 2), 1)
 
     @pytest.mark.parametrize("precision, error, message", [
-        (0, ValueError, "a q-series needs at least one coefficient"),
-        (-2, ValueError, "a q-series needs at least one coefficient"),
-        (2.5, TypeError, "can't multiply sequence by non-int of type 'float'"),
+        (0, ValueError, "precision must be positive, got 0"),
+        (-2, ValueError, "precision must be positive, got -2"),
+        (2.5, ValueError, "precision must be a non-negative integer, got 2.5"),
+        (True, ValueError, "precision must be a non-negative integer, got True"),
     ])
     def test_bad_precision_is_refused_before_any_term_is_built(self, precision, error, message):
         def terms():

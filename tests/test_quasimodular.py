@@ -339,8 +339,9 @@ class TestQExpansionIsExact:
         assert series.coefficient(0) == Fraction(1, 2) - Fraction(2, 3) + Fraction(1, 5) + Fraction(7, 6)
 
     @pytest.mark.parametrize("precision, error, message", [
-        (0, ValueError, "a q-series needs at least one coefficient"),
-        (2.5, TypeError, "can't multiply sequence by non-int of type 'float'"),
+        (0, ValueError, "precision must be positive, got 0"),
+        (2.5, ValueError, "precision must be a non-negative integer, got 2.5"),
+        (True, ValueError, "precision must be a non-negative integer, got True"),
     ])
     @pytest.mark.parametrize("form", [E2 * E4 / 3, QuasiModularForm(0, {})], ids=["E2*E4/3", "zero"])
     def test_bad_precision_keeps_its_error(self, form, precision, error, message):
@@ -452,6 +453,16 @@ class TestPrefixCache:
         assert eisenstein_series.cache_info().currsize == 1
         eisenstein_series(4, 64)
         assert eisenstein_series.cache_info().misses == 1
+
+    @pytest.mark.parametrize("precision", [2.5, 0, True])
+    def test_refused_request_is_neither_a_hit_nor_a_miss(self, precision):
+        clear_expansion_caches()
+        eisenstein_series(4, 64)
+        info = eisenstein_series.cache_info()
+        for weight in (4, 6):  # a cached key and a cold one
+            with pytest.raises(ValueError, match="precision"):
+                eisenstein_series(weight, precision)
+        assert eisenstein_series.cache_info() == info
 
     def test_left_out_precision_is_the_default(self):
         clear_expansion_caches()

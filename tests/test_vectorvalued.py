@@ -143,6 +143,23 @@ class TestSymMatrix:
                     assert left == product
 
 
+    def test_each_call_returns_a_fresh_matrix(self):
+        plan = default_plan()
+        form = from_quasimodular(E2 ** 2 * E6, 3)
+        before = check_vv(form, plan)
+        for gamma in plan.gammas:
+            matrix = sym_matrix(gamma, 3)
+            matrix[0][0] += 7
+            matrix.append([0] * 4)
+            assert sym_matrix(gamma, 3) == sym_power_by_tensors(gamma, 3)
+        assert check_vv(form, plan) == before
+
+    def test_rank_is_checked_before_the_cache(self):
+        sym_matrix(T, 1)
+        with pytest.raises(ValueError, match="symmetric power m"):
+            sym_matrix(T, True)
+
+
 class TestWrapping:
     def test_round_trip(self):
         rng = random.Random(61)
