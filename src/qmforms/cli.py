@@ -238,7 +238,6 @@ def cmd_verify(args):
 def cmd_dims(args):
     if args.kmax < 0 or args.mmax < 0:
         raise UsageError("--kmax and --mmax must be non-negative")
-    precision = max(12, args.kmax // 12 + 4)
     weights = range(0, args.kmax + 1, 2)
     header = ["k\\m"] + [str(m) for m in range(args.mmax + 1)]
     rows = [header]
@@ -246,7 +245,7 @@ def cmd_dims(args):
         row = [str(k)]
         for m in range(args.mmax + 1):
             expected = dim_vv(k, m)
-            rank = certify_dim_vv(k, m, precision)
+            rank = certify_dim_vv(k, m)
             if rank != expected:
                 raise RuntimeError(
                     f"dimension cross-check failed at k={k}, m={m}: "

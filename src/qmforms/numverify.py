@@ -136,6 +136,15 @@ def _require_weight(plan, weight):
         )
 
 
+def _plain_sum(values):
+    """The float sum of ``values`` added left to right from 0.0: ``sum`` of
+    floats compensates from Python 3.12 on, and would change the bits."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _residuals(plan, label, base, sides):
     """One residual per (gamma, tau) of the plan, in the Euclidean norm.
 
@@ -161,8 +170,8 @@ def _residuals(plan, label, base, sides):
                     tau=tau,
                     absolute=absolute,
                     relative=absolute / max(1.0, rhs_norm),
-                    truncation_error=sum(x.truncation_error for x in lhs)
-                    + abs(factor) * sum(y.truncation_error for y in rhs),
+                    truncation_error=_plain_sum(x.truncation_error for x in lhs)
+                    + abs(factor) * _plain_sum(y.truncation_error for y in rhs),
                 )
             )
     return out

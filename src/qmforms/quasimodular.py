@@ -268,6 +268,7 @@ def recognize(series, weight, depth_bound):
     separate the candidate monomials, and ``NoMatchError`` when the system is
     inconsistent.
     """
+    _natural(depth_bound, "depth bound")
     if weight < 0 or weight % 2:
         if series.is_zero:
             return QuasiModularForm(0, {})

@@ -269,6 +269,8 @@ def dim_vv(weight_label, m):
 
 def basis_vv(weight_label, m):
     """The w-basis forms: lifts of the monomial bases in each filtration slot."""
+    _natural(weight_label, "weight label", even=True)
+    _natural(m, "the rank parameter m")
     basis = []
     for t in range(m + 1):
         w = weight_label - 2 * t
@@ -279,15 +281,16 @@ def basis_vv(weight_label, m):
     return basis
 
 
-def certify_dim_vv(weight_label, m, precision=16):
+def certify_dim_vv(weight_label, m):
     """Exact rank of the stacked component q-expansions of the w-basis.
 
-    Equality with ``dim_vv`` certifies the dimension formula at the given
-    expansion precision.
+    Equality with ``dim_vv`` certifies the dimension formula.  The rank is
+    block-triangular by slot t (a slot-t form's Yhat^t part is its g, a lower
+    slot's is 0), so by Sturm's bound N = k // 12 + 1 coefficients suffice.
     """
     rows = []
     for form in basis_vv(weight_label, m):
-        full = completion(form.source, precision)
+        full = completion(form.source, weight_label // 12 + 1)
         parts = [full.coefficient(r) for r in range(m + 1)]
         # the row times its common denominator: integers, and the same rank
         den = lcm(*(s.denominator for s in parts))

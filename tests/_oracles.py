@@ -96,6 +96,15 @@ def ascending_complex_sum(coeffs, tau):
     return total, aq ** len(coeffs) / (1.0 - aq)
 
 
+def plain_float_sum(values):
+    """Floats added one by one from 0.0, left to right, with no compensation
+    (``sum`` of floats compensates from Python 3.12 on)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def exact_rank(rows):
     """Rank over Q via sympy (independent of the package linear algebra)."""
     from sympy import Matrix, Rational

@@ -26,6 +26,8 @@ from qmforms import (
     max_relative,
 )
 
+from _oracles import plain_float_sum
+
 
 class CorruptedComponents:
     """A vector-valued object whose component tuple is deliberately wrong."""
@@ -251,6 +253,23 @@ class TestVectorValued:
             abs(matrix[i][l]) * base[l].truncation_error for i in range(4) for l in range(4)
         )
         assert residual.truncation_error == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_truncation_errors_add_without_compensation(self):
+        # added left to right, 1 + 1e-16 + 1e-16 rounds to 1.0; sum() of
+        # floats compensates from Python 3.12 on and gives 1.0000000000000002
+        errors = (1.0, 1e-16, 1e-16)
+        assert math.fsum(errors) != plain_float_sum(errors)
+
+        class Fixed:
+            m, weight_label = 2, 2
+
+            def evaluate(self, tau, precision=64):
+                return tuple(Evaluation(1j, te) for te in errors)
+
+        plan = SamplePlan(taus=(complex(0.1, 1.0),), gammas=(IDENTITY,))
+        (residual,) = check_vv(Fixed(), plan, label="fixed")
+        assert residual.absolute == 0.0
+        assert residual.truncation_error == 2 * plain_float_sum(errors)
 
     def test_corrupted_component_family_fails(self):
         plan = default_plan()

@@ -533,6 +533,11 @@ class TestRecognize:
     def test_zero_series(self):
         assert recognize(QSeries.zero(8), 4, 2).is_zero
 
+    @pytest.mark.parametrize("depth_bound", [True, 1.5, -1])
+    def test_depth_bound_follows_the_integer_rule(self, depth_bound):
+        with pytest.raises(ValueError, match="depth bound must be a non-negative integer"):
+            recognize(E4.qexpansion(8), 4, depth_bound)
+
     def test_solves_in_integers(self, monkeypatch):
         systems = []
         original = linalg.solve_unique

@@ -436,11 +436,16 @@ class TestDimensions:
     @pytest.mark.parametrize(
         "label, m, name",
         [(4, True, "rank parameter m"), (4, -1, "rank parameter m"),
-         (4.0, 1, "weight label"), (3, 1, "weight label")],
+         (4.0, 1, "weight label"), (3, 1, "weight label"), (5, 1, "weight label"),
+         (-2, 1, "weight label"), (3, 0, "weight label"), (4, 1.0, "rank parameter m")],
     )
     def test_arguments_follow_the_integer_rule(self, label, m, name):
-        with pytest.raises(ValueError, match=f"{name} must be a non-negative (even )?integer"):
-            dim_vv(label, m)
+        messages = set()
+        for function in (dim_vv, basis_vv, certify_dim_vv):
+            with pytest.raises(ValueError, match=f"{name} must be a non-negative (even )?integer") as info:
+                function(label, m)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
     def test_spot_values(self):
         assert dim_vv(12, 2) == 4
@@ -450,6 +455,11 @@ class TestDimensions:
         for k in range(0, 49, 2):
             for m in range(7):
                 assert certify_dim_vv(k, m) == dim_vv(k, m)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("k", [192, 204, 240, 300])
+    def test_certified_ranks_at_high_weight(self, k, m):
+        assert certify_dim_vv(k, m) == dim_vv(k, m)
 
     def test_certify_ranks_integer_rows(self, monkeypatch):
         calls = []
@@ -464,6 +474,8 @@ class TestDimensions:
         [rows] = calls
         assert len(rows) == dim_vv(12, 3)
         assert all(type(x) is int for row in rows for x in row)
+        # m + 1 components at the Sturm precision k // 12 + 1
+        assert {len(row) for row in rows} == {(3 + 1) * (12 // 12 + 1)}
 
     def test_basis_matches_independent_rank(self):
         k, m, n = 12, 2, 12
