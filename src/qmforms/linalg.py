@@ -4,11 +4,20 @@ system is solved by a Newton-lifted inverse modulo p^(2^k) and rational
 reconstruction (Dixon, Numer. Math. 40, 1982; von zur Gathen and Gerhard,
 *Modern Computer Algebra*, ch. 5).  Every answer is checked exactly in
 integers, so a prime dividing a minor costs the next prime, never a wrong result.
+
+The factorization depends on the matrix alone, so ``solve_unique`` keeps it
+(``_factor``, at most ``CACHE_KEYS`` matrices, the least recently used
+dropped first): the row scales, the integer rows, the certified pivot rows,
+the prime and the pivot minor's inverse modulo it.  Solving the same matrix
+again only lifts the new right-hand side and checks it on every row.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 from operator import mul
+
+from .qseries import CACHE_KEYS
 
 #: the primes tried in turn, fixed so that every run is reproducible
 PRIMES = tuple(2 ** 61 - d for d in (1, 31, 45, 229, 259, 283, 339, 391))
@@ -22,17 +31,23 @@ class InconsistentSystem(ValueError):
     """The right-hand side is not in the column span."""
 
 
-def _integer_row(row):
-    """``row`` itself when all its entries are ints, else the row times the
-    least common denominator of its entries, as ints."""
+def _scaled_row(row):
+    """``(scale, row times scale as ints)`` for the least common denominator
+    of ``row``'s entries; ``(1, row)`` itself when all its entries are ints."""
     if all(type(x) is int for x in row):
-        return row
+        return 1, row
     # unpack a set, not a generator: a tuple grown by resizing bypasses the tuple
     # free list when made but joins it when freed, and peak RSS grows with it
     scale = lcm(*{x.denominator for x in row})
     if scale == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (scale // x.denominator) for x in row]
+        return 1, [x.numerator for x in row]
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _integer_row(row):
+    """``row`` itself when all its entries are ints, else the row times the
+    least common denominator of its entries, as ints."""
+    return _scaled_row(row)[1]
 
 
 def _dot(u, v):
@@ -75,17 +90,25 @@ def _candidates(residues, modulus):
     yield nums, den
 
 
-def _square_solve(a, columns, p):
-    """One ``(numerators, denominator)`` solving a x = b exactly per b in
-    ``columns``, for a square integer matrix ``a`` invertible modulo p.  The
-    inverse C modulo M = p^(2^k) gives x modulo M and, by one correction
-    step, modulo M^2; a candidate is kept once a x = b holds exactly.
-    Otherwise C <- C (2I - a C) = C - M C (a C - I) / M, and M is squared."""
+def _inverse(a, p):
+    """The inverse modulo p of a square integer matrix ``a`` invertible
+    modulo p, as rows, by eliminating [a | I]."""
     n = len(a)
     rows = _eliminate([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], n, p)
     # a second pass, last pivot first, clears each pivot column everywhere else
     rows = _eliminate([r for _, _, r in reversed(rows)], n, p)
-    c = [r[n:] for _, _, r in sorted(rows, key=lambda pivot: pivot[1])]
+    return [r[n:] for _, _, r in sorted(rows, key=lambda pivot: pivot[1])]
+
+
+def _square_solve(a, columns, p, c=None):
+    """One ``(numerators, denominator)`` solving a x = b exactly per b in
+    ``columns``, for a square integer matrix ``a`` invertible modulo p, with
+    ``c`` its inverse modulo p if already known.  The inverse C modulo
+    M = p^(2^k) gives x modulo M and, by one correction step, modulo M^2; a
+    candidate is kept once a x = b holds exactly.  Otherwise
+    C <- C (2I - a C) = C - M C (a C - I) / M, and M is squared."""
+    if c is None:
+        c = _inverse(a, p)
     modulus, solutions = p, [None] * len(columns)
     while True:
         square = modulus * modulus
@@ -123,7 +146,6 @@ def _certified_pivots(rows, ncols, primes):
         basis = [[rows[i][j] for i, _, _ in pivots] for j in range(ncols)]
         solutions = _square_solve([basis[c] for _, c, _ in pivots],
                                   [[row[c] for _, c, _ in pivots] for row in others], p)
-        # a row may carry a right-hand side past ncols; zip stops at the basis
         if all(_dot(nums, col) == den * x for row, (nums, den) in zip(others, solutions)
                for x, col in zip(row, basis)):
             return pivots, p
@@ -136,6 +158,22 @@ def rank(rows, _primes=PRIMES):
     return len(_certified_pivots(rows, len(rows[0]) if rows else 0, _primes)[0])
 
 
+@lru_cache(maxsize=CACHE_KEYS)
+def _factor(rows, primes):
+    """``(scales, integer rows, pivots, p, inverse)`` for the matrix ``rows``
+    (a tuple of tuples): each row's least common denominator, the rows times
+    it, the indices of the pivot rows of a certified pivot search, its prime
+    and the pivot minor's inverse modulo p, ``None`` below full column rank."""
+    scales, rows = zip(*map(_scaled_row, rows))
+    # tuples, as every caller shares them
+    rows = tuple(map(tuple, rows))
+    ncols = len(rows[0])
+    pivots, p = _certified_pivots(rows, ncols, primes)
+    pivots = tuple(i for i, _, _ in pivots)
+    inverse = tuple(map(tuple, _inverse([rows[i] for i in pivots], p))) if len(pivots) == ncols else None
+    return scales, rows, pivots, p, inverse
+
+
 def solve_unique(rows, rhs, _primes=PRIMES):
     """The unique x with M x = rhs as Fractions, M a list of rows of ints or
     Fractions, from the pivot rows' square system, checked on every row in
@@ -145,14 +183,13 @@ def solve_unique(rows, rhs, _primes=PRIMES):
         raise ValueError("matrix and right-hand side sizes differ")
     if not rows:
         raise UnderdeterminedSystem("empty system")
-    ncols = len(rows[0])
-    augmented = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
-    pivots, p = _certified_pivots(augmented, ncols, _primes)
-    if len(pivots) < ncols:
-        raise UnderdeterminedSystem(f"rank {len(pivots)} < {ncols} unknowns at this precision")
-    [(nums, den)] = _square_solve([augmented[i][:ncols] for i, _, _ in pivots],
-                                  [[augmented[i][ncols] for i, _, _ in pivots]], p)
+    scales, rows, pivots, p, inverse = _factor(tuple(map(tuple, rows)), tuple(_primes))
+    if inverse is None:
+        raise UnderdeterminedSystem(f"rank {len(pivots)} < {len(rows[0])} unknowns at this precision")
+    # scaling the rows scales rhs alike; clearing its denominators scales x
+    scale, rhs = _scaled_row([b * s for b, s in zip(rhs, scales)])
+    [(nums, den)] = _square_solve([rows[i] for i in pivots], [[rhs[i] for i in pivots]], p, inverse)
     # the pivot system's solution is unique, so one failed row proves inconsistency
-    if any(_dot(row[:ncols], nums) != den * row[ncols] for row in augmented):
+    if any(_dot(row, nums) != den * y for row, y in zip(rows, rhs)):
         raise InconsistentSystem("no exact solution")
-    return [Fraction(n, den) for n in nums]
+    return [Fraction(n, den * scale) for n in nums]

@@ -19,7 +19,7 @@ from . import linalg
 from .almostholo import _graded_weight, completion
 from .eisenstein import dim_modular, monomial_basis
 from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, combine
-from .quasimodular import E2, E4, E6, QuasiModularForm
+from .quasimodular import E2, QuasiModularForm, monomial
 
 _set = object.__setattr__
 
@@ -277,7 +277,8 @@ def basis_vv(weight_label, m):
         if w < 0:
             continue
         for (a, b) in monomial_basis(w):
-            basis.append(iota_lift(E4 ** a * E6 ** b, t, m))
+            # iota_lift(E4^a E6^b, t, m), without multiplying out the powers
+            basis.append(VectorValuedForm(monomial(t, a, b), m))
     return basis
 
 

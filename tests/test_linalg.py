@@ -6,8 +6,16 @@ import pytest
 
 from qmforms import linalg
 from qmforms.linalg import PRIMES, InconsistentSystem, UnderdeterminedSystem, rank, solve_unique
+from qmforms.qseries import CACHE_KEYS
 
 from _oracles import exact_rank, exact_solve
+
+
+@pytest.fixture(autouse=True)
+def cold_factor_cache():
+    """Start each test with ``_factor`` empty: a matrix that an earlier test
+    solved would be served without any elimination."""
+    linalg._factor.cache_clear()
 
 
 def random_matrix(rng, nrows, ncols, rank_bound=None):
@@ -146,6 +154,58 @@ class TestSolveUniqueMatchesSympy:
         start = time.perf_counter()
         assert solve_unique(rows, rhs) == x
         assert time.perf_counter() - start < 1.0
+
+
+def recording_eliminations(monkeypatch):
+    """The list that each later ``_eliminate`` call appends its row count to."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def recording(rows, ncols, p):
+        calls.append(len(rows))
+        return eliminate(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    return calls
+
+
+class TestFactorCache:
+    @pytest.mark.parametrize("fractions", [False, True])
+    def test_new_rhs_is_only_lifted(self, monkeypatch, fractions):
+        rng = random.Random(41 + fractions)
+        rows, x, rhs = big_system(rng, 12, 6, 110, fractions)
+        assert solve_unique(rows, rhs) == x
+        calls = recording_eliminations(monkeypatch)
+        for _ in range(3):
+            x = [Fraction(rng.randrange(-2 ** 90, 2 ** 90), rng.randrange(1, 2 ** 30)) for _ in range(6)]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            assert solve_unique(rows, rhs) == exact_solve(rows, rhs) == x
+        assert solve_unique(rows, [0] * 12) == [0] * 6
+        assert calls == []
+        assert linalg._factor.cache_info().hits == 4
+
+    def test_hit_still_raises(self, monkeypatch):
+        rows, _, rhs = big_system(random.Random(43), 10, 5, 110, fractions=True)
+        solve_unique(rows, rhs)
+        deficient = random_matrix(random.Random(6), 6, 4, rank_bound=3)
+        with pytest.raises(UnderdeterminedSystem, match="rank 3 < 4"):
+            solve_unique(deficient, [0] * 6)
+        calls = recording_eliminations(monkeypatch)
+        rhs[4] += Fraction(1, 3)
+        with pytest.raises(InconsistentSystem):
+            solve_unique(rows, rhs)
+        with pytest.raises(UnderdeterminedSystem, match="rank 3 < 4"):
+            solve_unique(deficient, [1] * 6)
+        assert calls == []
+
+    def test_primes_are_part_of_the_key(self):
+        rows = TestUnluckyPrime.ROWS
+        assert solve_unique(rows, [2, 2, 4]) == [2, 0]
+        with pytest.raises(ArithmeticError):
+            solve_unique(rows, [2, 2, 4], _primes=(TestUnluckyPrime.P,))
+
+    def test_keeps_at_most_cache_keys_matrices(self):
+        assert linalg._factor.cache_info().maxsize == CACHE_KEYS
 
 
 class TestUnluckyPrime:

@@ -30,6 +30,7 @@ from qmforms import (
     image_test,
     iota_lift,
     max_relative,
+    monomial_basis,
     sym_matrix,
     vv_product,
     w_compose,
@@ -486,6 +487,13 @@ class TestDimensions:
                 row.extend(F.source.reduced_component(r).qexpansion(n).coeffs)
             rows.append(row)
         assert exact_rank(rows) == dim_vv(k, m) == 4
+
+    def test_basis_is_the_lifts_of_the_monomials(self):
+        for k in range(0, 49, 2):
+            for m in range(7):
+                lifts = [iota_lift(E4 ** a * E6 ** b, t, m)
+                         for t in range(min(m, k // 2) + 1) for (a, b) in monomial_basis(k - 2 * t)]
+                assert basis_vv(k, m) == lifts
 
 
 class TestDerivativeLiftConsistency:
