@@ -1,7 +1,9 @@
 """Command-line front end: expand, convert, verify, dims.
 
-Forms are given inline as JSON documents, as paths to JSON files, or as
-expressions like ``E2^2*E4 + 3*E6^2``.  Exit codes: 0 success, 1
+Forms are given inline as JSON documents, as expressions like
+``E2^2*E4 + 3*E6^2``, or as paths to JSON files.  Text that parses as an
+expression is read as one even where a file of that name exists, which
+``./E4`` then names.  Exit codes: 0 success, 1
 verification failure, 2 any other error; ``main`` is the one place that
 turns an exception into a single ``error:`` line.
 """
@@ -49,20 +51,20 @@ class UsageError(Exception):
 
 
 def _load_input(text):
-    """A form object (or list of them) from JSON, a file path, or an expression."""
+    """A form object (or list of them) from JSON, an expression, or a file path."""
     stripped = text.strip()
     if not stripped:
         raise UsageError("empty form argument")
     if stripped[0] in "{[":
         payload = stripped
-    elif os.path.exists(stripped):
-        with open(stripped, encoding="utf-8") as handle:
-            payload = handle.read()
     else:
         try:
             return parse_form(text)
         except ExpressionError as exc:
-            raise UsageError(f"cannot parse expression: {exc}") from None
+            if not os.path.exists(stripped):
+                raise UsageError(f"cannot parse expression: {exc}") from None
+        with open(stripped, encoding="utf-8") as handle:
+            payload = handle.read()
     try:
         doc = json.loads(payload)
     except json.JSONDecodeError as exc:

@@ -1,15 +1,17 @@
-"""Exact linear algebra over Q: rows of ints, or of Fractions scaled to integers,
-are eliminated modulo a prime near 2^61 to find pivots; the square pivot
-system is solved by a Newton-lifted inverse modulo p^(2^k) and rational
-reconstruction (Dixon, Numer. Math. 40, 1982; von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 5).  Every answer is checked exactly in
-integers, so a prime dividing a minor costs the next prime, never a wrong result.
+"""Exact linear algebra over Q for integer matrices: the rows are eliminated
+modulo a prime near 2^61 (the first of ``PRIMES`` that certifies the rank)
+to find pivots; the square pivot system is solved by a Newton-lifted
+inverse modulo p^(2^k) and rational reconstruction (Dixon, Numer. Math. 40,
+1982; von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).  Every
+answer is checked exactly in integers, so a prime dividing a minor costs the
+next prime, never a wrong result.  A right-hand side may hold Fractions; the
+matrix's rows are ints, with the denominators cleared by the caller.
 
 The factorization depends on the matrix alone, so ``solve_unique`` keeps it
 (``_factor``, at most ``CACHE_KEYS`` matrices, the least recently used
-dropped first): the row scales, the integer rows, the certified pivot rows,
-the prime and the pivot minor's inverse modulo it.  Solving the same matrix
-again only lifts the new right-hand side and checks it on every row.
+dropped first): the certified pivot rows, the prime and the pivot minor's
+inverse modulo it.  Solving the same matrix again only lifts the new
+right-hand side and checks it on every row.
 """
 
 from fractions import Fraction
@@ -33,7 +35,8 @@ class InconsistentSystem(ValueError):
 
 def _scaled_row(row):
     """``(scale, row times scale as ints)`` for the least common denominator
-    of ``row``'s entries; ``(1, row)`` itself when all its entries are ints."""
+    of ``row``'s entries, ints or Fractions; ``(1, row)`` itself when all its
+    entries are ints."""
     if all(type(x) is int for x in row):
         return 1, row
     # unpack a set, not a generator: a tuple grown by resizing bypasses the tuple
@@ -42,12 +45,6 @@ def _scaled_row(row):
     if scale == 1:
         return 1, [x.numerator for x in row]
     return scale, [x.numerator * (scale // x.denominator) for x in row]
-
-
-def _integer_row(row):
-    """``row`` itself when all its entries are ints, else the row times the
-    least common denominator of its entries, as ints."""
-    return _scaled_row(row)[1]
 
 
 def _dot(u, v):
@@ -130,14 +127,14 @@ def _square_solve(a, columns, p, c=None):
         modulus = square
 
 
-def _certified_pivots(rows, ncols, primes):
+def _certified_pivots(rows, ncols):
     """``(pivots, p)`` from ``_eliminate(rows, ncols, p)`` at the first prime
     p whose pivot count r is the exact rank of the first ``ncols`` columns.
     r is exact when full; otherwise each other row, written as a combination
     of the pivot rows by a square solve on the pivot minor and checked
     exactly in those columns, proves rank <= r, and a failed check moves on
     to the next prime."""
-    for p in primes:
+    for p in PRIMES:
         pivots = _eliminate(rows, ncols, p)
         if len(pivots) == min(len(rows), ncols):
             return pivots, p
@@ -149,45 +146,41 @@ def _certified_pivots(rows, ncols, primes):
         if all(_dot(nums, col) == den * x for row, (nums, den) in zip(others, solutions)
                for x, col in zip(row, basis)):
             return pivots, p
-    raise ArithmeticError(f"every one of {len(primes)} primes divides a minor")
+    raise ArithmeticError(f"every one of {len(PRIMES)} primes divides a minor")
 
 
-def rank(rows, _primes=PRIMES):
-    """Exact rank of a list of rows of ints or Fractions."""
-    rows = [_integer_row(row) for row in rows]
-    return len(_certified_pivots(rows, len(rows[0]) if rows else 0, _primes)[0])
+def rank(rows):
+    """Exact rank of a list of rows of ints."""
+    return len(_certified_pivots(rows, len(rows[0]) if rows else 0)[0])
 
 
 @lru_cache(maxsize=CACHE_KEYS)
-def _factor(rows, primes):
-    """``(scales, integer rows, pivots, p, inverse)`` for the matrix ``rows``
-    (a tuple of tuples): each row's least common denominator, the rows times
-    it, the indices of the pivot rows of a certified pivot search, its prime
-    and the pivot minor's inverse modulo p, ``None`` below full column rank."""
-    scales, rows = zip(*map(_scaled_row, rows))
-    # tuples, as every caller shares them
-    rows = tuple(map(tuple, rows))
+def _factor(rows):
+    """``(pivots, p, inverse)`` for the integer matrix ``rows`` (a tuple of
+    tuples): the indices of the pivot rows of a certified pivot search, its
+    prime and the pivot minor's inverse modulo p, ``None`` below full
+    column rank."""
     ncols = len(rows[0])
-    pivots, p = _certified_pivots(rows, ncols, primes)
+    pivots, p = _certified_pivots(rows, ncols)
     pivots = tuple(i for i, _, _ in pivots)
     inverse = tuple(map(tuple, _inverse([rows[i] for i in pivots], p))) if len(pivots) == ncols else None
-    return scales, rows, pivots, p, inverse
+    return pivots, p, inverse
 
 
-def solve_unique(rows, rhs, _primes=PRIMES):
-    """The unique x with M x = rhs as Fractions, M a list of rows of ints or
-    Fractions, from the pivot rows' square system, checked on every row in
-    integers.  Raises ``UnderdeterminedSystem`` if M lacks full column rank
-    and ``InconsistentSystem`` if no solution exists."""
+def solve_unique(rows, rhs):
+    """The unique x with M x = rhs as Fractions, M a list of rows of ints and
+    rhs of ints or Fractions, from the pivot rows' square system, checked on
+    every row in integers.  Raises ``UnderdeterminedSystem`` if M lacks full
+    column rank and ``InconsistentSystem`` if no solution exists."""
     if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     if not rows:
         raise UnderdeterminedSystem("empty system")
-    scales, rows, pivots, p, inverse = _factor(tuple(map(tuple, rows)), tuple(_primes))
+    pivots, p, inverse = _factor(tuple(map(tuple, rows)))
     if inverse is None:
         raise UnderdeterminedSystem(f"rank {len(pivots)} < {len(rows[0])} unknowns at this precision")
-    # scaling the rows scales rhs alike; clearing its denominators scales x
-    scale, rhs = _scaled_row([b * s for b, s in zip(rhs, scales)])
+    # clearing the denominators of rhs scales x alike
+    scale, rhs = _scaled_row(rhs)
     [(nums, den)] = _square_solve([rows[i] for i in pivots], [[rhs[i] for i in pivots]], p, inverse)
     # the pivot system's solution is unique, so one failed row proves inconsistency
     if any(_dot(row, nums) != den * y for row, y in zip(rows, rhs)):

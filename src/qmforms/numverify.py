@@ -8,13 +8,11 @@ which at 64 coefficients pushes truncation far below the 1e-8 tolerance.
 """
 
 import cmath
-import functools
 import json
 import math
 from collections import namedtuple
 
 from .almostholo import completion
-from .eisenstein import eisenstein_series
 from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, combine
 from .vectorvalued import GroupElement, S, T, _sym_rows
 
@@ -104,18 +102,6 @@ def all_within(residuals, tolerance):
     return all(r.relative < tolerance for r in residuals)
 
 
-@functools.cache
-def _ensure_lambda():
-    """One-time self-test of the cocycle constant via the E2 law."""
-    e2 = eisenstein_series(2, DEFAULT_PRECISION)
-    tau = complex(0.3, 1.1)
-    j = S.j(tau)
-    lhs = e2.evaluate(S.act(tau)).value
-    rhs = j ** 2 * e2.evaluate(tau).value + LAMBDA * S.c * j
-    if abs(lhs - rhs) / max(1.0, abs(rhs)) > 1e-8:
-        raise RuntimeError("cocycle constant self-test failed; LAMBDA is miscalibrated")
-
-
 def _call_evaluator(evaluator, tau):
     result = evaluator(tau)
     if isinstance(result, Evaluation):
@@ -154,7 +140,6 @@ def _residuals(plan, label, base, sides):
     before that factor.  The law is lhs_i = factor * rhs_i, and the
     truncation error of the sample is sum lhs_i.te + |factor| sum rhs_i.te.
     """
-    _ensure_lambda()
     bases = [base(tau) for tau in plan.taus]
     out = []
     for gamma in plan.gammas:

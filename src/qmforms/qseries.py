@@ -5,7 +5,9 @@ list of Fourier coefficients in q = exp(2*pi*i*tau), kept as integer
 numerators over one common denominator.  Arithmetic is exact and truncates
 to the shorter operand; precision is never extended silently.  Products use
 Kronecker substitution: one bigint multiply per series product.  The
-normalized derivative is D = q d/dq.
+normalized derivative is D = q d/dq.  Evaluation at tau sums the float
+coefficients against a table of the powers of q, kept per (tau, N) with N
+the longest series evaluated in the call.
 """
 
 import cmath
@@ -156,26 +158,13 @@ def _prefix_cache(build):
     return cached
 
 
-class _QTable(namedtuple("QTable", "reals imags modulus")):
-    """The real and the imaginary parts of q^0, ..., q^(N-1) for
-    q = exp(2*pi*i*tau), and |q|."""
-
-    __slots__ = ()
-
-    @property
-    def precision(self):
-        return len(self.reals)
-
-    def truncate(self, precision):
-        # every sum stops at its own series' length, so a longer table serves
-        return self
-
-
-@_prefix_cache
+@functools.lru_cache(maxsize=CACHE_KEYS)
 def _q_table(tau, precision):
+    """``(reals, imags, |q|)``: the real and the imaginary parts of q^0, ...,
+    q^(precision-1) for q = exp(2*pi*i*tau), and |q|."""
     q = cmath.exp(2j * math.pi * tau)
     powers = _powers(q, precision - 1)
-    return _QTable(tuple(p.real for p in powers), tuple(p.imag for p in powers), abs(q))
+    return tuple(p.real for p in powers), tuple(p.imag for p in powers), abs(q)
 
 
 def _coerce(value):

@@ -2,11 +2,13 @@
 
 Documents are tagged with a ``format`` field (quasimodular / almostholo /
 vectorvalued) and a format ``version``.  Rationals are carried as decimal
-strings so round trips are bit-exact; serialization is canonical (sorted
-keys, sorted terms, compact separators).
+strings, ``[sign]digits`` or ``[sign]digits/digits``, so round trips are
+bit-exact; serialization is canonical (sorted keys, sorted terms, compact
+separators).
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .almostholo import AlmostHolomorphicForm
@@ -21,8 +23,15 @@ class FormDocumentError(ValueError):
     """A document does not match the expected schema."""
 
 
+# the two forms to_document writes; Fraction() would also take exponents,
+# and "1e30000000" would build a 30-million-digit integer
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_fraction(text, where):
     try:
+        if not _RATIONAL.fullmatch(str(text)):
+            raise ValueError("expected [sign]digits or [sign]digits/digits")
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormDocumentError(f"bad rational {text!r} in {where}: {exc}") from None

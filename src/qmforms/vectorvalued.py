@@ -13,7 +13,7 @@ so every conversion is exact.
 """
 
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from . import linalg
 from .almostholo import _graded_weight, completion
@@ -288,12 +288,11 @@ def certify_dim_vv(weight_label, m):
     Equality with ``dim_vv`` certifies the dimension formula.  The rank is
     block-triangular by slot t (a slot-t form's Yhat^t part is its g, a lower
     slot's is 0), so by Sturm's bound N = k // 12 + 1 coefficients suffice.
+    Each component of E2^t E4^a E6^b is comb(t, r) E2^(t-r) E4^a E6^b, with
+    integer coefficients, so the rows are the numerators.
     """
     rows = []
     for form in basis_vv(weight_label, m):
         full = completion(form.source, weight_label // 12 + 1)
-        parts = [full.coefficient(r) for r in range(m + 1)]
-        # the row times its common denominator: integers, and the same rank
-        den = lcm(*(s.denominator for s in parts))
-        rows.append([n * (den // s.denominator) for s in parts for n in s.numerators])
+        rows.append([n for r in range(m + 1) for n in full.coefficient(r).numerators])
     return linalg.rank(rows)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -111,6 +112,12 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", str(path), "--precision", "2")
         assert code == 0
         assert out.strip() == "1 + 240q"
+
+    def test_expression_wins_over_a_file_of_the_same_name(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "E4").write_text(dumps(E6), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "expand", "E4", "--precision", "3")[:2] == (0, "1 + 240q + 2160q^2\n")
+        assert run(capsys, "expand", "./E4", "--precision", "3")[:2] == (0, "1 - 504q - 16632q^2\n")
 
     def test_malformed_json_reports_position(self, capsys):
         code, _, err = run(capsys, "expand", '{"format": oops}')
@@ -364,6 +371,24 @@ class TestErrorBoundary:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: weight {weight} is outside ") and err.count("\n") == 1
         assert "..1005," in err
+
+    def test_exponent_in_a_document_is_a_quick_usage_error(self, capsys):
+        # Fraction("1e30000000") alone builds a 30-million-digit integer for
+        # about a minute; the child's time limit keeps that out of this process
+        doc = ('{"format":"quasimodular","version":1,"weight":4,'
+               '"terms":[{"e2":0,"e4":1,"e6":0,"num":"1e30000000","den":"1"}]}')
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from qmforms.cli import main; sys.exit(main(sys.argv[1:]))",
+             "expand", doc],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", doc)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "") and err == proc.stderr
+        assert err.startswith("error: bad rational '1e30000000' in term: ") and err.count("\n") == 1
 
 
     def test_coefficient_beyond_float64_names_the_range(self, capsys):

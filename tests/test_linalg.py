@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,11 +20,10 @@ def cold_factor_cache():
 
 
 def random_matrix(rng, nrows, ncols, rank_bound=None):
-    """Small-entry rational matrix; with ``rank_bound`` a product of two
+    """Small-entry integer matrix; with ``rank_bound`` a product of two
     random factors, so its rank is at most that bound."""
     def entries(n, m):
-        return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
-                for _ in range(n)]
+        return [[rng.randint(-12, 12) for _ in range(m)] for _ in range(n)]
 
     if rank_bound is None:
         return entries(nrows, ncols)
@@ -53,16 +53,18 @@ class TestRank:
         assert rank([[], []]) == 0
 
     def test_input_is_not_modified(self):
-        rows = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
+        rows = [[2, 4], [1, 3]]
         assert rank(rows) == 2
         assert rows == [[2, 4], [1, 3]]
 
     def test_integer_rows_are_used_as_they_are(self):
         rows = [[2, 4, 6], [1, 3, 5]]
-        assert [linalg._integer_row(row) for row in rows] == rows
-        assert all(linalg._integer_row(row) is row for row in rows)
         assert rank(rows) == 2 and rows == [[2, 4, 6], [1, 3, 5]]
-        assert linalg._integer_row([Fraction(1, 2), 3, True]) == [1, 6, 2]
+        # callers clear the denominators of their rows: a Fraction row is refused
+        with pytest.raises(TypeError):
+            rank([[Fraction(1, 2), 3], [1, 1]])
+        with pytest.raises(TypeError):
+            solve_unique([[Fraction(1, 2)], [1]], [1, 2])
 
 
 class TestSolveUnique:
@@ -113,13 +115,19 @@ class TestSolveUnique:
             solve_unique([[1, 0], [0, 1]], [1])
 
 
-def big_system(rng, nrows, ncols, bits, fractions=False):
-    """A random system with entries of about ``bits`` bits and its solution."""
-    def entry():
-        n = rng.randrange(-2 ** bits, 2 ** bits)
-        return Fraction(n, rng.randrange(1, 2 ** 20)) if fractions else n
+def big_system(rng, nrows, ncols, bits, cleared=False):
+    """A random integer system with entries of about ``bits`` bits and its
+    solution; with ``cleared`` each row is a row of rationals times their
+    least common denominator, so its entries share large factors."""
+    def row():
+        entries = [rng.randrange(-2 ** bits, 2 ** bits) for _ in range(ncols)]
+        if not cleared:
+            return entries
+        dens = [rng.randrange(1, 2 ** 20) for _ in entries]
+        scale = math.lcm(*dens)
+        return [n * (scale // d) for n, d in zip(entries, dens)]
 
-    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    rows = [row() for _ in range(nrows)]
     x = [Fraction(rng.randrange(-2 ** bits, 2 ** bits), rng.randrange(1, 2 ** 40))
          for _ in range(ncols)]
     rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
@@ -128,19 +136,19 @@ def big_system(rng, nrows, ncols, bits, fractions=False):
 
 class TestSolveUniqueMatchesSympy:
     @pytest.mark.parametrize(
-        "nrows, ncols, fractions", [(12, 6, False), (20, 9, False), (7, 7, False), (10, 5, True)]
+        "nrows, ncols, cleared", [(12, 6, False), (20, 9, False), (7, 7, False), (10, 5, True)]
     )
-    def test_consistent_tall_system(self, nrows, ncols, fractions):
+    def test_consistent_tall_system(self, nrows, ncols, cleared):
         rng = random.Random(nrows * 100 + ncols)
         for _ in range(3):
-            rows, x, rhs = big_system(rng, nrows, ncols, 110, fractions)
+            rows, x, rhs = big_system(rng, nrows, ncols, 110, cleared)
             assert solve_unique(rows, rhs) == exact_solve(rows, rhs) == x
 
-    @pytest.mark.parametrize("nrows, ncols, fractions", [(12, 6, False), (10, 5, True)])
-    def test_inconsistent_tall_system(self, nrows, ncols, fractions):
+    @pytest.mark.parametrize("nrows, ncols, cleared", [(12, 6, False), (10, 5, True)])
+    def test_inconsistent_tall_system(self, nrows, ncols, cleared):
         rng = random.Random(nrows * 100 + ncols + 1)
         for row in range(nrows):
-            rows, _, rhs = big_system(rng, nrows, ncols, 110, fractions)
+            rows, _, rhs = big_system(rng, nrows, ncols, 110, cleared)
             rhs[row] += Fraction(1, 3)
             assert exact_solve(rows, rhs) is None
             with pytest.raises(InconsistentSystem):
@@ -170,10 +178,10 @@ def recording_eliminations(monkeypatch):
 
 
 class TestFactorCache:
-    @pytest.mark.parametrize("fractions", [False, True])
-    def test_new_rhs_is_only_lifted(self, monkeypatch, fractions):
-        rng = random.Random(41 + fractions)
-        rows, x, rhs = big_system(rng, 12, 6, 110, fractions)
+    @pytest.mark.parametrize("cleared", [False, True])
+    def test_new_rhs_is_only_lifted(self, monkeypatch, cleared):
+        rng = random.Random(41 + cleared)
+        rows, x, rhs = big_system(rng, 12, 6, 110, cleared)
         assert solve_unique(rows, rhs) == x
         calls = recording_eliminations(monkeypatch)
         for _ in range(3):
@@ -185,7 +193,7 @@ class TestFactorCache:
         assert linalg._factor.cache_info().hits == 4
 
     def test_hit_still_raises(self, monkeypatch):
-        rows, _, rhs = big_system(random.Random(43), 10, 5, 110, fractions=True)
+        rows, _, rhs = big_system(random.Random(43), 10, 5, 110, cleared=True)
         solve_unique(rows, rhs)
         deficient = random_matrix(random.Random(6), 6, 4, rank_bound=3)
         with pytest.raises(UnderdeterminedSystem, match="rank 3 < 4"):
@@ -198,11 +206,14 @@ class TestFactorCache:
             solve_unique(deficient, [1] * 6)
         assert calls == []
 
-    def test_primes_are_part_of_the_key(self):
+    def test_primes_are_read_at_call_time(self, monkeypatch):
         rows = TestUnluckyPrime.ROWS
-        assert solve_unique(rows, [2, 2, 4]) == [2, 0]
+        monkeypatch.setattr(linalg, "PRIMES", (TestUnluckyPrime.P,))
         with pytest.raises(ArithmeticError):
-            solve_unique(rows, [2, 2, 4], _primes=(TestUnluckyPrime.P,))
+            solve_unique(rows, [2, 2, 4])
+        # a failed factorization is not kept
+        monkeypatch.undo()
+        assert solve_unique(rows, [2, 2, 4]) == [2, 0]
 
     def test_keeps_at_most_cache_keys_matrices(self):
         assert linalg._factor.cache_info().maxsize == CACHE_KEYS
@@ -226,11 +237,12 @@ class TestUnluckyPrime:
         square = [[*row, 0] for row in self.ROWS]
         assert rank(square) == exact_rank(square) == 2
 
-    def test_the_unlucky_prime_alone_certifies_nothing(self):
+    def test_the_unlucky_prime_alone_certifies_nothing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "PRIMES", (self.P,))
         with pytest.raises(ArithmeticError):
-            rank(self.ROWS, _primes=(self.P,))
+            rank(self.ROWS)
         with pytest.raises(ArithmeticError):
-            solve_unique(self.ROWS, [0, 0, 0], _primes=(self.P,))
+            solve_unique(self.ROWS, [0, 0, 0])
 
     def test_small_forced_primes_match_sympy(self, monkeypatch):
         used = []
@@ -241,14 +253,15 @@ class TestUnluckyPrime:
             return eliminate(rows, ncols, p)
 
         monkeypatch.setattr(linalg, "_eliminate", recording)
+        monkeypatch.setattr(linalg, "PRIMES", (2, 3) + PRIMES)
         rng = random.Random(17)
         for _ in range(20):
             rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(6)]
-            assert rank(rows, _primes=(2, 3) + PRIMES) == exact_rank(rows)
+            assert rank(rows) == exact_rank(rows)
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
             rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
             if exact_rank(rows) == 4:
-                assert solve_unique(rows, rhs, _primes=(2, 3) + PRIMES) == x
+                assert solve_unique(rows, rhs) == x
         assert 3 in used and PRIMES[0] in used
 
 
@@ -264,8 +277,7 @@ class TestRankCertificate:
         monkeypatch.setattr(linalg, "_square_solve", recording)
         rng = random.Random(23)
         left = [[rng.randrange(-2 ** 100, 2 ** 100) for _ in range(3)] for _ in range(8)]
-        right = [[Fraction(rng.randrange(-2 ** 100, 2 ** 100), rng.randrange(1, 99))
-                  for _ in range(6)] for _ in range(3)]
+        right = [[rng.randrange(-2 ** 100, 2 ** 100) for _ in range(6)] for _ in range(3)]
         rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
         assert rank(rows) == exact_rank(rows) == 3
         # one square solve on the 3x3 pivot minor, for the 5 other rows

@@ -27,6 +27,7 @@ from qmforms import (
 )
 
 from _oracles import plain_float_sum
+from _residual_bits import battery_sha256
 
 
 class CorruptedComponents:
@@ -376,7 +377,6 @@ class TestValueMemo:
         return summed
 
     def test_check_quasimodular_after_check_vv_sums_nothing(self, sums):
-        numverify._ensure_lambda()
         plan = default_plan()
         form = E2 ** 2 * E4 - E6 * E2 * Fraction(3, 2)
         check_vv(from_quasimodular(form, 3), plan)
@@ -408,6 +408,15 @@ class TestValueMemo:
         cold = residuals()
         assert bits(residuals()) == bits(cold)
         assert 7.8e-9 < max_relative(cold) < plan.tolerance
+
+
+class TestBitIdentity:
+    # the same under CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 on x86-64 Linux;
+    # change it only with a change that means to move residual bits
+    BATTERY_SHA256 = "58effcd696e677c9a6860e6ad29d99a78e72989b6be2b4313e0eed63c21ceb71"
+
+    def test_battery_residual_bits_are_unchanged(self):
+        assert battery_sha256() == self.BATTERY_SHA256
 
 
 class TestResidualScaling:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -348,8 +349,9 @@ class TestEvaluations:
 
 
 class TestQTable:
-    """``_evaluations`` takes its powers of q from ``_q_table``: one
-    prefix-cached table per tau, which serves every shorter series as is."""
+    """``_evaluations`` takes its powers of q from ``_q_table``: one cached
+    table per tau and longest precision of the call, which serves every
+    shorter series of the call as is."""
 
     TAU = complex(0.3, 1.1)
 
@@ -370,13 +372,14 @@ class TestQTable:
         check_quasimodular(form, plan)
         assert self.counts() == (hits + 21, 21)
 
-    def test_shorter_series_hit_and_longer_ones_rebuild(self):
+    def test_each_precision_has_its_own_table(self):
         _evaluations([geometric(32)], self.TAU)
         _evaluations([geometric(8)], self.TAU)
-        assert self.counts() == (1, 1)
-        _evaluations([geometric(48)], self.TAU)
+        assert self.counts() == (0, 2)
+        _evaluations([geometric(32), geometric(8)], self.TAU)
         assert self.counts() == (1, 2)
-        assert _q_table(self.TAU, 1).precision == 48
+        reals, imags, modulus = _q_table(self.TAU, 8)
+        assert len(reals) == len(imags) == 8 and modulus == abs(cmath.exp(2j * math.pi * self.TAU))
 
     def test_one_call_mixes_precisions(self):
         cases = [geometric(3), eisenstein_series(6, 40), QSeries.one(1), delta_series(17)]

@@ -149,6 +149,17 @@ class TestErrors:
         with pytest.raises(FormDocumentError):
             from_document(doc)
 
+    def test_rationals_only_in_the_forms_to_document_writes(self):
+        # [sign]digits and [sign]digits/digits; Fraction() also reads exponents
+        doc = to_document(E2)
+        for text in ("1e3", "2E-1", "1.5", "1_000", " 3", "3/", "1/2/3", "x"):
+            doc["terms"][0]["num"] = text
+            with pytest.raises(FormDocumentError, match=r"^bad rational .* in term: "):
+                from_document(doc)
+        for text, value in (("-3", -3), ("+3", 3), ("-3/4", Fraction(-3, 4)), ("06/8", Fraction(3, 4))):
+            doc["terms"][0]["num"] = text
+            assert from_document(doc) == E2 * value
+
     def test_inhomogeneous_terms(self):
         doc = {
             "format": "quasimodular",
