@@ -151,7 +151,7 @@ def cmd_convert(args):
             vv = w_compose(form, m=rank, weight_label=args.weight)
         elif isinstance(form, QuasiModularForm):
             rank = args.rank if args.rank is not None else form.depth
-            vv = from_quasimodular(form, rank)
+            vv = from_quasimodular(form, rank, args.weight)
         else:
             raise UsageError("--to vvmf needs a quasimodular form or an array of w-basis parts")
         print(_canonical(to_document(vv)))

@@ -1,11 +1,12 @@
-"""Exact linear algebra over Q for integer matrices: the rows are eliminated
-modulo a prime near 2^61 (the first of ``PRIMES`` that certifies the rank)
-to find pivots; the square pivot system is solved by a Newton-lifted
-inverse modulo p^(2^k) and rational reconstruction (Dixon, Numer. Math. 40,
-1982; von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).  Every
-answer is checked exactly in integers, so a prime dividing a minor costs the
-next prime, never a wrong result.  A right-hand side may hold Fractions; the
-matrix's rows are ints, with the denominators cleared by the caller.
+"""Exact linear algebra over Q for integer matrices and right-hand sides:
+the rows are eliminated modulo a prime near 2^61 (the first of ``PRIMES``
+that certifies the rank) to find pivots, and the square pivot system is
+solved by Dixon's p-adic lifting with the minor's inverse modulo p and
+rational reconstruction (Dixon, Numer. Math. 40, 1982; von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 5).  Every answer is checked exactly
+in integers, so a prime dividing a minor costs the next prime, never a wrong
+result.  Callers clear denominators: a Fraction in the matrix or the
+right-hand side is a ``TypeError``.
 
 The factorization depends on the matrix alone, so ``solve_unique`` keeps it
 (``_factor``, at most ``CACHE_KEYS`` matrices, the least recently used
@@ -16,7 +17,7 @@ right-hand side and checks it on every row.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
 from .qseries import CACHE_KEYS
@@ -31,20 +32,6 @@ class UnderdeterminedSystem(ValueError):
 
 class InconsistentSystem(ValueError):
     """The right-hand side is not in the column span."""
-
-
-def _scaled_row(row):
-    """``(scale, row times scale as ints)`` for the least common denominator
-    of ``row``'s entries, ints or Fractions; ``(1, row)`` itself when all its
-    entries are ints."""
-    if all(type(x) is int for x in row):
-        return 1, row
-    # unpack a set, not a generator: a tuple grown by resizing bypasses the tuple
-    # free list when made but joins it when freed, and peak RSS grows with it
-    scale = lcm(*{x.denominator for x in row})
-    if scale == 1:
-        return 1, [x.numerator for x in row]
-    return scale, [x.numerator * (scale // x.denominator) for x in row]
 
 
 def _dot(u, v):
@@ -97,41 +84,30 @@ def _inverse(a, p):
     return [r[n:] for _, _, r in sorted(rows, key=lambda pivot: pivot[1])]
 
 
-def _square_solve(a, columns, p, c=None):
-    """One ``(numerators, denominator)`` solving a x = b exactly per b in
-    ``columns``, for a square integer matrix ``a`` invertible modulo p, with
-    ``c`` its inverse modulo p if already known.  The inverse C modulo
-    M = p^(2^k) gives x modulo M and, by one correction step, modulo M^2; a
-    candidate is kept once a x = b holds exactly.  Otherwise
-    C <- C (2I - a C) = C - M C (a C - I) / M, and M is squared."""
-    if c is None:
-        c = _inverse(a, p)
-    modulus, solutions = p, [None] * len(columns)
+def _lift(a, c, b, p):
+    """``(numerators, denominator)`` with a x = b exactly, for a square
+    integer matrix ``a``, its inverse ``c`` modulo p and an integer column
+    ``b``: each digit d = c r mod p of the residual r, first b, sets
+    r <- (r - a d) / p, and the candidates of x = sum p^i d_i are checked
+    exactly after 2, 4, 8, ... digits."""
+    x, r, modulus, tries = [0] * len(a), b, 1, p * p
     while True:
-        square = modulus * modulus
-        for k, b in enumerate(columns):
-            if solutions[k] is None:
-                x = [_dot(row, b) % modulus for row in c]
-                residual = [(y - _dot(row, x)) // modulus for row, y in zip(a, b)]
-                x = [y + modulus * (_dot(row, residual) % modulus) for y, row in zip(x, c)]
-                for nums, den in _candidates(x, square):
-                    if all(_dot(row, nums) == den * y for row, y in zip(a, b)):
-                        solutions[k] = nums, den
-                        break
-        if all(solutions):
-            return solutions
-        error = [[(_dot(row, col) % square - (i == j)) // modulus for j, col in enumerate(zip(*c))]
-                 for i, row in enumerate(a)]
-        step = [[_dot(row, col) % modulus for col in zip(*error)] for row in c]
-        c = [[(x - modulus * y) % square for x, y in zip(u, v)] for u, v in zip(c, step)]
-        modulus = square
+        digit = [_dot(row, r) % p for row in c]
+        x = [y + modulus * d for y, d in zip(x, digit)]
+        modulus *= p
+        if modulus == tries:
+            for nums, den in _candidates(x, modulus):
+                if all(_dot(row, nums) == den * y for row, y in zip(a, b)):
+                    return nums, den
+            tries *= tries
+        r = [(y - _dot(row, digit)) // p for row, y in zip(a, r)]
 
 
 def _certified_pivots(rows, ncols):
     """``(pivots, p)`` from ``_eliminate(rows, ncols, p)`` at the first prime
     p whose pivot count r is the exact rank of the first ``ncols`` columns.
     r is exact when full; otherwise each other row, written as a combination
-    of the pivot rows by a square solve on the pivot minor and checked
+    of the pivot rows by a lift with the pivot minor's inverse and checked
     exactly in those columns, proves rank <= r, and a failed check moves on
     to the next prime."""
     for p in PRIMES:
@@ -139,12 +115,14 @@ def _certified_pivots(rows, ncols):
         if len(pivots) == min(len(rows), ncols):
             return pivots, p
         used = {i for i, _, _ in pivots}
-        others = [row for i, row in enumerate(rows) if i not in used]
         basis = [[rows[i][j] for i, _, _ in pivots] for j in range(ncols)]
-        solutions = _square_solve([basis[c] for _, c, _ in pivots],
-                                  [[row[c] for _, c, _ in pivots] for row in others], p)
-        if all(_dot(nums, col) == den * x for row, (nums, den) in zip(others, solutions)
-               for x, col in zip(row, basis)):
+        minor = [basis[c] for _, c, _ in pivots]
+        inverse = _inverse(minor, p)
+        for row in (row for i, row in enumerate(rows) if i not in used):
+            nums, den = _lift(minor, inverse, [row[c] for _, c, _ in pivots], p)
+            if any(_dot(nums, col) != den * x for x, col in zip(row, basis)):
+                break
+        else:
             return pivots, p
     raise ArithmeticError(f"every one of {len(PRIMES)} primes divides a minor")
 
@@ -169,20 +147,21 @@ def _factor(rows):
 
 def solve_unique(rows, rhs):
     """The unique x with M x = rhs as Fractions, M a list of rows of ints and
-    rhs of ints or Fractions, from the pivot rows' square system, checked on
-    every row in integers.  Raises ``UnderdeterminedSystem`` if M lacks full
-    column rank and ``InconsistentSystem`` if no solution exists."""
+    rhs a list of ints (else ``TypeError``), from the pivot rows' square
+    system, checked on every row in integers.  Raises ``UnderdeterminedSystem``
+    if M lacks full column rank and ``InconsistentSystem`` if no solution exists."""
     if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
+    # a Fraction or float would pass // and % and never stop lifting
+    if any(type(y) is not int for y in rhs):
+        raise TypeError("the right-hand side must hold ints; clear its denominators first")
     if not rows:
         raise UnderdeterminedSystem("empty system")
     pivots, p, inverse = _factor(tuple(map(tuple, rows)))
     if inverse is None:
         raise UnderdeterminedSystem(f"rank {len(pivots)} < {len(rows[0])} unknowns at this precision")
-    # clearing the denominators of rhs scales x alike
-    scale, rhs = _scaled_row(rhs)
-    [(nums, den)] = _square_solve([rows[i] for i in pivots], [[rhs[i] for i in pivots]], p, inverse)
+    nums, den = _lift([rows[i] for i in pivots], inverse, [rhs[i] for i in pivots], p)
     # the pivot system's solution is unique, so one failed row proves inconsistency
     if any(_dot(row, nums) != den * y for row, y in zip(rows, rhs)):
         raise InconsistentSystem("no exact solution")
-    return [Fraction(n, den * scale) for n in nums]
+    return [Fraction(n, den) for n in nums]

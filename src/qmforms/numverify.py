@@ -3,8 +3,11 @@
 The checks compare both sides of the scalar, quasi-modular, and
 vector-valued functional equations on a fixed sample of group elements and
 base points, and report absolute and relative residuals per sample.  All
-sample points keep Im tau >= 0.3 and all images keep Im(gamma tau) >= 0.25,
-which at 64 coefficients pushes truncation far below the 1e-8 tolerance.
+sample points keep Im tau >= 0.3 and all images keep Im(gamma tau) >= 0.25.
+For true forms of weight 4 to 22, the weights the bench ``verify`` workload
+checks, 64 coefficients then keep truncation far below the 1e-8 tolerance.
+Higher weights may need more: ``E4^10`` (weight 40) leaves an exact residual
+of 6.2e-8 at 64 coefficients (ROADMAP items 5 and 8).
 """
 
 import cmath

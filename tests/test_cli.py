@@ -224,6 +224,16 @@ class TestConvert:
         assert code == 2
         assert "depth" in err
 
+    def test_vvmf_weight_label_of_a_single_form(self, capsys):
+        code, out, err = run(capsys, "convert", "E4", "--to", "vvmf", "--rank", "1", "--weight", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: weight label 10 contradicts the source weight 4\n"
+        code, out, _ = run(capsys, "convert", "E4", "--to", "vvmf", "--rank", "1", "--weight", "4")
+        assert code == 0 and loads(out.strip()) == from_quasimodular(E4, 1)
+        # a zero source has no weight of its own, so the label is what --weight says
+        code, out, _ = run(capsys, "convert", "0", "--to", "vvmf", "--rank", "1", "--weight", "10")
+        assert code == 0 and json.loads(out)["weight_label_k"] == 10
+
     def test_wbasis_needs_vectorvalued(self, capsys):
         code, _, err = run(capsys, "convert", "E4", "--to", "wbasis")
         assert code == 2

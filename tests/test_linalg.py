@@ -19,6 +19,13 @@ def cold_factor_cache():
     linalg._factor.cache_clear()
 
 
+def integral(rhs, x):
+    """``rhs`` as ints, times the least common denominator of its entries,
+    and the solution ``x`` times the same factor."""
+    scale = math.lcm(*(Fraction(y).denominator for y in rhs))
+    return [int(scale * y) for y in rhs], [scale * v for v in x]
+
+
 def random_matrix(rng, nrows, ncols, rank_bound=None):
     """Small-entry integer matrix; with ``rank_bound`` a product of two
     random factors, so its rank is at most that bound."""
@@ -57,7 +64,7 @@ class TestRank:
         assert rank(rows) == 2
         assert rows == [[2, 4], [1, 3]]
 
-    def test_integer_rows_are_used_as_they_are(self):
+    def test_integer_rows_are_used_as_they_are(self, monkeypatch):
         rows = [[2, 4, 6], [1, 3, 5]]
         assert rank(rows) == 2 and rows == [[2, 4, 6], [1, 3, 5]]
         # callers clear the denominators of their rows: a Fraction row is refused
@@ -66,13 +73,23 @@ class TestRank:
         with pytest.raises(TypeError):
             solve_unique([[Fraction(1, 2)], [1]], [1, 2])
 
+        def lift(*args):
+            raise AssertionError("lifted a right-hand side that is not all ints")
+
+        # and so do the right-hand sides: // and % would take a Fraction or a
+        # float and never stop lifting, so it is refused before any lift
+        monkeypatch.setattr(linalg, "_lift", lift)
+        for entry in (Fraction(1, 2), Fraction(4, 2), 2.0, True):
+            with pytest.raises(TypeError):
+                solve_unique([[1, 0], [0, 1], [1, 1]], [1, entry, 3])
+
 
 class TestSolveUnique:
     def test_unique_solution(self):
         rng = random.Random(5)
         rows = random_matrix(rng, 9, 5)
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)]
-        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in rows], x)
         assert solve_unique(rows, rhs) == x
 
     def test_square_integer_system(self):
@@ -116,9 +133,12 @@ class TestSolveUnique:
 
 
 def big_system(rng, nrows, ncols, bits, cleared=False):
-    """A random integer system with entries of about ``bits`` bits and its
-    solution; with ``cleared`` each row is a row of rationals times their
-    least common denominator, so its entries share large factors."""
+    """A random integer system ``(rows, x, rhs)`` with entries of about
+    ``bits`` bits and its solution ``x``; with ``cleared`` each row is a row
+    of rationals times their least common denominator, so its entries share
+    large factors.  The first column is a multiple of the denominator of
+    ``x[0]``, so the integer ``rhs`` leaves that denominator in ``x[0]``, as a
+    rule, and the solve needs rational reconstruction."""
     def row():
         entries = [rng.randrange(-2 ** bits, 2 ** bits) for _ in range(ncols)]
         if not cleared:
@@ -130,7 +150,9 @@ def big_system(rng, nrows, ncols, bits, cleared=False):
     rows = [row() for _ in range(nrows)]
     x = [Fraction(rng.randrange(-2 ** bits, 2 ** bits), rng.randrange(1, 2 ** 40))
          for _ in range(ncols)]
-    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    for row in rows:
+        row[0] *= x[0].denominator
+    rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in rows], x)
     return rows, x, rhs
 
 
@@ -142,6 +164,7 @@ class TestSolveUniqueMatchesSympy:
         rng = random.Random(nrows * 100 + ncols)
         for _ in range(3):
             rows, x, rhs = big_system(rng, nrows, ncols, 110, cleared)
+            assert x[0].denominator > 1
             assert solve_unique(rows, rhs) == exact_solve(rows, rhs) == x
 
     @pytest.mark.parametrize("nrows, ncols, cleared", [(12, 6, False), (10, 5, True)])
@@ -149,19 +172,42 @@ class TestSolveUniqueMatchesSympy:
         rng = random.Random(nrows * 100 + ncols + 1)
         for row in range(nrows):
             rows, _, rhs = big_system(rng, nrows, ncols, 110, cleared)
-            rhs[row] += Fraction(1, 3)
+            rhs[row] += 1
             assert exact_solve(rows, rhs) is None
             with pytest.raises(InconsistentSystem):
                 solve_unique(rows, rhs)
 
     def test_ten_thousand_bit_numerator_in_under_a_second(self):
         rows, _, _ = big_system(random.Random(3), 10, 6, 30)
-        x = [Fraction(3 ** 6310, 7), Fraction(-5), Fraction(1, 11), 0, Fraction(-(2 ** 9999), 3), 1]
-        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-        assert x[0].numerator.bit_length() > 10000
+        rhs, x = ten_thousand_bit_system(rows)
         start = time.perf_counter()
         assert solve_unique(rows, rhs) == x
         assert time.perf_counter() - start < 1.0
+
+    def test_candidates_are_tried_after_2_4_8_digits(self, monkeypatch):
+        moduli = []
+        candidates = linalg._candidates
+
+        def recording(residues, modulus):
+            moduli.append(modulus)
+            return candidates(residues, modulus)
+
+        monkeypatch.setattr(linalg, "_candidates", recording)
+        rows, _, _ = big_system(random.Random(3), 10, 6, 30)
+        rhs, x = ten_thousand_bit_system(rows)
+        assert solve_unique(rows, rhs) == x
+        p = linalg._factor(tuple(map(tuple, rows)))[1]
+        # 2^8 digits of about 61 bits are the first to exceed twice the 10 001-bit solution
+        assert moduli == [p ** 2 ** k for k in range(1, 9)]
+
+
+def ten_thousand_bit_system(rows):
+    """An integer right-hand side for ``rows`` (six columns) and its solution,
+    whose first entry has more than 10 000 bits."""
+    x = [Fraction(3 ** 6310, 7), Fraction(-5), Fraction(1, 11), 0, Fraction(-(2 ** 9999), 3), 1]
+    rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in rows], x)
+    assert x[0].numerator.bit_length() > 10000
+    return rhs, x
 
 
 def recording_eliminations(monkeypatch):
@@ -186,7 +232,7 @@ class TestFactorCache:
         calls = recording_eliminations(monkeypatch)
         for _ in range(3):
             x = [Fraction(rng.randrange(-2 ** 90, 2 ** 90), rng.randrange(1, 2 ** 30)) for _ in range(6)]
-            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in rows], x)
             assert solve_unique(rows, rhs) == exact_solve(rows, rhs) == x
         assert solve_unique(rows, [0] * 12) == [0] * 6
         assert calls == []
@@ -199,7 +245,7 @@ class TestFactorCache:
         with pytest.raises(UnderdeterminedSystem, match="rank 3 < 4"):
             solve_unique(deficient, [0] * 6)
         calls = recording_eliminations(monkeypatch)
-        rhs[4] += Fraction(1, 3)
+        rhs[4] += 1
         with pytest.raises(InconsistentSystem):
             solve_unique(rows, rhs)
         with pytest.raises(UnderdeterminedSystem, match="rank 3 < 4"):
@@ -226,10 +272,12 @@ class TestUnluckyPrime:
 
     def test_solution_is_right(self):
         x = [Fraction(2, 3), Fraction(-7, 5)]
-        rhs = [sum(a * b for a, b in zip(row, x)) for row in self.ROWS]
+        rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in self.ROWS], x)
         assert solve_unique(self.ROWS, rhs) == x
         with pytest.raises(InconsistentSystem):
             solve_unique(self.ROWS, [rhs[0], rhs[1], rhs[2] + 1])
+        # every 2x2 minor is +-p, so an integer right-hand side may leave p as a denominator
+        assert solve_unique(self.ROWS, [1, 2, 3]) == [1 - Fraction(1, self.P), Fraction(1, self.P)]
 
     def test_rank_is_right(self):
         assert rank(self.ROWS) == exact_rank(self.ROWS) == 2
@@ -259,7 +307,7 @@ class TestUnluckyPrime:
             rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(6)]
             assert rank(rows) == exact_rank(rows)
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
-            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in rows], x)
             if exact_rank(rows) == 4:
                 assert solve_unique(rows, rhs) == x
         assert 3 in used and PRIMES[0] in used
@@ -267,21 +315,26 @@ class TestUnluckyPrime:
 
 class TestRankCertificate:
     def test_deficient_rank_is_proved_by_row_combinations(self, monkeypatch):
-        combinations = []
-        square_solve = linalg._square_solve
+        inverses, lifts = [], []
+        inverse, lift = linalg._inverse, linalg._lift
 
-        def recording(minor, columns, p):
-            combinations.append((len(minor), len(columns)))
-            return square_solve(minor, columns, p)
+        def recording_inverse(a, p):
+            inverses.append(len(a))
+            return inverse(a, p)
 
-        monkeypatch.setattr(linalg, "_square_solve", recording)
+        def recording_lift(a, c, b, p):
+            lifts.append(len(a))
+            return lift(a, c, b, p)
+
+        monkeypatch.setattr(linalg, "_inverse", recording_inverse)
+        monkeypatch.setattr(linalg, "_lift", recording_lift)
         rng = random.Random(23)
         left = [[rng.randrange(-2 ** 100, 2 ** 100) for _ in range(3)] for _ in range(8)]
         right = [[rng.randrange(-2 ** 100, 2 ** 100) for _ in range(6)] for _ in range(3)]
         rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
         assert rank(rows) == exact_rank(rows) == 3
-        # one square solve on the 3x3 pivot minor, for the 5 other rows
-        assert combinations == [(3, 5)]
+        # one inverse of the 3x3 pivot minor, then one lift for each of the 5 other rows
+        assert inverses == [3] and lifts == [3] * 5
         rows[7][5] += 1
         assert rank(rows) == exact_rank(rows) == 4
 

@@ -555,16 +555,16 @@ class TestRecognize:
         assert all(type(x) is int for x in rhs)
 
     def test_cold_recognize_lifts_one_column(self, monkeypatch):
-        columns = []
-        original = linalg._square_solve
+        lifts = []
+        original = linalg._lift
 
-        def spy(a, rhs_columns, p, c=None):
-            columns.append(len(rhs_columns))
-            return original(a, rhs_columns, p, c)
+        def spy(a, c, b, p):
+            lifts.append(b)
+            return original(a, c, b, p)
 
-        monkeypatch.setattr(linalg, "_square_solve", spy)
+        monkeypatch.setattr(linalg, "_lift", spy)
         linalg._factor.cache_clear()
         f = E2 ** 8 * E4 ** 5 * E6 ** 2 - E2 * E4 ** 10 * E6 / 3 + DELTA ** 4
         assert recognize(f.qexpansion(96), 48, 8) == f
-        # the minor is inverted modulo p only: no exact inverse, one column per solve
-        assert columns == [1]
+        # the minor is inverted modulo p only: no exact inverse, one right-hand side lifted
+        assert len(lifts) == 1
