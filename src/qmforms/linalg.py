@@ -89,7 +89,8 @@ def _lift(a, c, b, p):
     integer matrix ``a``, its inverse ``c`` modulo p and an integer column
     ``b``: each digit d = c r mod p of the residual r, first b, sets
     r <- (r - a d) / p, and the candidates of x = sum p^i d_i are checked
-    exactly after 2, 4, 8, ... digits."""
+    exactly after 2, 4, 8, ... digits.  As b - a x = p^i r, a zero residual
+    ends the lift with x itself."""
     x, r, modulus, tries = [0] * len(a), b, 1, p * p
     while True:
         digit = [_dot(row, r) % p for row in c]
@@ -101,6 +102,8 @@ def _lift(a, c, b, p):
                     return nums, den
             tries *= tries
         r = [(y - _dot(row, digit)) // p for row, y in zip(a, r)]
+        if not any(r):
+            return x, 1
 
 
 def _certified_pivots(rows, ncols):

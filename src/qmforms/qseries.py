@@ -4,7 +4,8 @@ Every holomorphic object downstream is carried by a ``QSeries``: a finite
 list of Fourier coefficients in q = exp(2*pi*i*tau), kept as integer
 numerators over one common denominator.  Arithmetic is exact and truncates
 to the shorter operand; precision is never extended silently.  Products use
-Kronecker substitution: one bigint multiply per series product.  The
+Kronecker substitution: one bigint multiply per series product, except that
+a constant operand only scales the other.  The
 normalized derivative is D = q d/dq.  Evaluation at tau sums the float
 coefficients against a table of the powers of q, kept per (tau, N) with N
 the longest series evaluated in the call.
@@ -221,7 +222,7 @@ class QSeries:
     """A power series in q truncated to a fixed number of coefficients, kept
     as integer numerators over one positive denominator in lowest terms."""
 
-    __slots__ = ("numerators", "denominator", "_floats", "_values")
+    __slots__ = ("numerators", "denominator", "_floats", "_fractions", "_values")
 
     def __init__(self, coeffs):
         coeffs = [_coerce(c) for c in coeffs]
@@ -241,7 +242,7 @@ class QSeries:
         g = math.gcd(den, *nums)
         self.numerators = tuple(n // g for n in nums) if g > 1 else tuple(nums)
         self.denominator = den // g
-        self._floats = self._values = None
+        self._floats = self._fractions = self._values = None
 
     def _float_coeffs(self):
         """The coefficients as floats, converted on the first call only."""
@@ -264,10 +265,15 @@ class QSeries:
 
     @property
     def coeffs(self):
-        """The coefficients as reduced ``Fraction``s."""
-        if self.denominator == 1:
-            return tuple(map(Fraction, self.numerators))
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+        """The coefficients as reduced ``Fraction``s, built on the first call
+        only: the series, the tuple and each ``Fraction`` never change."""
+        if self._fractions is None:
+            den = self.denominator
+            if den == 1:
+                self._fractions = tuple(map(Fraction, self.numerators))
+            else:
+                self._fractions = tuple(Fraction(n, den) for n in self.numerators)
+        return self._fractions
 
     @property
     def precision(self):
@@ -318,11 +324,16 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
+            # a constant operand (nothing past q^0 below q^n) only scales the other
+            if not any(other.numerators[1:n]):
+                return self.truncate(n) * Fraction(other.numerators[0], other.denominator)
+            if not any(self.numerators[1:n]):
+                return other.truncate(n) * Fraction(self.numerators[0], self.denominator)
             nums = _kronecker_product(self.numerators[:n], other.numerators[:n])
             return QSeries._from_ints(nums, self.denominator * other.denominator)
         other = _coerce(other)
-        return QSeries._from_ints([other.numerator * n for n in self.numerators],
-                                  other.denominator * self.denominator)
+        num = other.numerator
+        return QSeries._from_ints([num * n for n in self.numerators], other.denominator * self.denominator)
 
     __rmul__ = __mul__
 

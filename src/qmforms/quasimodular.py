@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .qseries import (DEFAULT_PRECISION, QSeries, _coerce, _natural, _power, _prefix_cache, _signed_sum,
-                      _weighted_sum)
+from .qseries import (DEFAULT_PRECISION, QSeries, _coerce, _natural, _power, _precision, _prefix_cache,
+                      _signed_sum, _weighted_sum)
 from .eisenstein import eisenstein_series, monomial_basis
 
 
@@ -33,7 +33,7 @@ class UnderdeterminedError(ValueError):
 class QuasiModularForm:
     """Weight-homogeneous polynomial in E2, E4, E6 with rational coefficients."""
 
-    __slots__ = ("weight", "monomials", "_completion")
+    __slots__ = ("weight", "monomials", "_expansion", "_completion")
 
     def __init__(self, weight, monomials):
         cleaned = {}
@@ -52,8 +52,10 @@ class QuasiModularForm:
             weight = 0
         self.weight = _natural(weight, "weight", even=True)
         self.monomials = cleaned
-        # the last ``almostholo.completion`` built: one expansion per precision
-        self._completion = None
+        # the last ``qexpansion`` and the last ``almostholo.completion`` built,
+        # each kept for one precision; the completion's Yhat^0 coefficient is
+        # the form's own expansion
+        self._expansion = self._completion = None
 
     # -- structure -----------------------------------------------------------
 
@@ -168,9 +170,13 @@ class QuasiModularForm:
     # -- expansions --------------------------------------------------------------
 
     def qexpansion(self, precision=DEFAULT_PRECISION):
-        """Substitute the generator series into the polynomial."""
-        return _weighted_sum(((value, _monomial_series(a, b, c, precision))
-                              for (a, b, c), value in self.monomials.items()), precision)
+        """Substitute the generator series into the polynomial.  The form
+        keeps the last expansion built, so a repeat at its precision is free."""
+        series = self._expansion
+        if series is None or series.precision != _precision(precision):
+            series = self._expansion = _weighted_sum(((value, _monomial_series(a, b, c, precision))
+                                                      for (a, b, c), value in self.monomials.items()), precision)
+        return series
 
     # -- presentation --------------------------------------------------------------
 

@@ -200,6 +200,20 @@ class TestSolveUniqueMatchesSympy:
         # 2^8 digits of about 61 bits are the first to exceed twice the 10 001-bit solution
         assert moduli == [p ** 2 ** k for k in range(1, 9)]
 
+    def test_zero_residual_ends_the_lift(self, monkeypatch):
+        moduli = []
+        candidates = linalg._candidates
+
+        def recording(residues, modulus):
+            moduli.append(modulus)
+            return candidates(residues, modulus)
+
+        monkeypatch.setattr(linalg, "_candidates", recording)
+        p = PRIMES[0]
+        assert solve_unique([[1]], [p ** 5 + 3]) == [p ** 5 + 3]
+        # the sixth digit leaves residual 0: no try at p^8
+        assert moduli == [p ** 2, p ** 4]
+
 
 def ten_thousand_bit_system(rows):
     """An integer right-hand side for ``rows`` (six columns) and its solution,

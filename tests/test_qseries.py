@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from qmforms import E2, E4, E6, QSeries, format_series
 from qmforms.eisenstein import delta_series, eisenstein_series
 from qmforms.numverify import check_quasimodular, check_vv, default_plan
-from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _q_table, _weighted_sum, combine
+from qmforms import qseries
+from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _kronecker_product, _q_table, _weighted_sum, combine
 from qmforms.vectorvalued import from_quasimodular
 
 from _oracles import ascending_complex_sum, delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
@@ -106,6 +108,23 @@ class TestMul:
     def test_scalar_multiplication(self):
         assert 3 * series(1, 2) == series(3, 6)
         assert series(1, 2) * Fraction(1, 2) == series(Fraction(1, 2), 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.integers(1, 12), st.booleans())
+    def test_constant_operand_scales_without_a_kronecker_product(self, data, m, k, constant_first):
+        fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 30))
+        other = QSeries(data.draw(st.lists(fractions, min_size=m, max_size=m)))
+        # a constant below the common precision n; what lies at or past q^n is ignored
+        n = min(m, k)
+        c = data.draw(st.sampled_from([0, -1, 5, Fraction(-7, 3)]) | fractions)
+        constant = QSeries([c] + [0] * (n - 1) + data.draw(st.lists(fractions, min_size=k - n, max_size=k - n)))
+        a, b = (constant, other) if constant_first else (other, constant)
+        expected = QSeries._from_ints(_kronecker_product(a.numerators[:n], b.numerators[:n]),
+                                      a.denominator * b.denominator)
+        with mock.patch.object(qseries, "_kronecker_product") as spy:
+            product = a * b
+        assert spy.call_count == 0
+        assert product == expected and product.precision == n
 
 
 class TestMulAgainstSchoolbook:
@@ -332,6 +351,12 @@ class TestEvaluations:
         for tau in (0j, complex(0.3, 0.0), complex(1.0, -0.5)):
             with pytest.raises(ValueError, match="upper half-plane"):
                 _evaluations([QSeries.one(4), series(1, 2)], tau)
+
+    def test_fractions_are_built_once(self):
+        for s in (series(1, Fraction(1, 3), 0, -2 ** 60), series(4, 0, -1)):
+            coeffs = s.coeffs
+            assert coeffs == tuple(s.coefficient(n) for n in range(s.precision))
+            assert s.coeffs is coeffs
 
     def test_coefficients_convert_to_floats_once(self):
         s = series(1, Fraction(1, 3), 0, -2 ** 60)

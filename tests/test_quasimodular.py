@@ -18,6 +18,7 @@ from qmforms import (
     QSeries,
     QuasiModularForm,
     UnderdeterminedError,
+    completion,
     derivative_lift,
     monomial,
     recognize,
@@ -342,6 +343,8 @@ class TestQExpansionIsExact:
         (0, ValueError, "precision must be positive, got 0"),
         (2.5, ValueError, "precision must be a non-negative integer, got 2.5"),
         (True, ValueError, "precision must be a non-negative integer, got True"),
+        # equal to the kept expansion's precision 8 in the second round
+        (8.0, ValueError, "precision must be a non-negative integer, got 8.0"),
     ])
     @pytest.mark.parametrize("form", [E2 * E4 / 3, QuasiModularForm(0, {})], ids=["E2*E4/3", "zero"])
     def test_bad_precision_keeps_its_error(self, form, precision, error, message):
@@ -410,6 +413,36 @@ class TestPrefixCache:
         _generator_power.cache_clear()
         _monomial_series(1, 2, 1, 32)
         assert len(calls) == 2 * built + 2
+
+    def test_form_keeps_its_last_expansion(self, monkeypatch):
+        form = E2 ** 3 * E4 * E6 + DELTA * E2 ** 2
+        clear_expansion_caches()
+        calls = count_products(monkeypatch)
+        series = form.qexpansion(48)
+        assert calls
+        calls.clear()
+        # cache_clear empties the shared caches, not what the form keeps
+        clear_expansion_caches()
+        assert form.qexpansion(48) is series and calls == []
+
+    @pytest.mark.parametrize("first, second", [(48, 20), (20, 48)])
+    def test_other_precision_replaces_the_kept_expansion(self, first, second):
+        form = E2 ** 4 * E4 - DELTA / 7
+        kept = form.qexpansion(first)
+        replaced = form.qexpansion(second)
+        assert replaced is not kept and replaced.precision == second
+        assert replaced == (E2 ** 4 * E4 - DELTA / 7).qexpansion(second)
+        assert form.qexpansion(second) is replaced
+
+    @pytest.mark.parametrize("expand_first", [True, False], ids=["qexpansion-first", "completion-first"])
+    def test_completion_reuses_the_kept_expansion(self, expand_first):
+        form = E2 ** 2 * E6 + Fraction(3, 5) * E4 * E6
+        if expand_first:
+            series = form.qexpansion(40)
+            assert completion(form, 40).coeffs[0] is series
+        else:
+            full = completion(form, 40)
+            assert form.qexpansion(40) is full.coeffs[0]
 
     def test_large_power_by_binary_powering(self):
         clear_expansion_caches()
