@@ -9,7 +9,8 @@ numeric value only in ``evaluate``.
 
 from fractions import Fraction
 
-from .qseries import DEFAULT_PRECISION, QSeries, _evaluations, _natural, _powers, _weighted_sum, combine, yhat
+from .qseries import (DEFAULT_PRECISION, QSeries, _evaluations, _natural, _powers, _precision, _weighted_sum, combine,
+                      yhat)
 
 
 class NotHolomorphicError(ValueError):
@@ -112,7 +113,7 @@ def completion(form, precision=DEFAULT_PRECISION):
     """The almost holomorphic completion sum_r qexp(fhat_r) * Yhat^r.  The
     form keeps the last one built, so a repeat at its precision is free."""
     full = form._completion
-    if full is None or full.precision != precision:
+    if full is None or full.precision != _precision(precision):
         full = form._completion = AlmostHolomorphicForm(
             form.weight, [c.qexpansion(precision) for c in form.components()]
         )
@@ -180,10 +181,9 @@ def raise_op(form):
     The constant term of raise_op(completion(f)) is D of the expansion of f.
     """
     k = form.weight
-    n = form.precision
     out = []
     for r in range(form.degree + 2):
-        term = form.coeffs[r].derive() if r <= form.degree else QSeries.zero(n)
+        term = form.coefficient(r).derive()
         if r >= 1:
             term = term + Fraction(k - r + 1, 12) * form.coeffs[r - 1]
         out.append(term)

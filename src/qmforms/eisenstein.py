@@ -8,7 +8,7 @@ dimension and the constructed basis can never disagree.
 
 from fractions import Fraction
 
-from .qseries import DEFAULT_PRECISION, QSeries, _natural, _precision, _prefix_cache
+from .qseries import DEFAULT_PRECISION, QSeries, _natural, _prefix_cache
 
 _EISENSTEIN_FACTOR = {2: -24, 4: 240, 6: -504}
 
@@ -18,7 +18,6 @@ def eisenstein_series(weight, precision=DEFAULT_PRECISION, /):
     """The q-expansion of E2, E4 or E6 to the requested precision."""
     if weight not in _EISENSTEIN_FACTOR:
         raise ValueError(f"no Eisenstein generator of weight {weight}")
-    _precision(precision)
     factor = _EISENSTEIN_FACTOR[weight]
     coeffs = [0] * precision
     for d in range(1, precision):

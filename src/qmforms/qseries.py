@@ -128,16 +128,21 @@ def _prefix_cache(build):
     """Memoize ``build(*key, precision)``, keeping per key the longest
     result built so far: a shorter request truncates it (a hit), a longer
     one rebuilds and replaces it (a miss).  At most ``CACHE_KEYS`` keys stay,
-    least recently used out first; a left-out precision gets build's default."""
+    least recently used out first; a left-out precision gets build's default.
+    Each key argument must pass ``_natural``, and the precision ``_precision``."""
     entries = OrderedDict()
     counts = {"hits": 0, "misses": 0}
     keys = build.__code__.co_argcount - 1
+    names = build.__code__.co_varnames[:keys]
 
     @functools.wraps(build)
     def cached(*args):
         key, (precision,) = args[:keys], args[keys:] or build.__defaults__
-        # a refused precision is neither a hit nor a miss, and the entry
-        # stays until build returns, so a refused build keeps it
+        # checked before the lookup, where 4.0 or True would find the entry
+        # of 4 or 1; a refused argument is neither a hit nor a miss, and the
+        # entry stays until build returns, so a refused build keeps it
+        for value, name in zip(key, names):
+            _natural(value, name)
         _precision(precision)
         series = entries.get(key)
         if series is None or series.precision < precision:
@@ -197,25 +202,17 @@ def _kronecker_product(a, b):
     """Integer coefficients of a*b below q^len(a), for len(a) == len(b), by
     Kronecker substitution: one bigint multiply of the operands packed into
     byte-aligned slots of w bits, where every product coefficient c has
-    |c| < 2^(w-1).  A bias of 2^(w-1) per slot lets the slots read back
-    without borrows."""
+    |c| < 2^(w-1).  Operand and product slots alike hold value + 2^(w-1),
+    so that they pack and read back without borrows."""
     n = len(a)
     bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length()
     width = bits // 8 + 1
     half = 1 << (8 * width - 1)
-    product = _pack(a, width) * _pack(b, width)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    slots = ((product + bias) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    a, b = (int.from_bytes(b"".join((x + half).to_bytes(width, "little") for x in nums), "little") - bias
+            for nums in (a, b))
+    slots = ((a * b + bias) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
     return [int.from_bytes(slots[i:i + width], "little") - half for i in range(0, width * n, width)]
-
-
-def _pack(nums, width):
-    """sum(nums[i] * 2^(8*width*i)); a negative slot, stored in two's
-    complement, carries 1 into the next slot, which the borrows take back."""
-    packed = int.from_bytes(b"".join(n.to_bytes(width, "little", signed=True) for n in nums), "little")
-    borrows = bytearray(width * len(nums))
-    borrows[::width] = bytes(n < 0 for n in nums)
-    return packed - (int.from_bytes(borrows, "little") << (8 * width))
 
 
 class QSeries:

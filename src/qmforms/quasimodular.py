@@ -132,7 +132,7 @@ class QuasiModularForm:
         for (a, b, c), value in self.monomials.items():
             if a >= r:
                 out[(a - r, b, c)] = value * comb(a, r)
-        return QuasiModularForm(self.weight - 2 * r if out else 0, out)
+        return QuasiModularForm(self.weight - 2 * r, out)
 
     def components(self):
         """The tuple (fhat_0, ..., fhat_depth)."""
@@ -159,13 +159,13 @@ class QuasiModularForm:
                 add((a, b - 1, c + 1), -v * Fraction(b, 3))
             if c:
                 add((a, b + 2, c - 1), -v * Fraction(c, 2))
-        return QuasiModularForm(self.weight + 2 if out else 0, out)
+        return QuasiModularForm(self.weight + 2, out)
 
     def e2_coefficient(self, t):
         """Coefficient of E2^t: a depth-0 form of weight (k - 2t)."""
         _natural(t, "E2 exponent")
         out = {(0, b, c): v for (a, b, c), v in self.monomials.items() if a == t}
-        return QuasiModularForm(self.weight - 2 * t if out else 0, out)
+        return QuasiModularForm(self.weight - 2 * t, out)
 
     # -- expansions --------------------------------------------------------------
 

@@ -255,35 +255,34 @@ def vv_product(left, right):
     )
 
 
-def dim_vv(weight_label, m):
-    """Dimension of the holomorphic forms of rank m and weight k - m:
-    the sum of the scalar dimensions in weights k, k-2, ..., k-2m."""
+def _slots(weight_label, m):
+    """The w-basis slots t <= min(m, k/2): a slot t holds weight k - 2t."""
     _natural(weight_label, "weight label", even=True)
     _natural(m, "the rank parameter m")
-    return sum(
-        dim_modular(weight_label - 2 * t)
-        for t in range(m + 1)
-        if weight_label - 2 * t >= 0
-    )
+    return range(min(m, weight_label // 2) + 1)
+
+
+def dim_vv(weight_label, m):
+    """Dimension of the holomorphic forms of rank m and weight k - m:
+    the sum of the scalar dimensions in weights k - 2t for the slots
+    t <= min(m, k/2)."""
+    return sum(dim_modular(weight_label - 2 * t) for t in _slots(weight_label, m))
 
 
 def basis_vv(weight_label, m):
-    """The w-basis forms: lifts of the monomial bases in each filtration slot."""
-    _natural(weight_label, "weight label", even=True)
-    _natural(m, "the rank parameter m")
-    basis = []
-    for t in range(m + 1):
-        w = weight_label - 2 * t
-        if w < 0:
-            continue
-        for (a, b) in monomial_basis(w):
-            # iota_lift(E4^a E6^b, t, m), without multiplying out the powers
-            basis.append(VectorValuedForm(monomial(t, a, b), m))
-    return basis
+    """The w-basis forms: lifts of the monomial bases in each filtration
+    slot t <= min(m, k/2)."""
+    return [
+        # iota_lift(E4^a E6^b, t, m), without multiplying out the powers
+        VectorValuedForm(monomial(t, a, b), m)
+        for t in _slots(weight_label, m)
+        for (a, b) in monomial_basis(weight_label - 2 * t)
+    ]
 
 
 def certify_dim_vv(weight_label, m):
-    """Exact rank of the stacked component q-expansions of the w-basis.
+    """Exact rank of the stacked component q-expansions of the w-basis, over
+    the slots t <= min(m, k/2): a form has no Yhat^r part past its slot.
 
     Equality with ``dim_vv`` certifies the dimension formula.  The rank is
     block-triangular by slot t (a slot-t form's Yhat^t part is its g, a lower
@@ -291,8 +290,9 @@ def certify_dim_vv(weight_label, m):
     Each component of E2^t E4^a E6^b is comb(t, r) E2^(t-r) E4^a E6^b, with
     integer coefficients, so the rows are the numerators.
     """
+    slots = _slots(weight_label, m)
     rows = []
     for form in basis_vv(weight_label, m):
         full = completion(form.source, weight_label // 12 + 1)
-        rows.append([n for r in range(m + 1) for n in full.coefficient(r).numerators])
+        rows.append([n for r in slots for n in full.coefficient(r).numerators])
     return linalg.rank(rows)

@@ -1,4 +1,5 @@
-"""A fixed battery of numeric checks and the SHA-256 of its residual bits.
+"""A fixed battery of numeric checks and the SHA-256 of its residual bits,
+and the SHA-256 of the evaluator values beneath them.
 
 Two random forms of each weight 4, 6, ..., 22 (fixed seed) are checked on
 ``default_plan()``: under ``check_vv`` at m = d, d + 1 and d + 2 for their
@@ -8,8 +9,15 @@ Every residual's ``absolute``, ``relative`` and ``truncation_error`` enter
 the hash as ``float.hex``, and every check's verdict as PASS or FAIL, so a
 change to any residual bit changes the hash.
 
-The battery needs neither pytest nor mpmath.  Run as a script, it prints the
-hash, so that interpreters without the test dependencies can be compared::
+The second hash takes the same forms at the plan's 21 points (its three base
+points and their images under its six group elements): the value and the
+``truncation_error`` of ``QSeries.evaluate`` on each form's q-expansion, of
+``AlmostHolomorphicForm.evaluate`` on its completion, and of every component
+of ``VectorValuedForm.evaluate`` at m = d, d + 1 and d + 2, each as
+``float.hex``.
+
+The battery needs neither pytest nor mpmath.  Run as a script, it prints both
+hashes, so that interpreters without the test dependencies can be compared::
 
     PYTHONPATH=src python tests/_residual_bits.py
 """
@@ -25,6 +33,7 @@ from qmforms import (
     check_quasimodular,
     check_scalar,
     check_vv,
+    completion,
     default_plan,
     from_quasimodular,
 )
@@ -79,5 +88,27 @@ def battery_sha256():
     return digest.hexdigest()
 
 
+def plan_points(plan):
+    """The plan's base points, then each one's images under its group elements."""
+    return list(plan.taus) + [gamma.act(tau) for tau in plan.taus for gamma in plan.gammas]
+
+
+def evaluator_sha256():
+    """The SHA-256 of every evaluator value and tail bound of the battery forms."""
+    digest = hashlib.sha256()
+    plan = default_plan()
+    n = plan.precision
+    for i, form in enumerate(battery_forms()):
+        vvs = [from_quasimodular(form, m) for m in range(form.depth, form.depth + 3)]
+        for tau in plan_points(plan):
+            digest.update(f"form {i} tau {tau.real.hex()} {tau.imag.hex()}\n".encode())
+            values = [form.qexpansion(n).evaluate(tau), completion(form, n).evaluate(tau)]
+            values += [e for vv in vvs for e in vv.evaluate(tau, n)]
+            for e in values:
+                digest.update(f"{e.value.real.hex()} {e.value.imag.hex()} {e.truncation_error.hex()}\n".encode())
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     print(battery_sha256())
+    print(evaluator_sha256())

@@ -16,6 +16,7 @@ from qmforms import (
     completion,
     component_forms,
     default_plan,
+    from_quasimodular,
     lower_op,
     max_relative,
     raise_op,
@@ -44,6 +45,17 @@ class TestCompletion:
         assert F.coeffs[0] == (E2 * E2).qexpansion(N)
         assert F.coeffs[1] == 2 * E2.qexpansion(N)
         assert F.coeffs[2] == QSeries.one(N)
+
+    @pytest.mark.parametrize("precision, equal", [(8.0, 8), (True, 1)])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_precision_is_checked_before_the_kept_completion(self, precision, equal, warm):
+        # a form keeping its completion at the equal int precision must refuse too
+        form = E2 * E4
+        for call in (lambda: completion(form, precision), lambda: from_quasimodular(form, 1).evaluate(1j, precision)):
+            if warm:
+                completion(form, equal)
+            with pytest.raises(ValueError, match="precision"):
+                call()
 
     def test_constant_term_round_trip(self):
         assert completion(E2, N).coeffs[0] == E2.qexpansion(N)

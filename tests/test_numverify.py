@@ -27,7 +27,7 @@ from qmforms import (
 )
 
 from _oracles import plain_float_sum
-from _residual_bits import battery_sha256
+from _residual_bits import battery_sha256, evaluator_sha256
 
 
 class CorruptedComponents:
@@ -414,9 +414,14 @@ class TestBitIdentity:
     # the same under CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 on x86-64 Linux;
     # change it only with a change that means to move residual bits
     BATTERY_SHA256 = "58effcd696e677c9a6860e6ad29d99a78e72989b6be2b4313e0eed63c21ceb71"
+    # likewise for the evaluator values beneath the residuals
+    EVALUATOR_SHA256 = "8e27970b4150428c5ef2b1569bc21e31010270e36df1057eb0821e60d9491fb4"
 
     def test_battery_residual_bits_are_unchanged(self):
         assert battery_sha256() == self.BATTERY_SHA256
+
+    def test_evaluator_value_bits_are_unchanged(self):
+        assert evaluator_sha256() == self.EVALUATOR_SHA256
 
 
 class TestResidualScaling:

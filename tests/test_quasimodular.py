@@ -300,13 +300,32 @@ class TestQExpansion:
 
 
 @st.composite
-def forms(draw):
-    """A quasi-modular form of weight <= 16 with up to four terms whose
-    coefficients have denominators 1 to 6; the zero form is drawn too."""
-    weight = draw(st.sampled_from(range(0, 17, 2)))
+def forms(draw, weights=range(0, 17, 2), max_denominator=6):
+    """A quasi-modular form of one of ``weights`` (by default <= 16) with up
+    to four terms whose coefficients have denominators 1 to
+    ``max_denominator``; the zero form is drawn too."""
+    weight = draw(st.sampled_from(weights))
     keys = draw(st.lists(st.sampled_from(all_monomials(weight)), max_size=4, unique=True))
-    values = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6))
+    values = st.builds(Fraction, st.integers(-50, 50), st.integers(1, max_denominator))
     return QuasiModularForm(weight, {key: draw(values) for key in keys})
+
+
+class TestRingHomomorphismProperty:
+    """qexpansion(N) takes products, sums and differences of forms to those
+    of their expansions: the packed product on signed rational series."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms(range(0, 25, 2), 12), forms(range(0, 25, 2), 12), st.integers(1, 96))
+    def test_product(self, f, g, precision):
+        assert (f * g).qexpansion(precision) == f.qexpansion(precision) * g.qexpansion(precision)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(range(0, 25, 2)).flatmap(lambda k: st.tuples(forms([k], 12), forms([k], 12))),
+           st.integers(1, 96))
+    def test_sum_and_difference(self, pair, precision):
+        f, g = pair
+        assert (f + g).qexpansion(precision) == f.qexpansion(precision) + g.qexpansion(precision)
+        assert (f - g).qexpansion(precision) == f.qexpansion(precision) - g.qexpansion(precision)
 
 
 def term_by_term(form, precision):
@@ -496,6 +515,23 @@ class TestPrefixCache:
             with pytest.raises(ValueError, match="precision"):
                 eisenstein_series(weight, precision)
         assert eisenstein_series.cache_info() == info
+
+    @pytest.mark.parametrize("build, key, equal_key, name", [
+        (eisenstein_series, (4.0,), (4,), "weight"),
+        (eisenstein_series, (True,), (4,), "weight"),
+        (_generator_power, (4, True), (4, 1), "exponent"),
+        (_monomial_series, (True, 0, 0), (1, 0, 0), "a"),
+        (_monomial_series, (0, 1.0, 0), (0, 1, 0), "b"),
+    ])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_key_arguments_are_checked_before_the_lookup(self, build, key, equal_key, name, warm):
+        clear_expansion_caches()
+        if warm:
+            build(*equal_key, 64)
+        info = build.cache_info()
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+            build(*key, 8)
+        assert build.cache_info() == info
 
     def test_left_out_precision_is_the_default(self):
         clear_expansion_caches()

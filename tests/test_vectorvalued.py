@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -447,6 +448,12 @@ class TestDimensions:
                 function(label, m)
             messages.add(str(info.value))
         assert len(messages) == 1
+
+    def test_slots_stop_at_half_the_weight(self):
+        # a slot t holds weight k - 2t, so no work grows with m past k/2
+        start = time.perf_counter()
+        assert dim_vv(24, 10 ** 9) == certify_dim_vv(24, 10 ** 6) == len(basis_vv(24, 10 ** 6)) == 19
+        assert time.perf_counter() - start < 1.0
 
     def test_spot_values(self):
         assert dim_vv(12, 2) == 4
