@@ -8,6 +8,7 @@ numeric value only in ``evaluate``.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .qseries import (DEFAULT_PRECISION, QSeries, _evaluations, _natural, _powers, _precision, _weighted_sum, combine,
                       yhat)
@@ -120,13 +121,26 @@ def completion(form, precision=DEFAULT_PRECISION):
     return full
 
 
+def _component_completion(form, r, precision):
+    """The completion of fhat_r, read off the one of ``form``: its Yhat^s
+    coefficient is binom(r + s, s) times the Yhat^(r+s) one of ``form``'s,
+    as the s-th component of fhat_r is binom(r + s, s) fhat_(r+s)."""
+    full = completion(form, precision)
+    if r == 0:
+        return full
+    # a completion drops its zero top coefficients, so fhat_r may lie past its degree
+    return AlmostHolomorphicForm(form.weight - 2 * r, [full.coefficient(r)] + [
+        comb(r + s, s) * full.coeffs[r + s] for s in range(1, full.degree - r + 1)])
+
+
 def component_forms(form, precision=DEFAULT_PRECISION):
     """Completions of all reduced components of a quasi-modular form.
 
     Entry r is an almost holomorphic form of weight k - 2r; the family is
-    exactly what ``reconstruct`` inverts.
+    exactly what ``reconstruct`` inverts.  Entry r has Yhat^s coefficient
+    binom(r + s, s) * qexp(fhat_(r+s)), read off the completion of ``form``.
     """
-    return [completion(c, precision) for c in form.components()]
+    return [_component_completion(form, r, precision) for r in range(form.depth + 1)]
 
 
 def _graded_weight(parts, weight=None):

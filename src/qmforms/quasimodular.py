@@ -47,11 +47,23 @@ class QuasiModularForm:
                     f"monomial E2^{a} E4^{b} E6^{c} has weight {2*a+4*b+6*c}, not {weight}"
                 )
             cleaned[(a, b, c)] = value
-        if not cleaned:
-            # the zero form carries no weight information of its own
-            weight = 0
-        self.weight = _natural(weight, "weight", even=True)
-        self.monomials = cleaned
+        if cleaned:
+            _natural(weight, "weight", even=True)
+        self._set(weight, cleaned)
+
+    @classmethod
+    def _from_valid(cls, weight, monomials):
+        """The form with these ``monomials``, whose keys already have weight
+        ``weight`` and whose values are ``Fraction``s: only the zero values
+        are dropped, the counterpart of ``QSeries._from_ints``."""
+        form = cls.__new__(cls)
+        form._set(weight, {key: value for key, value in monomials.items() if value})
+        return form
+
+    def _set(self, weight, monomials):
+        # the zero form carries no weight information of its own
+        self.weight = weight if monomials else 0
+        self.monomials = monomials
         # the last ``qexpansion`` and the last ``almostholo.completion`` built,
         # each kept for one precision; the completion's Yhat^0 coefficient is
         # the form's own expansion
@@ -92,10 +104,10 @@ class QuasiModularForm:
         merged = dict(self.monomials)
         for key, value in other.monomials.items():
             merged[key] = merged.get(key, Fraction(0)) + value
-        return QuasiModularForm(self.weight, merged)
+        return QuasiModularForm._from_valid(self.weight, merged)
 
     def __neg__(self):
-        return QuasiModularForm(self.weight, {k: -v for k, v in self.monomials.items()})
+        return QuasiModularForm._from_valid(self.weight, {k: -v for k, v in self.monomials.items()})
 
     def __sub__(self, other):
         if not isinstance(other, QuasiModularForm):
@@ -109,9 +121,9 @@ class QuasiModularForm:
                 for (a2, b2, c2), v2 in other.monomials.items():
                     key = (a1 + a2, b1 + b2, c1 + c2)
                     product[key] = product.get(key, Fraction(0)) + v1 * v2
-            return QuasiModularForm(self.weight + other.weight, product)
+            return QuasiModularForm._from_valid(self.weight + other.weight, product)
         other = _coerce(other)
-        return QuasiModularForm(self.weight, {k: other * v for k, v in self.monomials.items()})
+        return QuasiModularForm._from_valid(self.weight, {k: other * v for k, v in self.monomials.items()})
 
     __rmul__ = __mul__
 
@@ -132,7 +144,7 @@ class QuasiModularForm:
         for (a, b, c), value in self.monomials.items():
             if a >= r:
                 out[(a - r, b, c)] = value * comb(a, r)
-        return QuasiModularForm(self.weight - 2 * r, out)
+        return QuasiModularForm._from_valid(self.weight - 2 * r, out)
 
     def components(self):
         """The tuple (fhat_0, ..., fhat_depth)."""
@@ -147,8 +159,7 @@ class QuasiModularForm:
         out = {}
 
         def add(key, value):
-            if value:
-                out[key] = out.get(key, Fraction(0)) + value
+            out[key] = out.get(key, 0) + value
 
         for (a, b, c), v in self.monomials.items():
             up = v * (Fraction(a, 12) + Fraction(b, 3) + Fraction(c, 2))
@@ -159,13 +170,13 @@ class QuasiModularForm:
                 add((a, b - 1, c + 1), -v * Fraction(b, 3))
             if c:
                 add((a, b + 2, c - 1), -v * Fraction(c, 2))
-        return QuasiModularForm(self.weight + 2, out)
+        return QuasiModularForm._from_valid(self.weight + 2, out)
 
     def e2_coefficient(self, t):
         """Coefficient of E2^t: a depth-0 form of weight (k - 2t)."""
         _natural(t, "E2 exponent")
         out = {(0, b, c): v for (a, b, c), v in self.monomials.items() if a == t}
-        return QuasiModularForm(self.weight - 2 * t, out)
+        return QuasiModularForm._from_valid(self.weight - 2 * t, out)
 
     # -- expansions --------------------------------------------------------------
 
@@ -279,7 +290,7 @@ def recognize(series, weight, depth_bound):
         if series.is_zero:
             return QuasiModularForm(0, {})
         raise NoMatchError(f"no nonzero forms of weight {weight}")
-    keys = _candidate_keys(weight, depth_bound)
+    keys = _candidate_keys(_natural(weight, "weight", even=True), depth_bound)
     if not keys:
         if series.is_zero:
             return QuasiModularForm(0, {})
@@ -296,4 +307,4 @@ def recognize(series, weight, depth_bound):
         raise NoMatchError(
             f"no match: series is not a weight-{weight} form of depth <= {depth_bound}"
         ) from None
-    return QuasiModularForm(weight, {key: x / series.denominator for key, x in zip(keys, solution)})
+    return QuasiModularForm._from_valid(weight, {key: x / series.denominator for key, x in zip(keys, solution)})

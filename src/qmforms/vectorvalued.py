@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .almostholo import _graded_weight, completion
+from .almostholo import _component_completion, _graded_weight, completion
 from .eisenstein import dim_modular, monomial_basis
 from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, combine
 from .quasimodular import E2, QuasiModularForm, monomial
@@ -193,10 +193,11 @@ def from_quasimodular(form, m, weight_label=None):
 
 def holwt_component(form, s, precision=DEFAULT_PRECISION):
     """The weight-(k-2s) almost holomorphic component of the expansion in
-    the basis (tau,1)^(m-s) (conj tau, 1)^s; zero beyond the depth."""
-    if not 0 <= s <= form.m:
+    the basis (tau,1)^(m-s) (conj tau, 1)^s; zero beyond the depth.  It is
+    the completion of fhat_s, with Yhat^t coefficient binom(s + t, t) qexp(fhat_(s+t))."""
+    if _natural(s, "component index") > form.m:
         raise ValueError(f"component index {s} outside 0..{form.m}")
-    return completion(form.source.reduced_component(s), precision)
+    return _component_completion(form.source, s, precision)
 
 
 def embed_i(form):
@@ -281,18 +282,23 @@ def basis_vv(weight_label, m):
 
 
 def certify_dim_vv(weight_label, m):
-    """Exact rank of the stacked component q-expansions of the w-basis, over
-    the slots t <= min(m, k/2): a form has no Yhat^r part past its slot.
+    """Sum over the slots t <= min(m, k/2) of the exact rank of the slot-t
+    w-basis forms' Yhat^t completion coefficients.
 
-    Equality with ``dim_vv`` certifies the dimension formula.  The rank is
-    block-triangular by slot t (a slot-t form's Yhat^t part is its g, a lower
-    slot's is 0), so by Sturm's bound N = k // 12 + 1 coefficients suffice.
-    Each component of E2^t E4^a E6^b is comb(t, r) E2^(t-r) E4^a E6^b, with
-    integer coefficients, so the rows are the numerators.
+    Equality with ``dim_vv`` certifies the dimension formula.  A slot-t form
+    E2^t g has completion degree t (else ``ArithmeticError``) and Yhat^t
+    coefficient qexp(g); a lower slot's form has no Yhat^t part.  So the
+    stacked matrix of all components is block-triangular by slot, its rank
+    at least the sum of the block ranks, and a sum equal to its row count
+    ``dim_vv`` proves full row rank.  By Sturm's bound block t, of weight
+    k - 2t, needs precision (k - 2t) // 12 + 1; g = E4^a E6^b has integer
+    coefficients, so the rows are the numerators.
     """
-    slots = _slots(weight_label, m)
-    rows = []
-    for form in basis_vv(weight_label, m):
-        full = completion(form.source, weight_label // 12 + 1)
-        rows.append([n for r in slots for n in full.coefficient(r).numerators])
-    return linalg.rank(rows)
+    total = 0
+    for t in _slots(weight_label, m):
+        fulls = [completion(monomial(t, a, b), (weight_label - 2 * t) // 12 + 1)
+                 for a, b in monomial_basis(weight_label - 2 * t)]
+        if any(full.degree != t for full in fulls):
+            raise ArithmeticError(f"a slot-{t} completion in weight {weight_label} has degree other than {t}")
+        total += linalg.rank([full.coeffs[t].numerators for full in fulls])
+    return total

@@ -2,7 +2,9 @@
 
 Everything here is deliberately computed without the package's own series
 or polynomial arithmetic: divisor sums by trial division, the discriminant
-by the eta product, high-precision evaluation by mpmath, ranks by sympy.
+by the eta product, high-precision evaluation by mpmath, ranks by sympy
+(or by elimination modulo a prime that none of the package's primes equal,
+when that rank is full).
 """
 
 import cmath
@@ -105,13 +107,44 @@ def plain_float_sum(values):
     return total
 
 
+#: a prime that is not one of ``linalg.PRIMES`` (those lie near 2^61)
+ORACLE_PRIME = 2 ** 31 - 1
+
+
+def rank_mod(rows, p):
+    """Rank modulo the prime p of a list of rows of ints, by Gaussian
+    elimination: each row is reduced by the pivot rows before it."""
+    pivots = []
+    for row in rows:
+        v = [x % p for x in row]
+        for c, r in pivots:
+            if f := v[c]:
+                v = [(x - f * y) % p for x, y in zip(v, r)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            inverse = pow(v[c], -1, p)
+            pivots.append((c, [x * inverse % p for x in v]))
+    return len(pivots)
+
+
 def exact_rank(rows):
-    """Rank over Q via sympy (independent of the package linear algebra)."""
-    from sympy import Matrix, Rational
+    """Rank over Q of rows of ints or Fractions (independent of the package
+    linear algebra).  Each row is scaled to integers; a full rank modulo
+    ``ORACLE_PRIME`` is the rank over Q (a minor nonzero modulo p is nonzero),
+    and sympy decides every other case."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
 
     if not rows:
         return 0
-    return Matrix([[Rational(x.numerator, x.denominator) for x in row] for row in rows]).rank()
+    shape = (len(rows), len(rows[0]))
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    if rank_mod(scaled, ORACLE_PRIME) == min(shape):
+        return min(shape)
+    return DomainMatrix([[QQ(x) for x in row] for row in scaled], shape, QQ).rank()
 
 
 def exact_solve(rows, rhs):

@@ -3,20 +3,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmforms import (
     AlmostHolomorphicForm,
+    DELTA,
     E2,
     E4,
     E6,
     NotHolomorphicError,
     ONE,
     QSeries,
+    QuasiModularForm,
     check_scalar,
     completion,
     component_forms,
     default_plan,
     from_quasimodular,
+    holwt_component,
     lower_op,
     max_relative,
     raise_op,
@@ -24,6 +28,7 @@ from qmforms import (
 )
 
 from _oracles import random_form
+from test_quasimodular import forms
 
 N = 32
 
@@ -114,6 +119,41 @@ class TestComponentForms:
                 for t in range(part.degree + 1):
                     expected = math.comb(r + t, r) * f.reduced_component(r + t).qexpansion(N)
                     assert part.coefficient(t) == expected
+
+
+def expanded_component_forms(form, precision):
+    """The component family the long way: the completion of each reduced
+    component, every component of a component expanded on its own."""
+    return [completion(c, precision) for c in form.components()]
+
+
+class TestComponentIdentity:
+    """Entry r of ``component_forms`` is read off the one completion of f:
+    its Yhat^s coefficient is binom(r + s, s) times f's Yhat^(r+s) one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms(range(0, 25, 2), 12), st.integers(1, 96), st.integers(0, 2))
+    def test_matches_the_expanded_components(self, f, precision, extra):
+        assert component_forms(f, precision) == expanded_component_forms(f, precision)
+        F = from_quasimodular(f, f.depth + extra)
+        for s in range(F.m + 1):
+            assert holwt_component(F, s, precision) == completion(f.reduced_component(s), precision)
+
+    @pytest.mark.parametrize("form", [E2 * DELTA ** 5, QuasiModularForm(0, {})], ids=["E2*Delta^5", "zero"])
+    def test_completion_stripped_of_zero_coefficients(self, form):
+        # at N = 3 every coefficient of E2 Delta^5 vanishes, so its completion
+        # keeps one zero coefficient and the family reads past its degree
+        assert completion(form, 3).degree == 0
+        parts = component_forms(form, 3)
+        assert parts == expanded_component_forms(form, 3)
+        assert len(parts) == form.depth + 1 and all(part.is_zero for part in parts)
+        F = from_quasimodular(form, form.depth + 2)
+        for s in range(F.m + 1):
+            assert holwt_component(F, s, 3) == completion(form.reduced_component(s), 3)
+
+    def test_entry_zero_is_the_kept_completion(self):
+        f = E2 ** 3 * E4 ** 2 + DELTA * E2
+        assert component_forms(f, N)[0] is completion(f, N)
 
 
 class TestReconstruct:

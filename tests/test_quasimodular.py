@@ -607,6 +607,12 @@ class TestRecognize:
         with pytest.raises(ValueError, match="depth bound must be a non-negative integer"):
             recognize(E4.qexpansion(8), 4, depth_bound)
 
+    @pytest.mark.parametrize("form, weight", [(ONE, False), (E4, 4.0)])
+    def test_weight_follows_the_integer_rule(self, form, weight):
+        # the solution builds the form without the constructor's checks
+        with pytest.raises(ValueError, match="weight must be a non-negative even integer"):
+            recognize(form.qexpansion(8), weight, 0)
+
     def test_solves_in_integers(self, monkeypatch):
         systems = []
         original = linalg.solve_unique

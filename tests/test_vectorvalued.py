@@ -478,12 +478,27 @@ class TestDimensions:
             return original(rows)
 
         monkeypatch.setattr(linalg, "rank", spy)
-        assert certify_dim_vv(12, 3) == dim_vv(12, 3)
-        [rows] = calls
-        assert len(rows) == dim_vv(12, 3)
-        assert all(type(x) is int for row in rows for x in row)
-        # m + 1 components at the Sturm precision k // 12 + 1
-        assert {len(row) for row in rows} == {(3 + 1) * (12 // 12 + 1)}
+        k, m = 12, 3
+        assert certify_dim_vv(k, m) == dim_vv(k, m)
+        # one rank per slot t <= min(m, k/2), of the slot-t forms' Yhat^t
+        # coefficients at the Sturm precision (k - 2t) // 12 + 1 of weight k - 2t
+        assert len(calls) == m + 1
+        for t, rows in enumerate(calls):
+            assert len(rows) == dim_modular(k - 2 * t)
+            assert all(type(x) is int for row in rows for x in row)
+            assert {len(row) for row in rows} == {(k - 2 * t) // 12 + 1}
+        assert sum(map(len, calls)) == dim_vv(k, m)
+
+    @pytest.mark.parametrize("k", range(0, 97, 2))
+    def test_slot_sum_is_the_stacked_rank(self, k):
+        # the stacked matrix of the expansions of every component of every
+        # w-basis form at N = k // 12 + 1, ranked whole by the oracle
+        n = k // 12 + 1
+        for m in range(13):
+            slots = range(min(m, k // 2) + 1)
+            rows = [[x for r in slots for x in F.source.reduced_component(r).qexpansion(n).numerators]
+                    for F in basis_vv(k, m)]
+            assert certify_dim_vv(k, m) == exact_rank(rows) == dim_vv(k, m), m
 
     def test_basis_matches_independent_rank(self):
         k, m, n = 12, 2, 12
