@@ -121,15 +121,15 @@ def completion(form, precision=DEFAULT_PRECISION):
     return full
 
 
-def _component_completion(form, r, precision):
-    """The completion of fhat_r, read off the one of ``form``: its Yhat^s
-    coefficient is binom(r + s, s) times the Yhat^(r+s) one of ``form``'s,
-    as the s-th component of fhat_r is binom(r + s, s) fhat_(r+s)."""
-    full = completion(form, precision)
+def _lowered(full, r):
+    """delta^r / r! of an almost holomorphic form, delta = d/dYhat: the form
+    of weight k - 2r whose Yhat^s coefficient is binom(r + s, s) times the
+    Yhat^(r+s) one of ``full``.  Applied to the completion of f it gives the
+    completion of fhat_r."""
     if r == 0:
         return full
-    # a completion drops its zero top coefficients, so fhat_r may lie past its degree
-    return AlmostHolomorphicForm(form.weight - 2 * r, [full.coefficient(r)] + [
+    # a completion drops its zero top coefficients, so Yhat^r may lie past its degree
+    return AlmostHolomorphicForm(full.weight - 2 * r, [full.coefficient(r)] + [
         comb(r + s, s) * full.coeffs[r + s] for s in range(1, full.degree - r + 1)])
 
 
@@ -137,10 +137,11 @@ def component_forms(form, precision=DEFAULT_PRECISION):
     """Completions of all reduced components of a quasi-modular form.
 
     Entry r is an almost holomorphic form of weight k - 2r; the family is
-    exactly what ``reconstruct`` inverts.  Entry r has Yhat^s coefficient
-    binom(r + s, s) * qexp(fhat_(r+s)), read off the completion of ``form``.
+    exactly what ``reconstruct`` inverts.  Entry r is delta^r/r! of the one
+    completion of ``form``, with Yhat^s coefficient binom(r + s, s) * qexp(fhat_(r+s)).
     """
-    return [_component_completion(form, r, precision) for r in range(form.depth + 1)]
+    full = completion(form, precision)
+    return [_lowered(full, r) for r in range(form.depth + 1)]
 
 
 def _graded_weight(parts, weight=None):
@@ -205,12 +206,8 @@ def raise_op(form):
 
 
 def lower_op(form):
-    """The reduced weight-lowering operator (weight k -> k - 2).
-
-    New Yhat^r coefficient: (r + 1) * coeffs[r + 1]; degree drops by one and
-    the constant term of lower_op(completion(f)) is the expansion of fhat_1.
-    """
-    if form.degree == 0:
-        return AlmostHolomorphicForm(0, [QSeries.zero(form.precision)])
-    out = [(r + 1) * form.coeffs[r + 1] for r in range(form.degree)]
-    return AlmostHolomorphicForm(form.weight - 2, out)
+    """The reduced weight-lowering operator delta = d/dYhat (weight k -> k - 2):
+    ``_lowered`` at r = 1.  New Yhat^r coefficient: (r + 1) * coeffs[r + 1];
+    a form of degree 0 goes to the zero form, and lower_op(completion(f)) is
+    the completion of fhat_1."""
+    return _lowered(form, 1)

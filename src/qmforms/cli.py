@@ -244,17 +244,15 @@ def cmd_dims(args):
     header = ["k\\m"] + [str(m) for m in range(args.mmax + 1)]
     rows = [header]
     for k in weights:
-        row = [str(k)]
-        for m in range(args.mmax + 1):
-            expected = dim_vv(k, m)
-            rank = certify_dim_vv(k, m)
-            if rank != expected:
-                raise RuntimeError(
-                    f"dimension cross-check failed at k={k}, m={m}: "
-                    f"formula {expected}, basis rank {rank}"
-                )
-            row.append(str(expected))
-        rows.append(row)
+        # one certificate per row: no slot's rank exceeds its size, so equality
+        # at mmax puts every slot at full rank and certifies each m <= mmax too
+        expected, rank = dim_vv(k, args.mmax), certify_dim_vv(k, args.mmax)
+        if rank != expected:
+            raise RuntimeError(
+                f"dimension cross-check failed at k={k}, m={args.mmax}: "
+                f"formula {expected}, basis rank {rank}"
+            )
+        rows.append([str(k)] + [str(dim_vv(k, m)) for m in range(args.mmax + 1)])
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     for row in rows:
         print("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))

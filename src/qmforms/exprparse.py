@@ -97,7 +97,7 @@ class _Parser:
                     scalar = _as_scalar(rhs)
                     if scalar is None or scalar == 0:
                         raise ExpressionError("division only by nonzero rational constants")
-                    form = form * (1 / scalar)
+                    form = form / scalar
             else:
                 return form
 

@@ -286,11 +286,10 @@ def recognize(series, weight, depth_bound):
     inconsistent.
     """
     _natural(depth_bound, "depth bound")
-    if weight < 0 or weight % 2:
-        if series.is_zero:
-            return QuasiModularForm(0, {})
-        raise NoMatchError(f"no nonzero forms of weight {weight}")
-    keys = _candidate_keys(_natural(weight, "weight", even=True), depth_bound)
+    if type(weight) is not int:
+        _natural(weight, "weight", even=True)
+    # a negative or odd weight has no candidates, like a weight without monomials
+    keys = _candidate_keys(weight, depth_bound)
     if not keys:
         if series.is_zero:
             return QuasiModularForm(0, {})

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .almostholo import _component_completion, _graded_weight, completion
+from .almostholo import _graded_weight, _lowered, completion
 from .eisenstein import dim_modular, monomial_basis
 from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, combine
 from .quasimodular import E2, QuasiModularForm, monomial
@@ -30,6 +30,8 @@ class GroupElement:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
+        if any(type(x) is not int for x in (a, b, c, d)):
+            raise ValueError(f"entries of [[{a}, {b}], [{c}, {d}]] must be integers")
         if a * d - b * c != 1:
             raise ValueError(f"determinant of [[{a}, {b}], [{c}, {d}]] must be 1")
         _set(self, "a", a)
@@ -194,10 +196,11 @@ def from_quasimodular(form, m, weight_label=None):
 def holwt_component(form, s, precision=DEFAULT_PRECISION):
     """The weight-(k-2s) almost holomorphic component of the expansion in
     the basis (tau,1)^(m-s) (conj tau, 1)^s; zero beyond the depth.  It is
-    the completion of fhat_s, with Yhat^t coefficient binom(s + t, t) qexp(fhat_(s+t))."""
+    the completion of fhat_s, delta^s/s! of the source's completion, with
+    Yhat^t coefficient binom(s + t, t) qexp(fhat_(s+t))."""
     if _natural(s, "component index") > form.m:
         raise ValueError(f"component index {s} outside 0..{form.m}")
-    return _component_completion(form.source, s, precision)
+    return _lowered(completion(form.source, precision), s)
 
 
 def embed_i(form):
@@ -273,12 +276,8 @@ def dim_vv(weight_label, m):
 def basis_vv(weight_label, m):
     """The w-basis forms: lifts of the monomial bases in each filtration
     slot t <= min(m, k/2)."""
-    return [
-        # iota_lift(E4^a E6^b, t, m), without multiplying out the powers
-        VectorValuedForm(monomial(t, a, b), m)
-        for t in _slots(weight_label, m)
-        for (a, b) in monomial_basis(weight_label - 2 * t)
-    ]
+    return [iota_lift(monomial(0, a, b), t, m)
+            for t in _slots(weight_label, m) for (a, b) in monomial_basis(weight_label - 2 * t)]
 
 
 def certify_dim_vv(weight_label, m):
@@ -290,7 +289,9 @@ def certify_dim_vv(weight_label, m):
     coefficient qexp(g); a lower slot's form has no Yhat^t part.  So the
     stacked matrix of all components is block-triangular by slot, its rank
     at least the sum of the block ranks, and a sum equal to its row count
-    ``dim_vv`` proves full row rank.  By Sturm's bound block t, of weight
+    ``dim_vv`` proves full row rank.  No block's rank exceeds its row count,
+    so that equality at m puts every slot at full rank and so certifies
+    ``dim_vv`` at every m' <= m too.  By Sturm's bound block t, of weight
     k - 2t, needs precision (k - 2t) // 12 + 1; g = E4^a E6^b has integer
     coefficients, so the rows are the numerators.
     """

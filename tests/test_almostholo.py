@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmforms import (
     AlmostHolomorphicForm,
@@ -221,7 +221,9 @@ class TestLowering:
         assert lower_op(completion(E2, N)) == AlmostHolomorphicForm(0, [QSeries.one(N)])
 
     def test_degree_zero_goes_to_zero(self):
-        assert lower_op(completion(E6, N)).is_zero
+        for form in (E6, ONE, QuasiModularForm(0, {})):
+            lowered = lower_op(completion(form, N))
+            assert lowered == AlmostHolomorphicForm(0, [QSeries.zero(N)]) and lowered.weight == 0
 
     def test_e2_squared(self):
         assert lower_op(completion(E2 * E2, N)) == 2 * completion(E2, N)
@@ -231,6 +233,24 @@ class TestLowering:
         for _ in range(20):
             f = random_form(rng, max_weight=20, max_depth=5)
             assert lower_op(completion(f, N)) == completion(f.lower(), N)
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms(range(0, 25, 2), 12), st.integers(1, 96))
+    # at N = 3 the completion of E2 Delta^5 is one zero coefficient
+    @example(E2 * DELTA ** 5, 3)
+    @example(QuasiModularForm(0, {}), 3)
+    def test_iterates_are_the_component_family(self, f, precision):
+        # delta^r / r! of the completion of f is the completion of fhat_r
+        parts = component_forms(f, precision)
+        lowered = completion(f, precision)
+        for r in range(f.depth + 1):
+            expected = completion(f.reduced_component(r), precision)
+            assert Fraction(1, math.factorial(r)) * lowered == parts[r] == expected
+            lowered = lower_op(lowered)
+
+    def test_weight_zero_of_degree_one_is_refused(self):
+        with pytest.raises(ValueError, match="weight must be a non-negative even integer"):
+            lower_op(AlmostHolomorphicForm(0, [QSeries.one(N), QSeries.one(N)]))
 
 
 class TestEvaluate:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qmforms import E2, E4, E6, cli, completion, dumps, from_quasimodular, loads, parse_form
+from qmforms import E2, E4, E6, certify_dim_vv, cli, completion, dim_vv, dumps, from_quasimodular, loads, parse_form
 from qmforms.cli import MAX_PRECISION, _check_precision, main
 from qmforms.exprparse import ExpressionError
 
@@ -348,6 +348,38 @@ class TestDims:
         assert code == 0
         column = [line.split()[1] for line in out.strip().splitlines()[1:]]
         assert column == ["1", "0", "1", "1", "1", "1", "2"]
+
+    def test_one_certificate_per_row_at_mmax(self, capsys, monkeypatch):
+        calls = []
+        original = cli.certify_dim_vv
+
+        def spy(k, m):
+            calls.append((k, m))
+            return original(k, m)
+
+        monkeypatch.setattr(cli, "certify_dim_vv", spy)
+        code, _, _ = run(capsys, "dims", "--kmax", "30", "--mmax", "5")
+        assert code == 0
+        assert calls == [(k, 5) for k in range(0, 31, 2)]
+
+    def test_every_cell_is_the_formula_and_its_certificate(self, capsys):
+        code, out, _ = run(capsys, "dims", "--kmax", "96", "--mmax", "12")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].split() == ["k\\m"] + [str(m) for m in range(13)]
+        assert [line.split()[0] for line in lines[1:]] == [str(k) for k in range(0, 97, 2)]
+        for line in lines[1:]:
+            k, *cells = map(int, line.split())
+            for m, cell in enumerate(cells):
+                assert cell == dim_vv(k, m) == certify_dim_vv(k, m), (k, m)
+
+    def test_a_failed_certificate_names_k_and_m(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "certify_dim_vv", lambda k, m: dim_vv(k, m) - (k == 8))
+        code, out, err = run(capsys, "dims", "--kmax", "12", "--mmax", "3")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "k=8, m=3" in lines[0]
 
 
 class TestErrorBoundary:

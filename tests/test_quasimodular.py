@@ -607,11 +607,18 @@ class TestRecognize:
         with pytest.raises(ValueError, match="depth bound must be a non-negative integer"):
             recognize(E4.qexpansion(8), 4, depth_bound)
 
-    @pytest.mark.parametrize("form, weight", [(ONE, False), (E4, 4.0)])
+    @pytest.mark.parametrize("form, weight", [(ONE, False), (E4, 4.0)] + [
+        (form, weight) for weight in (True, 3.0, -2.0) for form in (E4, QuasiModularForm(0, {}))])
     def test_weight_follows_the_integer_rule(self, form, weight):
         # the solution builds the form without the constructor's checks
         with pytest.raises(ValueError, match="weight must be a non-negative even integer"):
             recognize(form.qexpansion(8), weight, 0)
+
+    @pytest.mark.parametrize("weight", [-2, 3, 2])
+    def test_a_weight_without_candidates_has_only_the_zero_form(self, weight):
+        assert recognize(QSeries.zero(8), weight, 0).is_zero
+        with pytest.raises(NoMatchError, match=f"no candidate monomials of weight {weight}"):
+            recognize(E4.qexpansion(8), weight, 0)
 
     def test_solves_in_integers(self, monkeypatch):
         systems = []

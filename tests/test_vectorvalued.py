@@ -73,6 +73,13 @@ class TestGroupElement:
         with pytest.raises(TypeError):
             3 * T
 
+    @pytest.mark.parametrize("entries", [(0.5, 0, 0, 2), (1.0, 0, 0, 1), (True, 0, 0, True), (1, Fraction(0), 0, 1)],
+                             ids=["half", "float-one", "bools", "fraction"])
+    def test_entries_must_be_ints(self, entries):
+        # checked before the determinant, which each of these passes
+        with pytest.raises(ValueError, match=r"entries of \[\[.*\]\] must be integers"):
+            GroupElement(*entries)
+
     def test_determinant_message(self):
         with pytest.raises(ValueError, match=r"determinant of \[\[2, 0\], \[0, 1\]\] must be 1"):
             GroupElement(2, 0, 0, 1)
