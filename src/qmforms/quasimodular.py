@@ -249,7 +249,7 @@ def derivative_lift(modular_form, p):
     """Component tuple of the p-th derivative of a depth-0 form, computed
     directly from the weight data.
 
-    For g of weight l, entry r is binom(p, r) * prod_{j=1..p<=r}(l + p - j)
+    For g of weight l, entry r is binom(p, r) * prod_{j=1..r}(l + p - j)
     / 12^r times D^(p-r) g; the tuple coincides exactly with
     ``(D^p g).components()``.
     """

@@ -19,7 +19,7 @@ from . import linalg
 from .almostholo import _graded_weight, _lowered, completion
 from .eisenstein import dim_modular, monomial_basis
 from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, combine
-from .quasimodular import E2, QuasiModularForm, monomial
+from .quasimodular import E2, QuasiModularForm, _monomial_series, monomial
 
 _set = object.__setattr__
 
@@ -227,9 +227,10 @@ def w_decompose(form):
 
 def w_compose(parts, m=None, weight_label=None):
     """Inverse of ``w_decompose``: assemble sum_t g_t E2^t at rank m."""
+    if weight_label is not None:
+        _natural(weight_label, "weight label", even=True)
     parts = list(parts)
-    if m is None:
-        m = len(parts) - 1
+    m = len(parts) - 1 if m is None else _natural(m, "the rank parameter m")
     if len(parts) != m + 1:
         raise ValueError(f"need m + 1 = {m + 1} parts, got {len(parts)}")
     for t, part in enumerate(parts):
@@ -243,7 +244,7 @@ def w_compose(parts, m=None, weight_label=None):
 def iota_lift(modular_form, p, m):
     """Lift of a weight-(k-2p) modular form to filtration degree p at rank m
     (source g * E2^p)."""
-    if p > m:
+    if _natural(p, "filtration degree p") > _natural(m, "the rank parameter m"):
         raise ValueError(f"filtration degree p={p} exceeds the rank parameter m={m}")
     if modular_form.depth > 0:
         raise ValueError("iota_lift needs a modular (depth-0) input")
@@ -284,22 +285,17 @@ def certify_dim_vv(weight_label, m):
     """Sum over the slots t <= min(m, k/2) of the exact rank of the slot-t
     w-basis forms' Yhat^t completion coefficients.
 
-    Equality with ``dim_vv`` certifies the dimension formula.  A slot-t form
-    E2^t g has completion degree t (else ``ArithmeticError``) and Yhat^t
-    coefficient qexp(g); a lower slot's form has no Yhat^t part.  So the
-    stacked matrix of all components is block-triangular by slot, its rank
-    at least the sum of the block ranks, and a sum equal to its row count
-    ``dim_vv`` proves full row rank.  No block's rank exceeds its row count,
-    so that equality at m puts every slot at full rank and so certifies
-    ``dim_vv`` at every m' <= m too.  By Sturm's bound block t, of weight
-    k - 2t, needs precision (k - 2t) // 12 + 1; g = E4^a E6^b has integer
-    coefficients, so the rows are the numerators.
+    Equality with ``dim_vv`` certifies the dimension formula.  The slot-t form
+    E2^t E4^a E6^b has Yhat^t coefficient qexp(E4^a E6^b), which has integer
+    coefficients, and a lower slot's form has no Yhat^t part.  So the stacked
+    matrix of all components is block-triangular by slot, its rank at least
+    the sum of the block ranks, and a sum equal to its row count ``dim_vv``
+    proves full row rank.  No block's rank exceeds its row count, so equality
+    at m certifies every m' <= m too.  By Sturm's bound block t, of weight
+    k - 2t, needs precision (k - 2t) // 12 + 1.
     """
-    total = 0
-    for t in _slots(weight_label, m):
-        fulls = [completion(monomial(t, a, b), (weight_label - 2 * t) // 12 + 1)
-                 for a, b in monomial_basis(weight_label - 2 * t)]
-        if any(full.degree != t for full in fulls):
-            raise ArithmeticError(f"a slot-{t} completion in weight {weight_label} has degree other than {t}")
-        total += linalg.rank([full.coeffs[t].numerators for full in fulls])
-    return total
+    return sum(
+        linalg.rank([_monomial_series(0, a, b, (weight_label - 2 * t) // 12 + 1).numerators
+                     for a, b in monomial_basis(weight_label - 2 * t)])
+        for t in _slots(weight_label, m)
+    )

@@ -31,13 +31,14 @@ from qmforms import (
     image_test,
     iota_lift,
     max_relative,
+    monomial,
     monomial_basis,
     sym_matrix,
     vv_product,
     w_compose,
     w_decompose,
 )
-from qmforms import linalg
+from qmforms import almostholo, linalg, vectorvalued
 
 from _oracles import exact_rank, random_form, sym_power_by_tensors
 
@@ -361,6 +362,16 @@ class TestWBasis:
         with pytest.raises(ValueError):
             w_compose([E2, QuasiModularForm(0, {})])
 
+    @pytest.mark.parametrize(
+        "m, label, name",
+        [(0, True, "weight label"), (0, 4.0, "weight label"), (0, 3, "weight label"), (0, -4, "weight label"),
+         (True, None, "rank parameter m"), (0.0, None, "rank parameter m"), (-1, None, "rank parameter m")],
+    )
+    def test_arguments_follow_the_integer_rule(self, m, label, name):
+        # checked before the parts, so True is never read as weight 1
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative (even )?integer"):
+            w_compose([E4], m, label)
+
     def test_quotient_recovery(self):
         # with vanishing higher parts, the top holomorphic component
         # recovers the top w-coefficient
@@ -403,6 +414,15 @@ class TestIotaLift:
             iota_lift(E4, 3, 2)
         with pytest.raises(ValueError):
             iota_lift(E2, 1, 2)
+
+    @pytest.mark.parametrize(
+        "p, m, name",
+        [(-1, 2, "filtration degree p"), (1.0, 2, "filtration degree p"), (True, 2, "filtration degree p"),
+         (0, -1, "rank parameter m"), (0, 2.0, "rank parameter m"), (0, False, "rank parameter m")],
+    )
+    def test_arguments_follow_the_integer_rule(self, p, m, name):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+            iota_lift(E4, p, m)
 
 
 class TestProduct:
@@ -506,6 +526,28 @@ class TestDimensions:
             rows = [[x for r in slots for x in F.source.reduced_component(r).qexpansion(n).numerators]
                     for F in basis_vv(k, m)]
             assert certify_dim_vv(k, m) == exact_rank(rows) == dim_vv(k, m), m
+
+    @pytest.mark.parametrize("k", range(0, 97, 2))
+    def test_slot_forms_complete_to_their_monomial(self, k):
+        # what certify_dim_vv ranks: the slot-t form E2^t E4^a E6^b has
+        # completion degree t and Yhat^t coefficient qexp(E4^a E6^b)
+        for t in range(min(12, k // 2) + 1):
+            for a, b in monomial_basis(k - 2 * t):
+                for n in ((k - 2 * t) // 12 + 1, 64):
+                    full = completion(monomial(t, a, b), n)
+                    assert full.degree == t, (t, a, b, n)
+                    assert full.coefficient(t) == monomial(0, a, b).qexpansion(n), (t, a, b, n)
+
+    def test_certify_builds_no_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify_dim_vv built a completion or a QuasiModularForm")
+
+        monkeypatch.setattr(vectorvalued, "completion", refuse)
+        monkeypatch.setattr(almostholo, "completion", refuse)
+        monkeypatch.setattr(QuasiModularForm, "__init__", refuse)
+        monkeypatch.setattr(QuasiModularForm, "_from_valid", refuse)
+        for k, m in ((48, 6), (96, 12)):
+            assert certify_dim_vv(k, m) == dim_vv(k, m)
 
     def test_basis_matches_independent_rank(self):
         k, m, n = 12, 2, 12
