@@ -4,8 +4,12 @@ Grammar: sums/differences of products of powers of E2, E4, E6, Delta and
 integer literals, with parentheses; '/' divides by a rational constant, so
 literals like 3/2 and scalings like (E4^3 - E6^2)/1728 work.  Any operand
 may carry a sign, which binds looser than '^' and tighter than '*' and '/':
--E4^2 and E4*-E4^2 both negate E4^2.  The result is a QuasiModularForm;
-weight homogeneity is enforced by the form arithmetic.
+-E4^2 and E4*-E4^2 both negate E4^2.  The result is a QuasiModularForm.
+
+The parser builds a tree and no form, so malformed text is refused before
+anything is expanded.  ``_build`` then does all of the form arithmetic, and
+raises its two errors: weights that do not match, and a divisor that is not
+a nonzero rational constant.
 
     sum     := product (('+' | '-') product)*
     product := signed (('*' | '/') signed)*
@@ -34,12 +38,16 @@ def _tokenize(text):
         match = _TOKEN.match(text, pos)
         if not match:
             break
-        if match.group(1):
-            tokens.append(("int", int(match.group(1))))
-        elif match.group(2):
-            tokens.append(("name", match.group(2)))
+        digits, name, op = match.groups()
+        if digits:
+            try:
+                tokens.append(("int", int(digits)))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ExpressionError(f"integer literal of {len(digits)} digits is too long") from None
+        elif name:
+            tokens.append(("name", name))
         else:
-            tokens.append(("op", match.group(3)))
+            tokens.append(("op", op))
         pos = match.end()
     if text[pos:].strip():
         raise ExpressionError(f"unexpected character {text[pos:].lstrip()[0]!r} at position {pos}")
@@ -47,6 +55,8 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent to a tree; an op token is told by its value alone."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
@@ -59,71 +69,38 @@ class _Parser:
         self.index += 1
         return token
 
-    def expect_op(self, op):
-        kind, value = self.take()
-        if kind != "op" or value != op:
-            raise ExpressionError(f"expected {op!r}, got {value!r}")
-
     def parse(self):
-        form = self.sum()
+        tree = self.chain(("+", "-"), self.product)
         if self.index < len(self.tokens):
             raise ExpressionError(f"trailing input at token {self.peek()[1]!r}")
-        return form
-
-    def sum(self):
-        form = self.product()
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                term = self.product()
-                try:
-                    form = form - term if value == "-" else form + term
-                except ValueError as exc:
-                    raise ExpressionError(f"not weight-homogeneous: {exc}") from None
-            else:
-                return form
+        return tree
 
     def product(self):
-        form = self.signed()
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "*/":
-                self.take()
-                rhs = self.signed()
-                if value == "*":
-                    form = form * rhs
-                else:
-                    scalar = _as_scalar(rhs)
-                    if scalar is None or scalar == 0:
-                        raise ExpressionError("division only by nonzero rational constants")
-                    form = form / scalar
-            else:
-                return form
+        return self.chain(("*", "/"), self.signed)
+
+    def chain(self, ops, operand):
+        run = [operand()]
+        while self.peek()[1] in ops:
+            run.append((self.take()[1], operand()))
+        return run if len(run) > 1 else run[0]
 
     def signed(self):
-        kind, value = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            form = self.signed()
-            return -form if value == "-" else form
-        return self.power()
-
-    def power(self):
+        # signed and power in one method, to spend no stack frame on power
+        if self.peek()[1] in ("+", "-"):
+            return (self.take()[1], self.signed())
         base = self.atom()
-        kind, value = self.peek()
-        if kind == "op" and value == "^":
+        if self.peek()[1] == "^":
             self.take()
             kind, exponent = self.take()
             if kind != "int":
                 raise ExpressionError("exponent must be a non-negative integer literal")
-            return base ** exponent
+            return [base, ("^", exponent)]
         return base
 
     def atom(self):
         kind, value = self.take()
         if kind == "int":
-            return ONE * value
+            return value
         if kind == "name":
             try:
                 return _GENERATORS[value]
@@ -131,20 +108,44 @@ class _Parser:
                 raise ExpressionError(
                     f"unknown name {value!r}; expected one of {sorted(_GENERATORS)}"
                 ) from None
-        if kind == "op" and value == "(":
-            form = self.sum()
-            self.expect_op(")")
-            return form
+        if value == "(":
+            tree = self.chain(("+", "-"), self.product)
+            close = self.take()[1]
+            if close != ")":
+                raise ExpressionError(f"expected ')', got {close!r}")
+            return tree
         raise ExpressionError(f"unexpected token {value!r}")
 
 
-def _as_scalar(form):
-    """The rational value of a constant (weight-0) form, or None."""
-    if form.is_zero:
-        return 0
-    if set(form.monomials) == {(0, 0, 0)}:
-        return form.monomials[(0, 0, 0)]
-    return None
+def _build(tree):
+    """The form of a tree from ``_Parser``: an int literal, a generator form,
+    ``(sign, operand)``, or a left-associative run ``[first, (op, operand),
+    ...]`` where a '^' operand is the exponent.  A run is built by a loop, so
+    a long sum recurses no deeper than its terms."""
+    if type(tree) is int:
+        return ONE * tree
+    if isinstance(tree, QuasiModularForm):
+        return tree
+    if type(tree) is tuple:
+        return -_build(tree[1]) if tree[0] == "-" else _build(tree[1])
+    form = _build(tree[0])
+    for op, operand in tree[1:]:
+        if op == "^":
+            form = form ** operand
+        elif op == "*":
+            form = form * _build(operand)
+        elif op == "/":
+            divisor = _build(operand)
+            if set(divisor.monomials) != {(0, 0, 0)}:
+                raise ExpressionError("division only by nonzero rational constants")
+            form = form / divisor.monomials[(0, 0, 0)]
+        else:
+            term = _build(operand)
+            try:
+                form = form - term if op == "-" else form + term
+            except ValueError as exc:
+                raise ExpressionError(f"not weight-homogeneous: {exc}") from None
+    return form
 
 
 def parse_form(text):
@@ -153,9 +154,6 @@ def parse_form(text):
     if not tokens:
         raise ExpressionError("empty expression")
     try:
-        form = _Parser(tokens).parse()
+        return _build(_Parser(tokens).parse())
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
-    if not isinstance(form, QuasiModularForm):
-        raise ExpressionError("expression did not produce a form")
-    return form

@@ -282,7 +282,7 @@ class QSeries:
 
     def coefficient(self, n):
         """Coefficient of q^n (n must lie below the precision)."""
-        return Fraction(self.numerators[n], self.denominator)
+        return Fraction(self.numerators[_natural(n, "coefficient index")], self.denominator)
 
     def valuation(self):
         """Index of the first nonzero coefficient, or the precision if zero."""

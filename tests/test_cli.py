@@ -7,7 +7,9 @@ import time
 
 import pytest
 
-from qmforms import E2, E4, E6, certify_dim_vv, cli, completion, dim_vv, dumps, from_quasimodular, loads, parse_form
+from qmforms import (
+    E2, E4, E6, QuasiModularForm, certify_dim_vv, cli, completion, dim_vv, dumps, from_quasimodular, loads, parse_form,
+)
 from qmforms.cli import MAX_PRECISION, _check_precision, main
 from qmforms.exprparse import ExpressionError
 
@@ -66,6 +68,31 @@ class TestExpressionParser:
     def test_deep_nesting_is_an_expression_error(self, text):
         with pytest.raises(ExpressionError, match="nested too deeply"):
             parse_form(text)
+
+    @pytest.mark.parametrize(
+        "text", ["((+Delta^58)^21", "3*E4^2 + (E6", "E2*E4 + E6 )", "E4^2 - E4^x", "2*Delta^99 +"]
+    )
+    def test_malformed_text_is_refused_before_any_form_arithmetic(self, monkeypatch, text):
+        def refuse(*args):
+            raise AssertionError("form arithmetic before the whole text parsed")
+
+        for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "__pow__", "__truediv__"):
+            monkeypatch.setattr(QuasiModularForm, name, refuse)
+        with pytest.raises(ExpressionError):
+            parse_form(text)
+
+    def test_a_syntax_error_wins_over_a_weight_clash(self):
+        with pytest.raises(ExpressionError, match="unexpected token None"):
+            parse_form("E2 + E4 + (")
+
+    def test_a_long_literal_is_a_form_or_an_expression_error(self):
+        # int() refuses it under the interpreter's default digit limit, if any
+        try:
+            form = parse_form("9" * 5000)
+        except ExpressionError as exc:
+            assert "5000 digits" in str(exc)
+        else:
+            assert form.monomials == {(0, 0, 0): 10 ** 5000 - 1}
 
 
 class TestExpand:

@@ -7,7 +7,10 @@ Integer literals stay at most 99.  Exponents on E2, E4, E6 and on literals
 run up to 9999, which binary powering keeps cheap.  Exponents on Delta stay
 at most 99 and those on a parenthesised group at most 3: the expanded
 polynomial of a sum grows with the exponent, so larger ones would only make
-an example slow, not find a fault.
+an example slow, not find a fault.  A mutation can still lengthen an
+exponent: cutting ``)^`` out of ``(+Delta^64)^3`` leaves ``(+Delta^643``.
+Such text is malformed, and the parser refuses malformed text before it
+expands anything, so it costs nothing.
 """
 
 import contextlib

@@ -63,6 +63,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="precision"):
             series(1, 2, 3).truncate(precision)
 
+    @pytest.mark.parametrize("n, error", [(-1, ValueError), (True, ValueError), (1.0, ValueError), (4, IndexError)])
+    def test_coefficient_takes_only_an_index_below_the_precision(self, n, error):
+        with pytest.raises(error):
+            E4.qexpansion(4).coefficient(n)
+
 
 class TestAdd:
     def test_cancellation(self):
