@@ -56,19 +56,18 @@ def combine(terms):
     return Evaluation(total, error)
 
 
-def _weighted_sum(terms, precision):
+def _weighted_sum(terms, precision, den=1):
     """The exact sum of weight * series over ``(weight, QSeries)`` pairs, each
-    weight an int or Fraction, truncated to ``precision``: every term over one
-    common denominator, its integer numerators added in one pass, and one
-    reduction at the end.  The exact counterpart of ``combine``."""
-    # QSeries.zero refuses a bad precision before any term is built
-    total = QSeries.zero(precision).numerators
+    weight an int or Fraction, over ``den`` and truncated to ``precision``:
+    every term over one common denominator, its integer numerators added in
+    one pass, one reduction at the end.  The exact counterpart of ``combine``."""
+    # a bad precision is refused before any term is built
+    total = [0] * _precision(precision)
     terms = list(terms)
-    den = math.lcm(*(w.denominator * s.denominator for w, s in terms))
-    for w, s in terms:
-        scale = w.numerator * (den // (w.denominator * s.denominator))
+    scales, common = _over_lcm((w.numerator, w.denominator * s.denominator) for w, s in terms)
+    for scale, (_, s) in zip(scales, terms):
         total = [t + scale * n for t, n in zip(total, s.numerators)]
-    return QSeries._from_ints(total, den)
+    return QSeries._from_ints(total, common * den)
 
 
 def _powers(base, count):
@@ -173,12 +172,26 @@ def _q_table(tau, precision):
     return tuple(p.real for p in powers), tuple(p.imag for p in powers), abs(q)
 
 
-def _coerce(value):
-    if isinstance(value, Fraction):
+def _exact(value):
+    """``value`` if it is an int or Fraction: both have numerator and denominator."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact integer or Fraction, got {type(value).__name__}")
+
+
+def _over_lcm(pairs):
+    """The rationals n / d, d != 0, of ``pairs`` as integer numerators over their least
+    common (positive) denominator, and that denominator: with ``_lowest_terms``, the
+    one rule that keeps series and forms as integers over one denominator."""
+    pairs = list(pairs)
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _lowest_terms(nums, den):
+    """``nums`` (itself when the gcd is 1) and ``den`` > 0, their gcd divided out."""
+    g = math.gcd(den, *nums)
+    return ([n // g for n in nums] if g > 1 else nums), den // g
 
 
 def _natural(value, what, even=False):
@@ -222,9 +235,7 @@ class QSeries:
     __slots__ = ("numerators", "denominator", "_floats", "_fractions", "_values")
 
     def __init__(self, coeffs):
-        coeffs = [_coerce(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
+        self._set(*_over_lcm((c.numerator, c.denominator) for c in map(_exact, coeffs)))
 
     @classmethod
     def _from_ints(cls, nums, den=1):
@@ -236,9 +247,8 @@ class QSeries:
         """Store sum(nums[n] q^n) / den in lowest terms."""
         if not nums:
             raise ValueError("a q-series needs at least one coefficient")
-        g = math.gcd(den, *nums)
-        self.numerators = tuple(n // g for n in nums) if g > 1 else tuple(nums)
-        self.denominator = den // g
+        nums, self.denominator = _lowest_terms(nums, den)
+        self.numerators = tuple(nums)
         self._floats = self._fractions = self._values = None
 
     def _float_coeffs(self):
@@ -301,10 +311,9 @@ class QSeries:
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
-            other = _coerce(other)
+            other = _exact(other)
             other = QSeries._from_ints([other.numerator] + [0] * (self.precision - 1), other.denominator)
-        den = math.lcm(self.denominator, other.denominator)
-        s, t = den // self.denominator, den // other.denominator
+        (s, t), den = _over_lcm(((1, self.denominator), (1, other.denominator)))
         return QSeries._from_ints([a * s + b * t for a, b in zip(self.numerators, other.numerators)], den)
 
     __radd__ = __add__
@@ -313,10 +322,10 @@ class QSeries:
         return QSeries._from_ints([-n for n in self.numerators], self.denominator)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QSeries) else -_coerce(other))
+        return self + (-other if isinstance(other, QSeries) else -_exact(other))
 
     def __rsub__(self, other):
-        return (-self) + _coerce(other)
+        return (-self) + _exact(other)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -328,7 +337,7 @@ class QSeries:
                 return other.truncate(n) * Fraction(self.numerators[0], self.denominator)
             nums = _kronecker_product(self.numerators[:n], other.numerators[:n])
             return QSeries._from_ints(nums, self.denominator * other.denominator)
-        other = _coerce(other)
+        other = _exact(other)
         num = other.numerator
         return QSeries._from_ints([num * n for n in self.numerators], other.denominator * self.denominator)
 

@@ -1,7 +1,10 @@
 """Holomorphic quasi-modular forms for the full modular group.
 
 A form of even weight k is stored as its canonical polynomial representation:
-a rational combination of monomials E2^a E4^b E6^c with 2a + 4b + 6c = k.
+a rational combination of monomials E2^a E4^b E6^c with 2a + 4b + 6c = k,
+kept like a ``QSeries`` as integer numerators by (a, b, c) over one positive
+denominator in lowest terms, so the ring operations never build a
+``Fraction``; ``monomials`` is the ``Fraction`` view, built on first use.
 The E2-degree is the depth.  The reduced transformation components are
 
     fhat_r = (1/r!) * d^r f / dE2^r,
@@ -14,11 +17,11 @@ numerically.  Differentiation D = q d/dq acts through the Ramanujan rules
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from . import linalg
-from .qseries import (DEFAULT_PRECISION, QSeries, _coerce, _natural, _power, _precision, _prefix_cache,
-                      _signed_sum, _weighted_sum)
+from .qseries import (DEFAULT_PRECISION, QSeries, _exact, _lowest_terms, _natural, _over_lcm, _power, _precision,
+                      _prefix_cache, _signed_sum, _weighted_sum)
 from .eisenstein import eisenstein_series, monomial_basis
 
 
@@ -31,64 +34,68 @@ class UnderdeterminedError(ValueError):
 
 
 class QuasiModularForm:
-    """Weight-homogeneous polynomial in E2, E4, E6 with rational coefficients."""
+    """Weight-homogeneous polynomial in E2, E4, E6 with rational coefficients,
+    kept as integer numerators over one positive denominator in lowest terms."""
 
-    __slots__ = ("weight", "monomials", "_expansion", "_completion")
+    __slots__ = ("weight", "numerators", "denominator", "depth", "_monomials", "_expansion", "_completion")
 
     def __init__(self, weight, monomials):
         cleaned = {}
         for key, value in monomials.items():
-            value = _coerce(value)
+            value = _exact(value)
             if not value:
                 continue
             a, b, c = (_natural(e, "monomial exponent") for e in key)
             if 2 * a + 4 * b + 6 * c != weight:
-                raise ValueError(
-                    f"monomial E2^{a} E4^{b} E6^{c} has weight {2*a+4*b+6*c}, not {weight}"
-                )
+                raise ValueError(f"monomial E2^{a} E4^{b} E6^{c} has weight {2*a+4*b+6*c}, not {weight}")
             cleaned[(a, b, c)] = value
         if cleaned:
             _natural(weight, "weight", even=True)
-        self._set(weight, cleaned)
+        nums, den = _over_lcm((v.numerator, v.denominator) for v in cleaned.values())
+        self._set(weight, dict(zip(cleaned, nums)), den)
 
     @classmethod
-    def _from_valid(cls, weight, monomials):
-        """The form with these ``monomials``, whose keys already have weight
-        ``weight`` and whose values are ``Fraction``s: only the zero values
-        are dropped, the counterpart of ``QSeries._from_ints``."""
+    def _from_valid(cls, weight, numerators, den=1):
+        """The form sum(numerators[key] * key) / den for int values, keys of weight ``weight``
+        and ``den`` > 0: only zero values are dropped, the counterpart of ``QSeries._from_ints``."""
         form = cls.__new__(cls)
-        form._set(weight, {key: value for key, value in monomials.items() if value})
+        form._set(weight, {key: n for key, n in numerators.items() if n}, den)
         return form
 
-    def _set(self, weight, monomials):
-        # the zero form carries no weight information of its own
-        self.weight = weight if monomials else 0
-        self.monomials = monomials
-        # the last ``qexpansion`` and the last ``almostholo.completion`` built,
-        # each kept for one precision; the completion's Yhat^0 coefficient is
-        # the form's own expansion
-        self._expansion = self._completion = None
+    def _set(self, weight, numerators, den):
+        # lowest terms: _lowest_terms hands the values view back when nothing divides out
+        nums, self.denominator = _lowest_terms(numerators.values(), den)
+        self.numerators = numerators if self.denominator == den else dict(zip(numerators, nums))
+        # the zero form carries no weight information of its own, and the
+        # largest key (a, b, c) has the largest E2-degree a
+        self.weight, self.depth = (weight, max(numerators)[0]) if numerators else (0, 0)
+        # the Fraction view, the last qexpansion and the last almostholo.completion, each
+        # built on first use; the completion's Yhat^0 coefficient is the form's own expansion
+        self._monomials = self._expansion = self._completion = None
 
     # -- structure -----------------------------------------------------------
 
     @property
-    def is_zero(self):
-        return not self.monomials
+    def monomials(self):
+        """The reduced ``Fraction`` coefficient of each (a, b, c), built once."""
+        if self._monomials is None:
+            self._monomials = {key: Fraction(n, self.denominator) for key, n in self.numerators.items()}
+        return self._monomials
 
     @property
-    def depth(self):
-        """Degree in E2 (zero for the zero form)."""
-        return max((a for (a, _, _) in self.monomials), default=0)
+    def is_zero(self):
+        return not self.numerators
 
     def __eq__(self, other):
         return (
             isinstance(other, QuasiModularForm)
             and self.weight == other.weight
-            and self.monomials == other.monomials
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self):
-        return hash((self.weight, tuple(sorted(self.monomials.items()))))
+        return hash((self.weight, tuple(sorted(self.numerators.items())), self.denominator))
 
     # -- ring operations -------------------------------------------------------
 
@@ -101,13 +108,14 @@ class QuasiModularForm:
             return self
         if self.weight != other.weight:
             raise ValueError(f"cannot add forms of weights {self.weight} and {other.weight}")
-        merged = dict(self.monomials)
-        for key, value in other.monomials.items():
-            merged[key] = merged.get(key, Fraction(0)) + value
-        return QuasiModularForm._from_valid(self.weight, merged)
+        (s, t), den = _over_lcm(((1, self.denominator), (1, other.denominator)))
+        merged = {key: n * s for key, n in self.numerators.items()}
+        for key, n in other.numerators.items():
+            merged[key] = merged.get(key, 0) + n * t
+        return QuasiModularForm._from_valid(self.weight, merged, den)
 
     def __neg__(self):
-        return QuasiModularForm._from_valid(self.weight, {k: -v for k, v in self.monomials.items()})
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, QuasiModularForm):
@@ -115,21 +123,21 @@ class QuasiModularForm:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, QuasiModularForm):
-            product = {}
-            for (a1, b1, c1), v1 in self.monomials.items():
-                for (a2, b2, c2), v2 in other.monomials.items():
-                    key = (a1 + a2, b1 + b2, c1 + c2)
-                    product[key] = product.get(key, Fraction(0)) + v1 * v2
-            return QuasiModularForm._from_valid(self.weight + other.weight, product)
-        other = _coerce(other)
-        return QuasiModularForm._from_valid(self.weight, {k: other * v for k, v in self.monomials.items()})
+        if not isinstance(other, QuasiModularForm):
+            num, den = _exact(other).numerator, other.denominator * self.denominator
+            return QuasiModularForm._from_valid(self.weight, {k: num * n for k, n in self.numerators.items()}, den)
+        product = {}
+        for (a1, b1, c1), n1 in self.numerators.items():
+            for (a2, b2, c2), n2 in other.numerators.items():
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                product[key] = product.get(key, 0) + n1 * n2
+        return QuasiModularForm._from_valid(self.weight + other.weight, product, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        scalar = _coerce(scalar)
-        return self * (1 / scalar)
+        scalar = _exact(scalar)
+        return self * Fraction(scalar.denominator, scalar.numerator)
 
     def __pow__(self, exponent):
         return _power(self, exponent, ONE)
@@ -140,11 +148,8 @@ class QuasiModularForm:
         """The reduced component fhat_r = (1/r!) d^r/dE2^r applied to self."""
         if _natural(r, "component index") == 0:
             return self
-        out = {}
-        for (a, b, c), value in self.monomials.items():
-            if a >= r:
-                out[(a - r, b, c)] = value * comb(a, r)
-        return QuasiModularForm._from_valid(self.weight - 2 * r, out)
+        out = {(a - r, b, c): n * comb(a, r) for (a, b, c), n in self.numerators.items() if a >= r}
+        return QuasiModularForm._from_valid(self.weight - 2 * r, out, self.denominator)
 
     def components(self):
         """The tuple (fhat_0, ..., fhat_depth)."""
@@ -155,28 +160,22 @@ class QuasiModularForm:
         return self.reduced_component(1)
 
     def derive(self):
-        """D = q d/dq via the Ramanujan rules; weight goes up by two."""
+        """D = q d/dq via the Ramanujan rules; weight goes up by two.  Their
+        1/12, 1/3 and 1/2 are a/12, 4b/12 and 6c/12 over the one factor 12
+        on the denominator."""
         out = {}
-
-        def add(key, value):
-            out[key] = out.get(key, 0) + value
-
-        for (a, b, c), v in self.monomials.items():
-            up = v * (Fraction(a, 12) + Fraction(b, 3) + Fraction(c, 2))
-            add((a + 1, b, c), up)
-            if a:
-                add((a - 1, b + 1, c), -v * Fraction(a, 12))
-            if b:
-                add((a, b - 1, c + 1), -v * Fraction(b, 3))
-            if c:
-                add((a, b + 2, c - 1), -v * Fraction(c, 2))
-        return QuasiModularForm._from_valid(self.weight + 2, out)
+        for (a, b, c), n in self.numerators.items():
+            for key, m in (((a + 1, b, c), a + 4 * b + 6 * c), ((a - 1, b + 1, c), -a),
+                           ((a, b - 1, c + 1), -4 * b), ((a, b + 2, c - 1), -6 * c)):
+                if m:
+                    out[key] = out.get(key, 0) + n * m
+        return QuasiModularForm._from_valid(self.weight + 2, out, 12 * self.denominator)
 
     def e2_coefficient(self, t):
         """Coefficient of E2^t: a depth-0 form of weight (k - 2t)."""
         _natural(t, "E2 exponent")
-        out = {(0, b, c): v for (a, b, c), v in self.monomials.items() if a == t}
-        return QuasiModularForm._from_valid(self.weight - 2 * t, out)
+        out = {(0, b, c): n for (a, b, c), n in self.numerators.items() if a == t}
+        return QuasiModularForm._from_valid(self.weight - 2 * t, out, self.denominator)
 
     # -- expansions --------------------------------------------------------------
 
@@ -185,8 +184,9 @@ class QuasiModularForm:
         keeps the last expansion built, so a repeat at its precision is free."""
         series = self._expansion
         if series is None or series.precision != _precision(precision):
-            series = self._expansion = _weighted_sum(((value, _monomial_series(a, b, c, precision))
-                                                      for (a, b, c), value in self.monomials.items()), precision)
+            series = self._expansion = _weighted_sum(((n, _monomial_series(a, b, c, precision))
+                                                      for (a, b, c), n in self.numerators.items()),
+                                                     precision, self.denominator)
         return series
 
     # -- presentation --------------------------------------------------------------
@@ -194,19 +194,9 @@ class QuasiModularForm:
     def __str__(self):
         terms = []
         for (a, b, c), v in sorted(self.monomials.items(), reverse=True):
-            factors = []
-            for name, e in (("E2", a), ("E4", b), ("E6", c)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
+            body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in (("E2", a), ("E4", b), ("E6", c)) if e)
             mag = abs(v)
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}*{body}"
-            terms.append((v, body))
+            terms.append((v, f"{mag}*{body}" if body and mag != 1 else body or str(mag)))
         return _signed_sum(terms)
 
     def __repr__(self):
@@ -221,11 +211,7 @@ def _generator_power(weight, exponent, precision):
 
 @_prefix_cache
 def _monomial_series(a, b, c, precision):
-    return (
-        _generator_power(2, a, precision)
-        * _generator_power(4, b, precision)
-        * _generator_power(6, c, precision)
-    )
+    return _generator_power(2, a, precision) * _generator_power(4, b, precision) * _generator_power(6, c, precision)
 
 
 def monomial(a, b, c, coefficient=1):
@@ -260,13 +246,8 @@ def derivative_lift(modular_form, p):
     derivatives = [modular_form]
     for _ in range(p):
         derivatives.append(derivatives[-1].derive())
-    entries = []
-    for r in range(p + 1):
-        scale = Fraction(comb(p, r), 12 ** r)
-        for j in range(1, r + 1):
-            scale *= l + p - j
-        entries.append(derivatives[p - r] * scale)
-    return tuple(entries)
+    return tuple(derivatives[p - r] * Fraction(comb(p, r) * prod(range(l + p - r, l + p)), 12 ** r)
+                 for r in range(p + 1))
 
 
 def _candidate_keys(weight, depth_bound):
@@ -306,4 +287,5 @@ def recognize(series, weight, depth_bound):
         raise NoMatchError(
             f"no match: series is not a weight-{weight} form of depth <= {depth_bound}"
         ) from None
-    return QuasiModularForm._from_valid(weight, {key: x / series.denominator for key, x in zip(keys, solution)})
+    nums, den = _over_lcm((x.numerator, x.denominator) for x in solution)
+    return QuasiModularForm._from_valid(weight, dict(zip(keys, nums)), den * series.denominator)

@@ -9,10 +9,10 @@ separators).
 
 import json
 import re
-from fractions import Fraction
+from math import gcd
 
 from .almostholo import AlmostHolomorphicForm
-from .qseries import QSeries
+from .qseries import QSeries, _over_lcm
 from .quasimodular import QuasiModularForm
 from .vectorvalued import VectorValuedForm
 
@@ -25,14 +25,19 @@ class FormDocumentError(ValueError):
 
 # the two forms to_document writes; Fraction() would also take exponents,
 # and "1e30000000" would build a 30-million-digit integer
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_fraction(text, where):
+def _parse_rational(text, where):
+    """``text`` as ints (numerator, denominator > 0), refused as ``Fraction(text)`` refuses it."""
     try:
-        if not _RATIONAL.fullmatch(str(text)):
+        match = _RATIONAL.fullmatch(str(text))
+        if not match:
             raise ValueError("expected [sign]digits or [sign]digits/digits")
-        return Fraction(str(text))
+        num, den = int(match[1]), int(match[2] or 1)
+        if not den:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+        return num, den
     except (ValueError, ZeroDivisionError) as exc:
         raise FormDocumentError(f"bad rational {text!r} in {where}: {exc}") from None
 
@@ -41,8 +46,9 @@ def to_document(form):
     """Build the JSON-ready dict for a form object."""
     if isinstance(form, QuasiModularForm):
         terms = [
-            {"e2": a, "e4": b, "e6": c, "num": str(v.numerator), "den": str(v.denominator)}
-            for (a, b, c), v in sorted(form.monomials.items())
+            {"e2": a, "e4": b, "e6": c, "num": str(n // g), "den": str(form.denominator // g)}
+            for (a, b, c), n in sorted(form.numerators.items())
+            for g in (gcd(n, form.denominator),)
         ]
         return {
             "format": "quasimodular",
@@ -99,21 +105,24 @@ def from_document(doc):
     try:
         if kind == "quasimodular":
             weight = _require(doc, "weight", kind, int)
-            monomials = {}
+            keys, values = [], []
             for term in _require(doc, "terms", kind, list):
                 _checked(term, dict, "each term")
-                key = tuple(_require(term, e, "term", int) for e in ("e2", "e4", "e6"))
-                num = _parse_fraction(_require(term, "num", "term"), "term")
-                den = _parse_fraction(_require(term, "den", "term"), "term")
-                if den == 0:
+                keys.append(tuple(_require(term, e, "term", int) for e in ("e2", "e4", "e6")))
+                (p, q), (r, s) = (_parse_rational(_require(term, f, "term"), "term") for f in ("num", "den"))
+                if r == 0:
                     raise FormDocumentError("zero denominator in term")
-                monomials[key] = monomials.get(key, Fraction(0)) + num / den
-            return QuasiModularForm(weight, monomials)
+                values.append((p * s, q * r))  # the value (p/q) / (r/s)
+            numerators, (nums, den) = dict.fromkeys(keys, 0), _over_lcm(values)
+            for key, n in zip(keys, nums):
+                numerators[key] += n
+            return QuasiModularForm(weight, numerators) / den
         if kind == "almostholo":
             weight = _require(doc, "weight", kind, int)
             rows = _require(doc, "ycoeffs", kind, list)
             coeffs = [
-                QSeries([_parse_fraction(x, "ycoeffs") for x in _checked(row, list, "ycoeffs row")])
+                QSeries._from_ints(*_over_lcm(_parse_rational(x, "ycoeffs")
+                                              for x in _checked(row, list, "ycoeffs row")))
                 for row in rows
             ]
             return AlmostHolomorphicForm(weight, coeffs)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 import pytest
@@ -328,6 +328,41 @@ class TestRingHomomorphismProperty:
         assert (f - g).qexpansion(precision) == f.qexpansion(precision) - g.qexpansion(precision)
 
 
+def assert_canonical(form):
+    """Nonzero int numerators over one positive denominator in lowest terms,
+    and the Fraction view term by term."""
+    nums, den = form.numerators, form.denominator
+    assert all(type(n) is int and n for n in nums.values())
+    assert type(den) is int and den > 0
+    assert gcd(den, *nums.values()) == 1
+    assert form.monomials == {key: Fraction(n, den) for key, n in nums.items()}
+    assert form.depth == max((a for a, _, _ in nums), default=0)
+
+
+class TestCanonicalForm:
+    """Every ring operation leaves its result in lowest terms."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(range(0, 25, 2)).flatmap(lambda k: st.tuples(forms([k], 12), forms([k], 12))),
+           forms(range(0, 13, 2), 12), st.integers(0, 5), st.integers(0, 6),
+           st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    def test_after_every_ring_operation(self, pair, h, exponent, r, scalar):
+        f, g = pair
+        assert_canonical(f)
+        for result in (f + g, f - g, -f, f * g, f * h, h ** exponent, f.derive(), f.reduced_component(r),
+                       f.e2_coefficient(r), f * scalar):
+            assert_canonical(result)
+        if scalar:
+            assert_canonical(f / scalar)
+
+    def test_cancellation_leaves_no_zero_numerator(self):
+        f = E2 * E4 / 6 + E6 / 4
+        for result in (f - f, (f - E6 / 4) * 6, f * 0, (E2 * E4 - E6).derive() - (E2 * E4 - E6).derive()):
+            assert_canonical(result)
+        assert (f - f).is_zero and (f - f).denominator == 1 and (f - f).weight == 0
+        assert (f - E6 / 4) * 6 == E2 * E4
+
+
 def term_by_term(form, precision):
     """The expansion as the sum of value * monomial series, one QSeries
     addition per term."""
@@ -560,6 +595,15 @@ class TestPower:
         monkeypatch.setattr(QuasiModularForm, "__mul__", counted)
         assert E4 ** 200000 == monomial(0, 200000, 0)
         assert len(calls) <= 36
+
+    @pytest.mark.parametrize("n", [*range(41), 400])
+    def test_delta_power_is_the_binomial_expansion(self, n):
+        # (E4^3 - E6^2)^n / 1728^n term by term, built without a form power
+        terms = {(0, 3 * (n - j), 2 * j): Fraction((-1) ** j * comb(n, j), 1728 ** n) for j in range(n + 1)}
+        power = DELTA ** n
+        assert power == QuasiModularForm(12 * n, terms)
+        assert power.denominator == 1728 ** n
+        assert power.numerators == {key: (-1) ** j * comb(n, j) for j, key in enumerate(terms)}
 
     @pytest.mark.parametrize("exponent", [-1, 1.5, True])
     def test_only_non_negative_integer_exponents(self, exponent):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qmforms import (
     E2,
     E4,
+    E6,
     FormDocumentError,
     QuasiModularForm,
     completion,
@@ -47,6 +48,21 @@ class TestQuasiModularDocuments:
         assert nums == ["-1", "1"]
         assert all(term["den"] == "1728" for term in doc["terms"])
         assert loads(dumps(f)) == f
+
+    def test_quasimodular_documents_skip_the_fraction_view(self, monkeypatch):
+        # to_document and from_document read and build integer numerators only
+        forms = [E2 ** 2 * Fraction(-6, 4) + E4 / 3, E4 * E6 / 7 - E2 * E4 ** 2 * 3, QuasiModularForm(0, {})]
+
+        def refuse(form):
+            raise AssertionError("the Fraction view was built")
+
+        monkeypatch.setattr(QuasiModularForm, "monomials", property(refuse))
+        texts = [dumps(f) for f in forms]
+        assert [loads(text) for text in texts] == forms
+        # over the form's one denominator 6, each term is written in its own lowest terms
+        assert forms[0].denominator == 6
+        assert json.loads(texts[0])["terms"] == [{"e2": 0, "e4": 1, "e6": 0, "num": "1", "den": "3"},
+                                                 {"e2": 2, "e4": 0, "e6": 0, "num": "-3", "den": "2"}]
 
 
 class TestAlmostHoloDocuments:
