@@ -4,14 +4,15 @@ Every holomorphic object downstream is carried by a ``QSeries``: a finite
 list of Fourier coefficients in q = exp(2*pi*i*tau), kept as integer
 numerators over one common denominator.  Arithmetic is exact and truncates
 to the shorter operand; precision is never extended silently.  Products use
-Kronecker substitution: one bigint multiply per series product, except that
-a constant operand only scales the other.  The
-normalized derivative is D = q d/dq.  Evaluation at tau sums the float
-coefficients against a table of the powers of q, kept per (tau, N) with N
-the longest series evaluated in the call.
+Kronecker substitution: each operand packed into one bigint, a square packed
+once, and only the low half of the packed product formed; a constant operand
+only scales the other.  The normalized derivative is D = q d/dq.  Evaluation
+at tau sums the float coefficients against a table of the powers of q, kept
+per (tau, N) with N the longest series evaluated in the call.
 """
 
 import cmath
+import decimal
 import functools
 import math
 from collections import OrderedDict, namedtuple
@@ -211,20 +212,95 @@ def _precision(value):
     return _natural(value, "precision")
 
 
+#: digits that int <-> str conversion always takes: the least digit limit an
+#: interpreter accepts (``sys.set_int_max_str_digits``) is 640
+_DIGIT_BLOCK = 512
+
+
+def _decimal_text(value):
+    """``str(value)`` of an int or Fraction, also where the interpreter refuses
+    an int of more than ``sys.get_int_max_str_digits()`` digits.  Such an int
+    is halved at powers of two down to 1024-bit parts, which ``decimal``
+    rejoins exactly: its multiply, unlike int division, is subquadratic."""
+    if value.denominator != 1:
+        return f"{_decimal_text(value.numerator)}/{_decimal_text(value.denominator)}"
+    n = value.numerator
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        pass
+    powers = {}
+
+    def convert(n, bits):
+        if bits <= 1024:
+            return decimal.Decimal(n)
+        k = 1 << (bits - 1).bit_length() - 1
+        if k not in powers:
+            powers[k] = decimal.Decimal(2) ** k
+        return convert(n >> k, bits - k) * powers[k] + convert(n & ((1 << k) - 1), k)
+
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        text = str(convert(abs(n), abs(n).bit_length()))
+    return "-" + text if n < 0 else text
+
+
+def _decimal_int(text):
+    """``int(text)`` of a ``[sign]digits`` string, also where the interpreter
+    refuses more than ``sys.get_int_max_str_digits()`` digits: those are halved
+    at powers of ten down to ``_DIGIT_BLOCK`` digits and rejoined by int
+    multiplies, subquadratic in the length.  Long text of anything else
+    raises the ``ValueError`` of ``int``."""
+    try:
+        return int(text)
+    except ValueError:
+        sign = text[:1] if text[:1] in ("+", "-") else ""
+        digits = text[len(sign):]
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    powers = {}
+
+    def convert(start, stop):
+        if stop - start <= _DIGIT_BLOCK:
+            return int(digits[start:stop])
+        k = 1 << (stop - start - 1).bit_length() - 1
+        if k not in powers:
+            powers[k] = 10 ** k
+        return convert(start, stop - k) * powers[k] + convert(stop - k, stop)
+
+    n = convert(0, len(digits))
+    return -n if sign == "-" else n
+
+
 def _kronecker_product(a, b):
     """Integer coefficients of a*b below q^len(a), for len(a) == len(b), by
-    Kronecker substitution: one bigint multiply of the operands packed into
-    byte-aligned slots of w bits, where every product coefficient c has
-    |c| < 2^(w-1).  Operand and product slots alike hold value + 2^(w-1),
-    so that they pack and read back without borrows."""
+    Kronecker substitution: the operands packed into byte-aligned slots of w
+    bits, where every product coefficient c has |c| < 2^(w-1).  Operand and
+    product slots alike hold value + 2^(w-1), so that they pack and read back
+    without borrows.  When ``b is a`` the operand is packed once and squared.
+    Only the n = len(a) low slots are formed (a short product): with
+    A = A0 + B^h A1, split at h = ceil(7n/10) >= n/2 slots of B = 2^w, the
+    slots below n are those of A0 B0 + B^h ((A0 mod B^(n-h)) B1 + A1 (B0 mod B^(n-h)))."""
     n = len(a)
     bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length()
     width = bits // 8 + 1
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    a, b = (int.from_bytes(b"".join((x + half).to_bytes(width, "little") for x in nums), "little") - bias
-            for nums in (a, b))
-    slots = ((a * b + bias) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+
+    low = 8 * width * -(-7 * n // 10)  # the bits of h slots
+    cut = (1 << (8 * width * n - low)) - 1  # mod B^(n-h)
+
+    def split(nums):
+        packed = int.from_bytes(b"".join((x + half).to_bytes(width, "little") for x in nums), "little") - bias
+        return packed & ((1 << low) - 1), packed >> low
+
+    a0, a1 = split(a)
+    if b is a:
+        product = a0 * a0 + ((a0 & cut) * a1 << low + 1)
+    else:
+        b0, b1 = split(b)
+        product = a0 * b0 + ((a0 & cut) * b1 + a1 * (b0 & cut) << low)
+    slots = ((product + bias) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
     return [int.from_bytes(slots[i:i + width], "little") - half for i in range(0, width * n, width)]
 
 
@@ -335,7 +411,9 @@ class QSeries:
                 return self.truncate(n) * Fraction(other.numerators[0], other.denominator)
             if not any(self.numerators[1:n]):
                 return other.truncate(n) * Fraction(self.numerators[0], self.denominator)
-            nums = _kronecker_product(self.numerators[:n], other.numerators[:n])
+            # a square hands over one operand, which is then packed once
+            a = self.numerators[:n]
+            nums = _kronecker_product(a, a if other is self else other.numerators[:n])
             return QSeries._from_ints(nums, self.denominator * other.denominator)
         other = _exact(other)
         num = other.numerator
@@ -394,15 +472,16 @@ def format_series(series):
         if not num:
             continue
         mag = Fraction(abs(num), series.denominator)
+        text = _decimal_text(mag)
         if n == 0:
-            body = str(mag)
+            body = text
         else:
             q = "q" if n == 1 else f"q^{n}"
             if mag == 1:
                 body = q
             elif mag.denominator == 1:
-                body = f"{mag}{q}"
+                body = f"{text}{q}"
             else:
-                body = f"{mag}*{q}"
+                body = f"{text}*{q}"
         terms.append((num, body))
     return _signed_sum(terms)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import comb, prod
 
 from . import linalg
-from .qseries import (DEFAULT_PRECISION, QSeries, _exact, _lowest_terms, _natural, _over_lcm, _power, _precision,
-                      _prefix_cache, _signed_sum, _weighted_sum)
+from .qseries import (DEFAULT_PRECISION, QSeries, _decimal_text, _exact, _lowest_terms, _natural, _over_lcm, _power,
+                      _precision, _prefix_cache, _signed_sum, _weighted_sum)
 from .eisenstein import eisenstein_series, monomial_basis
 
 
@@ -196,7 +196,8 @@ class QuasiModularForm:
         for (a, b, c), v in sorted(self.monomials.items(), reverse=True):
             body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in (("E2", a), ("E4", b), ("E6", c)) if e)
             mag = abs(v)
-            terms.append((v, f"{mag}*{body}" if body and mag != 1 else body or str(mag)))
+            text = _decimal_text(mag)
+            terms.append((v, f"{text}*{body}" if body and mag != 1 else body or text))
         return _signed_sum(terms)
 
     def __repr__(self):
@@ -211,7 +212,11 @@ def _generator_power(weight, exponent, precision):
 
 @_prefix_cache
 def _monomial_series(a, b, c, precision):
-    return _generator_power(2, a, precision) * _generator_power(4, b, precision) * _generator_power(6, c, precision)
+    # the modular part E4^b E6^c is a key of its own, which every E2-degree
+    # of a completion (the components of E2^a E4^b E6^c) reads
+    if a:
+        return _generator_power(2, a, precision) * _monomial_series(0, b, c, precision)
+    return _generator_power(4, b, precision) * _generator_power(6, c, precision)
 
 
 def monomial(a, b, c, coefficient=1):

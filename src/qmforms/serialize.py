@@ -12,7 +12,7 @@ import re
 from math import gcd
 
 from .almostholo import AlmostHolomorphicForm
-from .qseries import QSeries, _over_lcm
+from .qseries import QSeries, _decimal_int, _decimal_text, _over_lcm
 from .quasimodular import QuasiModularForm
 from .vectorvalued import VectorValuedForm
 
@@ -34,7 +34,7 @@ def _parse_rational(text, where):
         match = _RATIONAL.fullmatch(str(text))
         if not match:
             raise ValueError("expected [sign]digits or [sign]digits/digits")
-        num, den = int(match[1]), int(match[2] or 1)
+        num, den = _decimal_int(match[1]), _decimal_int(match[2] or "1")
         if not den:
             raise ZeroDivisionError(f"Fraction({num}, 0)")
         return num, den
@@ -46,7 +46,7 @@ def to_document(form):
     """Build the JSON-ready dict for a form object."""
     if isinstance(form, QuasiModularForm):
         terms = [
-            {"e2": a, "e4": b, "e6": c, "num": str(n // g), "den": str(form.denominator // g)}
+            {"e2": a, "e4": b, "e6": c, "num": _decimal_text(n // g), "den": _decimal_text(form.denominator // g)}
             for (a, b, c), n in sorted(form.numerators.items())
             for g in (gcd(n, form.denominator),)
         ]
@@ -61,7 +61,7 @@ def to_document(form):
             "format": "almostholo",
             "version": FORMAT_VERSION,
             "weight": form.weight,
-            "ycoeffs": [[str(c) for c in series.coeffs] for series in form.coeffs],
+            "ycoeffs": [[_decimal_text(c) for c in series.coeffs] for series in form.coeffs],
         }
     if isinstance(form, VectorValuedForm):
         return {

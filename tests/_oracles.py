@@ -39,6 +39,11 @@ def mul_lists(a, b):
     return out
 
 
+def convolution(a, b):
+    """The int coefficients of a*b below q^len(a), by the schoolbook double loop."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
 def pow_list(a, exponent):
     out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
     for _ in range(exponent):

@@ -14,7 +14,7 @@ from qmforms import qseries
 from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _kronecker_product, _q_table, _weighted_sum, combine
 from qmforms.vectorvalued import from_quasimodular
 
-from _oracles import ascending_complex_sum, delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
+from _oracles import ascending_complex_sum, convolution, delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
 
 # frozen with a 60-digit independent summation of the full series at tau = i
 E4_AT_I = 1.455762892268709322462422
@@ -180,6 +180,53 @@ class TestMulAgainstSchoolbook:
             for sa, sb in ((1, 1), (1, -1), (-1, -1)):
                 self.check([sa * magnitude] * n, [sb * magnitude] * n)
                 self.check([sa * magnitude, -sa * magnitude] * n, [sb * magnitude] * (2 * n))
+
+
+def signed_ints(rng, n, bits):
+    """``n`` signed ints of magnitude below 2^bits, a quarter of them at the bound."""
+    top = 2 ** bits - 1
+    return [rng.choice((top, -top)) if rng.random() < 0.25 else rng.randint(-top, top) for _ in range(n)]
+
+
+class TestKroneckerProduct:
+    """``_kronecker_product`` against a schoolbook convolution, on plain int
+    lists: the short product keeps the slots below n of the packed product."""
+
+    @staticmethod
+    def check(a, b):
+        assert _kronecker_product(a, b) == convolution(a, b)
+        # the same list twice takes the square path, a copy the general one
+        assert _kronecker_product(a, a) == _kronecker_product(a, list(a)) == convolution(a, a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 200), st.integers(1, 200), st.randoms(use_true_random=False))
+    def test_matches_the_schoolbook_convolution(self, n, abits, bbits, rng):
+        self.check(signed_ints(rng, n, abits), signed_ints(rng, n, bbits))
+
+    # for n <= 3 the split at ceil(7n/10) slots leaves the cross terms empty
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 200), st.integers(1, 200), st.randoms(use_true_random=False))
+    def test_short_lengths(self, n, abits, bbits, rng):
+        self.check(signed_ints(rng, n, abits), signed_ints(rng, n, bbits))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 300])
+    def test_zero_operands(self, n):
+        zeros, other = [0] * n, signed_ints(random.Random(n), n, 150)
+        assert _kronecker_product(zeros, zeros) == zeros
+        assert _kronecker_product(zeros, list(zeros)) == zeros
+        assert _kronecker_product(zeros, other) == zeros
+        assert _kronecker_product(other, zeros) == zeros
+
+    def test_a_series_squared_hands_over_one_operand(self):
+        e4 = eisenstein_series(4, 30)
+        with mock.patch.object(qseries, "_kronecker_product", wraps=_kronecker_product) as spy:
+            square, product = e4 * e4, e4 * eisenstein_series(4, 31)
+        (a, b), _ = spy.call_args_list[0]
+        assert a is b
+        (a, b), _ = spy.call_args_list[1]
+        assert a is not b
+        assert square == product == e4 ** 2
 
 
 class TestCanonicalForm:

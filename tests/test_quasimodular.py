@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -30,7 +31,7 @@ from qmforms.qseries import CACHE_KEYS
 from qmforms.quasimodular import _generator_power, _monomial_series
 from qmforms import linalg
 
-from _oracles import all_monomials, eisenstein_by_divisors, pow_list, random_form
+from _oracles import all_monomials, convolution, eisenstein_by_divisors, pow_list, random_form
 
 
 def sympy_components(form, r):
@@ -428,6 +429,35 @@ def count_products(monkeypatch):
     return calls
 
 
+def generator_powers(weight, top, precision):
+    """[E_k^0, ..., E_k^top] as int lists, E_k from its divisor sums."""
+    series = list(map(int, eisenstein_by_divisors(weight, precision)))
+    powers = [[1] + [0] * (precision - 1)]
+    for _ in range(top):
+        powers.append(convolution(powers[-1], series))
+    return powers
+
+
+@pytest.mark.parametrize("first", ["cold", "modular part", "monomial"])
+def test_every_monomial_series_matches_the_schoolbook_product(first):
+    """Every ``_monomial_series(a, b, c, N)`` for a <= 6, b <= 5, c <= 4 is
+    E2^a E4^b E6^c, built cold, after its modular part E4^b E6^c, or first."""
+    n_max = 40
+    e2s, e4s, e6s = (generator_powers(k, top, n_max) for k, top in ((2, 6), (4, 5), (6, 4)))
+    expected = {(a, b, c): convolution(e2s[a], convolution(e4s[b], e6s[c]))
+                for a, b, c in itertools.product(range(7), range(6), range(5))}
+    for (a, b, c), want in expected.items():
+        clear_expansion_caches()
+        for n in (1, 2, n_max):  # a longer request rebuilds
+            if first == "modular part":
+                assert list(_monomial_series(0, b, c, n).numerators) == expected[0, b, c][:n]
+            elif first == "monomial":
+                _monomial_series(a, b, c, n)
+                assert list(_monomial_series(0, b, c, n).numerators) == expected[0, b, c][:n]
+            series = _monomial_series(a, b, c, n)
+            assert series.denominator == 1 and list(series.numerators) == want[:n]
+
+
 class TestPrefixCache:
     FORM = E2 ** 3 * E4 * E6 + DELTA * E2 ** 2
 
@@ -522,7 +552,8 @@ class TestPrefixCache:
         for n in (32, 16, 32, 64):  # build, truncate, truncate, rebuild
             _monomial_series(1, 2, 1, n)
         info = _monomial_series.cache_info()
-        assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 2, CACHE_KEYS, 1)
+        # each build of (1, 2, 1) also builds its modular part (0, 2, 1)
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 4, CACHE_KEYS, 2)
         _monomial_series.cache_clear()
         assert _monomial_series.cache_info() == (0, 0, CACHE_KEYS, 0)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,14 @@ from qmforms import (
     QuasiModularForm,
     completion,
     dumps,
+    format_series,
     from_document,
     from_quasimodular,
     loads,
+    parse_form,
     to_document,
 )
+from qmforms.qseries import _decimal_int, _decimal_text
 
 from _oracles import all_monomials, random_form
 
@@ -136,6 +140,59 @@ MISTYPED = [
     ("vectorvalued", ("source",), 5),
     ("vectorvalued", ("source", "terms"), 5),
 ]
+
+
+@pytest.fixture
+def lifted():
+    """Run the test under the interpreter's default digit limit of int <-> str
+    conversion; ``lifted(fn)`` calls ``fn`` with the limit lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no digit limit")
+    old = sys.get_int_max_str_digits()
+    default = sys.int_info.default_max_str_digits
+
+    def call(fn):
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn()
+        finally:
+            sys.set_int_max_str_digits(default)
+
+    sys.set_int_max_str_digits(default)
+    yield call
+    sys.set_int_max_str_digits(old)
+
+
+class TestBeyondTheDigitLimit:
+    """Coefficients of more digits than int <-> str conversion takes by
+    default are written and read as with the limit lifted."""
+
+    @pytest.mark.parametrize("text", ["48^9630", "(E2*E4 - 7^5200*E6)/48^9630", "-(10^4300 + 1)*E4^2"])
+    def test_forms_write_and_read_back(self, lifted, text):
+        form = parse_form(text)
+        written = {
+            "str": lambda: str(form),
+            "format_series": lambda: format_series(form.qexpansion(3)),
+            "dumps": lambda: dumps(form),
+            "dumps(completion)": lambda: dumps(completion(form, 3)),
+        }
+        for what, write in written.items():
+            assert write() == lifted(write), what
+        assert loads(dumps(form)) == form
+        assert loads(dumps(completion(form, 3))) == completion(form, 3)
+
+    @pytest.mark.parametrize("n", [10 ** 4299, 10 ** 4300, -(10 ** 4300) + 1, 2 ** 14284, -(7 ** 40000), 3 ** 2 ** 14],
+                             ids=["10^4299", "10^4300", "1-10^4300", "2^14284", "-7^40000", "3^2^14"])
+    def test_int_text_round_trip(self, lifted, n):
+        text = lifted(lambda: str(n))
+        assert _decimal_text(n) == text and _decimal_int(text) == n
+        assert _decimal_text(Fraction(n, 3 ** 9100)) == lifted(lambda: str(Fraction(n, 3 ** 9100)))
+        assert _decimal_int("+00" + text.lstrip("-")) == abs(n)
+
+    @pytest.mark.parametrize("tail", ["+", "-1", " 2", "x", "_0", "\u0661"])
+    def test_long_text_of_other_than_digits_raises(self, lifted, tail):
+        with pytest.raises(ValueError):
+            _decimal_int("1" * 5000 + tail)
 
 
 class TestErrors:
