@@ -25,7 +25,7 @@ from .numverify import (
     default_plan,
     max_relative,
 )
-from .qseries import DEFAULT_PRECISION
+from .qseries import DEFAULT_PRECISION, _decimal_text
 from .quasimodular import QuasiModularForm, recognize
 from .serialize import _canonical, from_document, to_document
 from .vectorvalued import (
@@ -98,7 +98,7 @@ def cmd_expand(args):
             print(_canonical({
                 "weight": form.weight,
                 "precision": n,
-                "coeffs": [str(c) for c in series.coeffs],
+                "coeffs": [_decimal_text(c) for c in series.coeffs],
             }))
         else:
             print(series)
@@ -108,7 +108,7 @@ def cmd_expand(args):
             print(_canonical({
                 "weight": form.weight,
                 "precision": coeffs[0].precision,
-                "ycoeffs": [[str(c) for c in s.coeffs] for s in coeffs],
+                "ycoeffs": [[_decimal_text(c) for c in s.coeffs] for s in coeffs],
             }))
         else:
             for r, series in enumerate(coeffs):
@@ -121,7 +121,7 @@ def cmd_expand(args):
                 "m": form.m,
                 "weight_label_k": form.weight_label,
                 "precision": n,
-                "components": [[str(c) for c in s.coeffs] for s in components],
+                "components": [[_decimal_text(c) for c in s.coeffs] for s in components],
             }))
         else:
             for r, series in enumerate(components):
@@ -308,12 +308,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    # exact coefficients of valid forms may pass the digit limit of int <-> str
-    # conversion (CPython 3.11, some 3.10 builds); lift it for this command
-    set_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_digits:
-        old_digits = sys.get_int_max_str_digits()
-        set_digits(0)
     try:
         return args.func(args)
     except Exception as exc:
@@ -323,9 +317,6 @@ def main(argv=None):
         message = exc if known else f"{type(exc).__name__}: {exc}"
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if set_digits:
-            set_digits(old_digits)
 
 
 if __name__ == "__main__":

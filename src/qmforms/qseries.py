@@ -213,7 +213,7 @@ def _precision(value):
 
 
 #: digits that int <-> str conversion always takes: the least digit limit an
-#: interpreter accepts (``sys.set_int_max_str_digits``) is 640
+#: interpreter accepts (``sys.int_info.str_digits_check_threshold``) is 640
 _DIGIT_BLOCK = 512
 
 

@@ -20,6 +20,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the boundary tests need a digit limit below 5000 digits, as the default 4300 is
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="needs a digit limit on int <-> str conversion below 5000 digits",
+)
+
+
+def lifted_str(value):
+    """``str(value)`` with the digit limit of int <-> str conversion lifted."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 class TestExpressionParser:
     def test_simple_sum(self):
         assert parse_form("E2^2*E4^2 + 3*E6^2") == E2 ** 2 * E4 ** 2 + 3 * E6 ** 2
@@ -186,6 +203,37 @@ class TestExpand:
         (term,) = json.loads(out)["terms"]
         assert (term["e2"], term["e4"], term["e6"]) == (0, 1, 0)
         assert (term["num"], term["den"]) == (payload["coeffs"][0], "1")
+
+    @needs_digit_limit
+    def test_a_json_integer_past_the_digit_limit_is_a_usage_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        doc = '{"format":"quasimodular","version":1,"weight":' + "4" * 5000 + ',"terms":[]}'
+        code, out, err = run(capsys, "expand", doc)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"({limit} digits)" in err
+        assert sys.get_int_max_str_digits() == limit
+
+    @needs_digit_limit
+    def test_a_literal_past_the_digit_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "expand", "9" * 5000)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse expression: integer literal of 5000 digits is too long\n"
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("kind", ["almostholo", "vectorvalued"])
+    def test_json_coefficients_past_the_digit_limit(self, capsys, kind):
+        form = parse_form("(E2*E4 - 7^5200*E6)/48^9630")
+        full = completion(form, 4)
+        if kind == "almostholo":
+            doc, key, rows = dumps(full), "ycoeffs", full.coeffs
+        else:
+            doc, key, rows = dumps(from_quasimodular(form, 2)), "components", [full.coefficient(r) for r in range(3)]
+        code, out, err = run(capsys, "expand", "--json", "--precision", "4", doc)
+        assert (code, err) == (0, "")
+        written = json.loads(out)[key]
+        assert written == [[lifted_str(c) for c in series.coeffs] for series in rows]
+        assert max(len(text) for row in written for text in row) > 4300
 
     @pytest.mark.parametrize(
         "command, change",
