@@ -14,9 +14,10 @@ import cmath
 import json
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .almostholo import completion
-from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, combine
+from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, _row_sums
 from .vectorvalued import GroupElement, S, T, _sym_rows
 
 MIN_IM_TAU = 0.3
@@ -55,13 +56,15 @@ class SamplePlan(namedtuple("SamplePlan", "taus gammas tolerance precision",
         return cls(*iterable)
 
 
+@lru_cache(maxsize=CACHE_KEYS, typed=True)
 def default_plan(tolerance=DEFAULT_TOLERANCE, precision=DEFAULT_PRECISION):
     """The standard plan: three base points and six group elements.
 
     The six elements are T, S, S*T, T*S^-1, [[2,1],[1,1]] and the lower
     unipotent [[1,0],[-1,1]]; every det-one matrix with |c| >= 2 would push
     some image below Im = 0.25 at these base points, so all elements here
-    have c in {0, 1, -1}.
+    have c in {0, 1, -1}.  The immutable plan is built once per (tolerance,
+    precision) of one type each, and a refused argument raises on every call.
     """
     taus = (complex(0.3, 1.1), complex(-0.4, 0.9), complex(0.1, 1.7))
     gammas = (
@@ -139,29 +142,20 @@ def _residuals(plan, label, base, sides):
 
     ``base(tau)`` evaluates the form at a base point, once per tau;
     ``sides(gamma, tau, base)`` returns, from that value, the left-hand
-    ``Evaluation``s, the automorphy factor and the right-hand ``Evaluation``s
+    ``(value, tail)`` pairs, the automorphy factor and the right-hand pairs
     before that factor.  The law is lhs_i = factor * rhs_i, and the
-    truncation error of the sample is sum lhs_i.te + |factor| sum rhs_i.te.
+    truncation error of the sample is sum lhs_i.tail + |factor| sum rhs_i.tail.
     """
     bases = [base(tau) for tau in plan.taus]
     out = []
     for gamma in plan.gammas:
         for tau, at_tau in zip(plan.taus, bases):
             lhs, factor, rhs = sides(gamma, tau, at_tau)
-            scaled = [factor * y.value for y in rhs]
-            absolute = math.hypot(*(abs(x.value - y) for x, y in zip(lhs, scaled)))
-            rhs_norm = math.hypot(*(abs(y) for y in scaled))
-            out.append(
-                Residual(
-                    form=label,
-                    gamma=gamma,
-                    tau=tau,
-                    absolute=absolute,
-                    relative=absolute / max(1.0, rhs_norm),
-                    truncation_error=_plain_sum(x.truncation_error for x in lhs)
-                    + abs(factor) * _plain_sum(y.truncation_error for y in rhs),
-                )
-            )
+            scaled = [factor * value for value, _ in rhs]
+            absolute = math.hypot(*[abs(x - y) for (x, _), y in zip(lhs, scaled)])
+            rhs_norm = math.hypot(*map(abs, scaled))
+            error = _plain_sum([tail for _, tail in lhs]) + abs(factor) * _plain_sum([tail for _, tail in rhs])
+            out.append(Residual(label, gamma, tau, absolute, absolute / max(1.0, rhs_norm), error))
     return out
 
 
@@ -182,16 +176,12 @@ def check_quasimodular(form, plan, label=None):
     _require_weight(plan, k)
     full = completion(form, plan.precision)
     expansions = [full.coefficient(r) for r in range(form.depth + 1)]
+    factors = {gamma: list(enumerate(_powers(gamma.c * LAMBDA, form.depth))) for gamma in plan.gammas}
 
     def sides(gamma, tau, base):
-        lhs = expansions[0].evaluate(gamma.act(tau))
         j = gamma.j(tau)
-        factors = _powers(gamma.c * LAMBDA, form.depth)
-        rhs = combine(
-            (j ** (k - r) * factor, value)
-            for r, (factor, value) in enumerate(zip(factors, base))
-        )
-        return [lhs], 1, [rhs]
+        row = [(r, j ** (k - r) * factor) for r, factor in factors[gamma]]
+        return [expansions[0].evaluate(gamma.act(tau))], 1, _row_sums([row], base)
 
     label = str(form) if label is None else label
     return _residuals(plan, label, lambda tau: _evaluations(expansions, tau), sides)
@@ -205,8 +195,7 @@ def check_vv(form, plan, label=None):
 
     def sides(gamma, tau, base):
         lhs = form.evaluate(gamma.act(tau), plan.precision)
-        rhs = [combine(zip(row, base)) for row in _sym_rows(gamma, m)]
-        return lhs, gamma.j(tau) ** (k - m), rhs
+        return lhs, gamma.j(tau) ** (k - m), _row_sums(_sym_rows(gamma, m), base)
 
     label = str(form) if label is None else label
     return _residuals(plan, label, lambda tau: form.evaluate(tau, plan.precision), sides)

@@ -45,23 +45,28 @@ class Evaluation(namedtuple("Evaluation", "value truncation_error")):
     __slots__ = ()
 
 
-def combine(terms):
-    """The weighted sum of ``(weight, Evaluation)`` pairs: the sum of
-    weight * value, with the tail estimate sum |weight| * truncation_error.
-    Terms are added in the order given."""
-    total = 0j
-    error = 0.0
-    for weight, evaluation in terms:
-        total += weight * evaluation.value
-        error += abs(weight) * evaluation.truncation_error
-    return Evaluation(total, error)
+def _row_sums(rows, pairs):
+    """For each row of ``(column, weight)`` entries, ``(sum w * value, sum |w| * tail)``
+    over the ``(value, tail)`` pairs at its columns, added in its order from 0j
+    and 0.0.  A row may leave out a zero weight: its terms are then signed zeros
+    (of finite pairs), which a total that starts at +0.0 ignores."""
+    out = []
+    for row in rows:
+        total = 0j
+        error = 0.0
+        for k, w in row:
+            value, tail = pairs[k]
+            total += w * value
+            error += abs(w) * tail
+        out.append((total, error))
+    return out
 
 
 def _weighted_sum(terms, precision, den=1):
     """The exact sum of weight * series over ``(weight, QSeries)`` pairs, each
     weight an int or Fraction, over ``den`` and truncated to ``precision``:
     every term over one common denominator, its integer numerators added in
-    one pass, one reduction at the end.  The exact counterpart of ``combine``."""
+    one pass, one reduction at the end.  The exact counterpart of ``_row_sums``."""
     # a bad precision is refused before any term is built
     total = [0] * _precision(precision)
     terms = list(terms)

@@ -47,7 +47,9 @@ class QuasiModularForm:
                 continue
             a, b, c = (_natural(e, "monomial exponent") for e in key)
             if 2 * a + 4 * b + 6 * c != weight:
-                raise ValueError(f"monomial E2^{a} E4^{b} E6^{c} has weight {2*a+4*b+6*c}, not {weight}")
+                a, b, c, total = map(_decimal_text, (a, b, c, 2 * a + 4 * b + 6 * c))
+                raise ValueError(f"monomial E2^{a} E4^{b} E6^{c} has weight {total}, not "
+                                 f"{_decimal_text(weight) if isinstance(weight, int) else weight}")
             cleaned[(a, b, c)] = value
         if cleaned:
             _natural(weight, "weight", even=True)

@@ -18,7 +18,8 @@ from math import comb
 from . import linalg
 from .almostholo import _graded_weight, _lowered, completion
 from .eisenstein import dim_modular, monomial_basis
-from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, combine
+from .qseries import (CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _kronecker_product, _natural,
+                      _powers, _row_sums)
 from .quasimodular import E2, QuasiModularForm, _monomial_series, monomial
 
 _set = object.__setattr__
@@ -92,30 +93,37 @@ def sym_matrix(gamma, m):
     gamma sends e1 to a*e1 + c*e2 and e2 to b*e1 + d*e2; the matrix is
     exactly multiplicative: sym_matrix(g*h) = sym_matrix(g) @ sym_matrix(h).
     """
-    return [list(row) for row in _sym_rows(gamma, _natural(m, "the symmetric power m"))]
+    rows = _sym_rows(gamma, _natural(m, "the symmetric power m"))
+    return [[dict(entries).get(i, 0) for i in range(m + 1)] for entries in rows]
 
 
 @lru_cache(maxsize=CACHE_KEYS)
 def _sym_rows(gamma, m):
-    """The rows of ``sym_matrix(gamma, m)`` as tuples, built once per (gamma, m)."""
-    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
-    mat = [[0] * (m + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        # expand (a e1 + c e2)^(m-i) * (b e1 + d e2)^i
-        for p in range(m - i + 1):
-            left = comb(m - i, p) * a ** (m - i - p) * c ** p
-            for q in range(i + 1):
-                mat[p + q][i] += left * comb(i, q) * b ** (i - q) * d ** q
-    return tuple(map(tuple, mat))
+    """The nonzero entries of ``sym_matrix(gamma, m)``, row by row, as
+    ``(column, entry)`` pairs, built once per (gamma, m).  Column i holds the
+    coefficients of (a + c x)^(m-i) (b + d x)^i, with x for e2: each power is
+    one multiply by the linear factor from the last, and each product one
+    ``_kronecker_product`` of operands zero-padded to m + 1 coefficients,
+    exact at degree m."""
+
+    def powers(u, v):
+        out = [[1]]
+        for _ in range(m):
+            out.append([u * x + v * y for x, y in zip(out[-1] + [0], [0] + out[-1])])
+        return out
+
+    left, right = powers(gamma.a, gamma.c), powers(gamma.b, gamma.d)
+    columns = [_kronecker_product(left[m - i] + [0] * i, right[i] + [0] * (m - i)) for i in range(m + 1)]
+    return tuple(tuple([(i, x) for i, x in enumerate(row) if x]) for row in zip(*columns))
 
 
 @lru_cache(maxsize=CACHE_KEYS)
 def _component_weights(depth, m):
-    """Row i holds LAMBDA^r binom(m-r, i) for r = 0..min(depth, m-i): the
-    weights of component i of ``VectorValuedForm.evaluate`` before tau^(m-r-i)."""
+    """Row i holds (r, LAMBDA^r binom(m-r, i), m-r-i) for r = 0..min(depth, m-i):
+    the weights of component i of ``VectorValuedForm.evaluate`` before tau^(m-r-i)."""
     lam_powers = _powers(LAMBDA, depth)
     return tuple(
-        tuple(lam_powers[r] * comb(m - r, i) for r in range(min(depth, m - i) + 1))
+        tuple((r, lam_powers[r] * comb(m - r, i), m - r - i) for r in range(min(depth, m - i) + 1))
         for i in range(m + 1)
     )
 
@@ -170,17 +178,12 @@ class VectorValuedForm:
         """
         tau = complex(tau)
         full = completion(self.source, precision)
-        values = _evaluations([full.coefficient(r) for r in range(self.depth + 1)], tau)
-        m = self.m
+        depth, m = self.depth, self.m
+        values = _evaluations([full.coefficient(r) for r in range(depth + 1)], tau)
         # by **: repeated multiplication (_powers) rounds differently
         tau_powers = [tau ** e for e in range(m + 1)]
-        return tuple(
-            combine([
-                (weight * tau_powers[m - r - i], value)
-                for r, (weight, value) in enumerate(zip(row, values))
-            ])
-            for i, row in enumerate(_component_weights(self.depth, m))
-        )
+        rows = [[(r, w * tau_powers[e]) for r, w, e in row] for row in _component_weights(depth, m)]
+        return tuple(map(Evaluation._make, _row_sums(rows, values)))
 
     def __str__(self):
         return f"VV(m={self.m}, k={self.weight_label}, source={self.source})"

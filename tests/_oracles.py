@@ -179,6 +179,14 @@ def kron(a, b):
     ]
 
 
+def det_one_elements(bound):
+    """Every ``GroupElement`` with entries in -bound..bound."""
+    from qmforms import GroupElement
+
+    span = range(-bound, bound + 1)
+    return [GroupElement(a, b, c, d) for a in span for b in span for c in span for d in span if a * d - b * c == 1]
+
+
 def sym_power_by_tensors(gamma, m):
     """Matrix of the m-th symmetric power built from the m-fold tensor power.
 

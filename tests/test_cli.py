@@ -215,6 +215,16 @@ class TestExpand:
         assert sys.get_int_max_str_digits() == limit
 
     @needs_digit_limit
+    def test_an_exponent_at_the_digit_limit_gets_the_weight_error(self, capsys):
+        # the exponent is within the limit, the weight 4 * e4 one digit past it
+        digits = "9" * sys.get_int_max_str_digits()
+        doc = ('{"format":"quasimodular","version":1,"weight":4,'
+               '"terms":[{"e2":0,"e4":' + digits + ',"e6":0,"num":"1","den":"1"}]}')
+        code, out, err = run(capsys, "expand", doc)
+        assert (code, out) == (2, "")
+        assert err == f"error: monomial E2^0 E4^{digits} E6^0 has weight 3{digits[1:]}6, not 4\n"
+
+    @needs_digit_limit
     def test_a_literal_past_the_digit_limit_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "expand", "9" * 5000)
         assert (code, out) == (2, "")

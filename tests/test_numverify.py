@@ -1,11 +1,12 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from qmforms import almostholo, numverify, vectorvalued
-from qmforms.qseries import CACHE_KEYS
+from qmforms.qseries import CACHE_KEYS, LAMBDA, _row_sums, yhat
 from qmforms import (
     E2,
     E4,
@@ -21,12 +22,14 @@ from qmforms import (
     check_quasimodular,
     check_scalar,
     check_vv,
+    completion,
     default_plan,
     from_quasimodular,
     max_relative,
+    sym_matrix,
 )
 
-from _oracles import plain_float_sum
+from _oracles import det_one_elements, plain_float_sum, random_form
 from _residual_bits import battery_sha256, evaluator_sha256
 
 
@@ -422,6 +425,77 @@ class TestBitIdentity:
 
     def test_evaluator_value_bits_are_unchanged(self):
         assert evaluator_sha256() == self.EVALUATOR_SHA256
+
+
+def combine(terms):
+    """``(sum w * value, sum |w| * tail)`` over ``(w, (value, tail))`` terms,
+    added one at a time from 0j and 0.0, zero weights included: the order
+    every weighted sum of the harness keeps."""
+    total, error = 0j, 0.0
+    for weight, (value, tail) in terms:
+        total += weight * value
+        error += abs(weight) * tail
+    return total, error
+
+
+def hex_pairs(pairs):
+    return [(value.real.hex(), value.imag.hex(), tail.hex()) for value, tail in pairs]
+
+
+class TestRowSumBits:
+    """The row kernel gives, bit for bit, the sums that ``combine`` above adds
+    term by term, also where the ``Sym^m`` rows leave zero weights out."""
+
+    def random_pairs(self, rng, count):
+        def part():
+            return rng.choice([rng.uniform(-3, 3), rng.uniform(-3e-9, 3e-9), 0.0, -0.0])
+        return [(complex(part(), part()), rng.choice([0.0, rng.uniform(0, 1e-9)])) for _ in range(count)]
+
+    def test_sym_rows_against_the_dense_matrix(self):
+        rng = random.Random(28)
+        elements = det_one_elements(5)
+        with_zero = [g for g in elements if 0 in (g.a, g.b, g.c, g.d)]
+        elements = list(default_plan().gammas) + rng.sample(with_zero, 5) + rng.sample(elements, 10)
+        zero_entries = 0
+        for gamma in elements:
+            for m in range(13):
+                matrix = sym_matrix(gamma, m)
+                zero_entries += sum(row.count(0) for row in matrix)
+                pairs = self.random_pairs(rng, m + 1)
+                expected = [combine(zip(row, pairs)) for row in matrix]
+                assert hex_pairs(_row_sums(vectorvalued._sym_rows(gamma, m), pairs)) == hex_pairs(expected)
+        assert zero_entries > 0
+
+    def test_vector_valued_components(self):
+        # component i is sum_r (LAMBDA^r binom(m-r, i)) tau^(m-r-i) * fhat_r(tau)
+        rng = random.Random(29)
+        plan = default_plan()
+        points = list(plan.taus) + [gamma.act(tau) for gamma in plan.gammas for tau in plan.taus]
+        for _ in range(12):
+            form = random_form(rng, max_weight=24, max_depth=4)
+            full = completion(form, plan.precision)
+            lam = [LAMBDA ** 0]
+            for _ in range(form.depth):
+                lam.append(lam[-1] * LAMBDA)
+            for m in range(form.depth, 13, 3):
+                vv = from_quasimodular(form, m)
+                for tau in points:
+                    values = [full.coefficient(r).evaluate(tau) for r in range(form.depth + 1)]
+                    powers = [tau ** e for e in range(m + 1)]
+                    expected = [combine((lam[r] * math.comb(m - r, i) * powers[m - r - i], values[r])
+                                        for r in range(min(form.depth, m - i) + 1)) for i in range(m + 1)]
+                    assert hex_pairs(vv.evaluate(tau, plan.precision)) == hex_pairs(expected)
+
+    def test_almost_holomorphic_values(self):
+        rng = random.Random(30)
+        for _ in range(20):
+            full = completion(random_form(rng, max_weight=24, max_depth=4), 64)
+            for tau in default_plan().taus:
+                powers = [1.0]
+                for _ in range(full.degree):
+                    powers.append(powers[-1] * yhat(tau.imag))
+                expected = combine(zip(powers, [s.evaluate(tau) for s in full.coeffs]))
+                assert hex_pairs([full.evaluate(tau)]) == hex_pairs([expected])
 
 
 class TestResidualScaling:

@@ -11,7 +11,7 @@ from qmforms import E2, E4, E6, QSeries, format_series
 from qmforms.eisenstein import delta_series, eisenstein_series
 from qmforms.numverify import check_quasimodular, check_vv, default_plan
 from qmforms import qseries
-from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _kronecker_product, _q_table, _weighted_sum, combine
+from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _kronecker_product, _q_table, _row_sums, _weighted_sum
 from qmforms.vectorvalued import from_quasimodular
 
 from _oracles import ascending_complex_sum, convolution, delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
@@ -480,13 +480,19 @@ class TestQTable:
         assert _q_table.cache_info() == (0, 0, CACHE_KEYS, 0)
 
 
-class TestCombine:
+class TestRowSums:
     def test_weighted_sum_and_tail(self):
-        terms = [(2.0, Evaluation(1 + 1j, 0.5)), (-3j, Evaluation(2 + 0j, 0.25)), (0.5, Evaluation(4j, 0.0))]
-        assert combine(terms) == Evaluation(2 - 2j, 1.75)
+        pairs = [Evaluation(1 + 1j, 0.5), Evaluation(2 + 0j, 0.25), Evaluation(4j, 0.0)]
+        assert _row_sums([[(0, 2.0), (1, -3j), (2, 0.5)]], pairs) == [(2 - 2j, 1.75)]
 
     def test_empty_sum(self):
-        assert combine([]) == Evaluation(0j, 0.0)
+        assert _row_sums([[]], []) == [(0j, 0.0)]
+        assert _row_sums([], [(1j, 1.0)]) == []
+
+    def test_each_row_reads_its_own_columns(self):
+        pairs = [(1 + 0j, 1.0), (1j, 2.0), (-1 + 0j, 4.0)]
+        rows = [[(2, 3)], [(1, -1), (0, 2)], [(0, 1), (0, 1)]]
+        assert _row_sums(rows, pairs) == [(-3 + 0j, 12.0), (2 - 1j, 4.0), (2 + 0j, 2.0)]
 
 
 class TestWeightedSum:

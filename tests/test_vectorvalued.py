@@ -40,7 +40,7 @@ from qmforms import (
 )
 from qmforms import almostholo, linalg, vectorvalued
 
-from _oracles import exact_rank, random_form, sym_power_by_tensors
+from _oracles import det_one_elements, exact_rank, random_form, sym_power_by_tensors
 
 
 class TestGroupElement:
@@ -152,6 +152,28 @@ class TestSymMatrix:
                     ]
                     assert left == product
 
+    def test_against_the_binomial_formula(self):
+        # entry (p, i) is the e2^p coefficient of (a e1 + c e2)^(m-i) (b e1 + d e2)^i
+        def binomial(gamma, m):
+            a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+            return [[sum(math.comb(m - i, p - q) * a ** (m - i - p + q) * c ** (p - q)
+                          * math.comb(i, q) * b ** (i - q) * d ** q
+                          for q in range(max(0, p - m + i), min(i, p) + 1))
+                     for i in range(m + 1)] for p in range(m + 1)]
+
+        rng = random.Random(60)
+        for gamma in list(default_plan().gammas) + rng.sample(det_one_elements(5), 20):
+            for m in range(13):
+                assert sym_matrix(gamma, m) == binomial(gamma, m)
+
+    def test_multiplicative_at_rank_sixty(self):
+        m = 60
+        pairs = [(GroupElement(2, 1, 1, 1), GroupElement(1, 0, -1, 1)), (S * T, GroupElement(3, -5, -1, 2))]
+        for gamma, delta in pairs:
+            a, b = sym_matrix(gamma, m), sym_matrix(delta, m)
+            columns = list(zip(*b))
+            assert sym_matrix(gamma * delta, m) == [[sum(x * y for x, y in zip(row, col)) for col in columns]
+                                                    for row in a]
 
     def test_each_call_returns_a_fresh_matrix(self):
         plan = default_plan()
