@@ -92,42 +92,25 @@ def _check_precision(precision):
 def cmd_expand(args):
     n = _check_precision(args.precision)
     form = _single_form(args.form)
+    # per kind: the JSON header and key, the line label, and the rows; a
+    # quasimodular form has one unlabelled row, written as a flat list
     if isinstance(form, QuasiModularForm):
-        series = form.qexpansion(n)
-        if args.json:
-            print(_canonical({
-                "weight": form.weight,
-                "precision": n,
-                "coeffs": [_decimal_text(c) for c in series.coeffs],
-            }))
-        else:
-            print(series)
+        header, key, label = {"weight": form.weight, "precision": n}, "coeffs", ""
+        rows = [form.qexpansion(n)]
     elif isinstance(form, AlmostHolomorphicForm):
-        coeffs = [series.truncate(n) for series in form.coeffs]
-        if args.json:
-            print(_canonical({
-                "weight": form.weight,
-                "precision": coeffs[0].precision,
-                "ycoeffs": [[_decimal_text(c) for c in s.coeffs] for s in coeffs],
-            }))
-        else:
-            for r, series in enumerate(coeffs):
-                print(f"Y^{r}: {series}")
-    elif isinstance(form, VectorValuedForm):
+        rows = [series.truncate(n) for series in form.coeffs]
+        header, key, label = {"weight": form.weight, "precision": rows[0].precision}, "ycoeffs", "Y^{}: "
+    else:  # a VectorValuedForm, the one other kind a document holds
         full = completion(form.source, n)
-        components = [full.coefficient(r) for r in range(form.m + 1)]
-        if args.json:
-            print(_canonical({
-                "m": form.m,
-                "weight_label_k": form.weight_label,
-                "precision": n,
-                "components": [[_decimal_text(c) for c in s.coeffs] for s in components],
-            }))
-        else:
-            for r, series in enumerate(components):
-                print(f"component {r}: {series}")
+        rows = [full.coefficient(r) for r in range(form.m + 1)]
+        header = {"m": form.m, "weight_label_k": form.weight_label, "precision": n}
+        key, label = "components", "component {}: "
+    if args.json:
+        values = [[_decimal_text(c) for c in series.coeffs] for series in rows]
+        print(_canonical({**header, key: values if label else values[0]}))
     else:
-        raise UsageError(f"cannot expand {type(form).__name__}")
+        for r, series in enumerate(rows):
+            print(f"{label.format(r)}{series}")
     return EXIT_OK
 
 
@@ -147,8 +130,7 @@ def cmd_convert(args):
         if isinstance(form, list):
             if not all(isinstance(p, QuasiModularForm) for p in form):
                 raise UsageError("w-basis parts must be quasimodular documents")
-            rank = args.rank if args.rank is not None else len(form) - 1
-            vv = w_compose(form, m=rank, weight_label=args.weight)
+            vv = w_compose(form, m=args.rank, weight_label=args.weight)
         elif isinstance(form, QuasiModularForm):
             rank = args.rank if args.rank is not None else form.depth
             vv = from_quasimodular(form, rank, args.weight)
@@ -159,7 +141,7 @@ def cmd_convert(args):
         if not isinstance(form, VectorValuedForm):
             raise UsageError("--to wbasis needs a vectorvalued form")
         print(_canonical([to_document(p) for p in w_decompose(form)]))
-    elif target == "quasimodular":
+    else:  # "quasimodular", the last of the parser's choices
         if isinstance(form, VectorValuedForm):
             result = form.source
         elif isinstance(form, AlmostHolomorphicForm):
@@ -172,8 +154,6 @@ def cmd_convert(args):
         else:
             raise UsageError("--to quasimodular needs a form document")
         print(_canonical(to_document(result)))
-    else:
-        raise UsageError(f"unknown conversion target {target!r}")
     return EXIT_OK
 
 
@@ -220,10 +200,8 @@ def cmd_verify(args):
         residuals = check_quasimodular(form, plan)
     elif isinstance(form, AlmostHolomorphicForm):
         residuals = check_scalar(form.evaluate, form.weight, plan, label="almostholo")
-    elif isinstance(form, VectorValuedForm):
+    else:  # a VectorValuedForm
         residuals = check_vv(form, plan)
-    else:
-        raise UsageError(f"cannot verify {type(form).__name__}")
 
     for residual in residuals:
         print(residual.json_line())

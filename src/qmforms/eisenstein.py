@@ -1,12 +1,11 @@
 """Level-one Eisenstein series, the discriminant, and dimension counts.
 
 Conventions: E2 = 1 - 24 sum sigma_1(n) q^n, E4 = 1 + 240 sum sigma_3(n) q^n,
-E6 = 1 - 504 sum sigma_5(n) q^n, Delta = (E4^3 - E6^2)/1728.  Dimensions of
+E6 = 1 - 504 sum sigma_5(n) q^n, Delta = (E4^3 - E6^2)/1728, whose series
+``delta_series`` reads off the form ``quasimodular.DELTA``.  Dimensions of
 the classical spaces M_k are obtained by counting monomials E4^a E6^b, so the
 dimension and the constructed basis can never disagree.
 """
-
-from fractions import Fraction
 
 from .qseries import DEFAULT_PRECISION, QSeries, _natural, _prefix_cache
 
@@ -29,10 +28,10 @@ def eisenstein_series(weight, precision=DEFAULT_PRECISION, /):
 
 
 def delta_series(precision=DEFAULT_PRECISION):
-    """The discriminant cusp form (E4^3 - E6^2)/1728."""
-    e4 = eisenstein_series(4, precision)
-    e6 = eisenstein_series(6, precision)
-    return (e4 ** 3 - e6 ** 2) * Fraction(1, 1728)
+    """The discriminant cusp form (E4^3 - E6^2)/1728: the expansion of ``DELTA``."""
+    from .quasimodular import DELTA  # quasimodular imports this module
+
+    return DELTA.qexpansion(precision)
 
 
 def monomial_basis(weight):

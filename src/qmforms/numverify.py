@@ -2,12 +2,16 @@
 
 The checks compare both sides of the scalar, quasi-modular, and
 vector-valued functional equations on a fixed sample of group elements and
-base points, and report absolute and relative residuals per sample.  All
+base points, and report absolute and relative residuals per sample.
+``default_plan()`` is the one fixed sample, with tolerance 1e-8 and 64
+coefficients; ``_replace`` on it makes a checked plan with others.  All
 sample points keep Im tau >= 0.3 and all images keep Im(gamma tau) >= 0.25.
 For true forms of weight 4 to 22, the weights the bench ``verify`` workload
 checks, 64 coefficients then keep truncation far below the 1e-8 tolerance.
 Higher weights may need more: ``E4^10`` (weight 40) leaves an exact residual
-of 6.2e-8 at 64 coefficients (ROADMAP items 5 and 8).
+of 6.2e-8 at 64 coefficients (ROADMAP items 5 and 8).  Float64 rounding
+alone FAILs true forms from weight 24 on, and ``check_vv`` of
+``from_quasimodular(E4, m)`` from m = 36 on (ROADMAP items 5 and 9).
 """
 
 import cmath
@@ -17,7 +21,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .almostholo import completion
-from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, _row_sums
+from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, _row_sums
 from .vectorvalued import GroupElement, S, T, _sym_rows
 
 MIN_IM_TAU = 0.3
@@ -56,15 +60,16 @@ class SamplePlan(namedtuple("SamplePlan", "taus gammas tolerance precision",
         return cls(*iterable)
 
 
-@lru_cache(maxsize=CACHE_KEYS, typed=True)
-def default_plan(tolerance=DEFAULT_TOLERANCE, precision=DEFAULT_PRECISION):
-    """The standard plan: three base points and six group elements.
+@lru_cache(maxsize=None)
+def default_plan():
+    """The standard plan: three base points, six group elements, the tolerance
+    ``DEFAULT_TOLERANCE`` and ``DEFAULT_PRECISION`` coefficients.
 
     The six elements are T, S, S*T, T*S^-1, [[2,1],[1,1]] and the lower
     unipotent [[1,0],[-1,1]]; every det-one matrix with |c| >= 2 would push
     some image below Im = 0.25 at these base points, so all elements here
-    have c in {0, 1, -1}.  The immutable plan is built once per (tolerance,
-    precision) of one type each, and a refused argument raises on every call.
+    have c in {0, 1, -1}.  The immutable plan is built once; ``_replace``
+    gives a checked plan with another tolerance or precision.
     """
     taus = (complex(0.3, 1.1), complex(-0.4, 0.9), complex(0.1, 1.7))
     gammas = (
@@ -75,7 +80,7 @@ def default_plan(tolerance=DEFAULT_TOLERANCE, precision=DEFAULT_PRECISION):
         GroupElement(2, 1, 1, 1),
         GroupElement(1, 0, -1, 1),
     )
-    return SamplePlan(taus=taus, gammas=gammas, tolerance=tolerance, precision=precision)
+    return SamplePlan(taus=taus, gammas=gammas)
 
 
 class Residual(namedtuple("Residual", "form gamma tau absolute relative truncation_error")):

@@ -345,11 +345,12 @@ class QSeries:
 
     @classmethod
     def zero(cls, precision=DEFAULT_PRECISION):
-        return cls._from_ints([0] * _precision(precision))
+        """The zero series, one kept per precision with the values it keeps."""
+        return _zero(_precision(precision))
 
     @classmethod
     def one(cls, precision=DEFAULT_PRECISION):
-        return cls.zero(precision) + 1
+        return cls._from_ints([1] + [0] * (_precision(precision) - 1))
 
     @property
     def coeffs(self):
@@ -394,8 +395,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             other = _exact(other)
             other = QSeries._from_ints([other.numerator] + [0] * (self.precision - 1), other.denominator)
-        (s, t), den = _over_lcm(((1, self.denominator), (1, other.denominator)))
-        return QSeries._from_ints([a * s + b * t for a, b in zip(self.numerators, other.numerators)], den)
+        return _weighted_sum([(1, self), (1, other)], min(self.precision, other.precision))
 
     __radd__ = __add__
 
@@ -455,6 +455,11 @@ class QSeries:
         shown = format_series(self.truncate(min(4, self.precision)))
         more = ", ..." if self.precision > 4 else ""
         return f"QSeries({shown}{more}; precision={self.precision})"
+
+
+@functools.lru_cache(maxsize=CACHE_KEYS)
+def _zero(precision):
+    return QSeries._from_ints([0] * precision)
 
 
 def _signed_sum(terms):

@@ -221,9 +221,9 @@ def _monomial_series(a, b, c, precision):
     return _generator_power(4, b, precision) * _generator_power(6, c, precision)
 
 
-def monomial(a, b, c, coefficient=1):
-    """The form coefficient * E2^a E4^b E6^c."""
-    return QuasiModularForm(2 * a + 4 * b + 6 * c, {(a, b, c): coefficient})
+def monomial(a, b, c):
+    """The form E2^a E4^b E6^c."""
+    return QuasiModularForm(2 * a + 4 * b + 6 * c, {(a, b, c): 1})
 
 
 ONE = QuasiModularForm(0, {(0, 0, 0): 1})

@@ -233,6 +233,8 @@ def w_compose(parts, m=None, weight_label=None):
     if weight_label is not None:
         _natural(weight_label, "weight label", even=True)
     parts = list(parts)
+    if not parts:
+        raise ValueError("need at least one w-basis part, got an empty list")
     m = len(parts) - 1 if m is None else _natural(m, "the rank parameter m")
     if len(parts) != m + 1:
         raise ValueError(f"need m + 1 = {m + 1} parts, got {len(parts)}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import time
 import pytest
 
 from qmforms import (
-    E2, E4, E6, QuasiModularForm, certify_dim_vv, cli, completion, dim_vv, dumps, from_quasimodular, loads, parse_form,
+    DELTA, E2, E4, E6, QuasiModularForm, certify_dim_vv, cli, completion, dim_vv, dumps, from_quasimodular, loads,
+    parse_form,
 )
 from qmforms.cli import MAX_PRECISION, _check_precision, main
 from qmforms.exprparse import ExpressionError
@@ -149,6 +151,52 @@ class TestExpand:
         assert code == 0
         payload = json.loads(out)
         assert payload["coeffs"] == ["1", "-504", "-16632"]
+
+    # every form kind: rational coefficients, an almostholo document shorter
+    # than --precision 9, rows and components that truncate to zero, and a
+    # vectorvalued document with m = depth + 2
+    PINNED_DOCUMENTS = [
+        "E4",
+        "E2*Delta^6",
+        "E2^3*E6 - 5/7*E2*E4*E6 + Delta",
+        dumps(completion(E2 * DELTA, 12)),
+        dumps(completion(E2 ** 2 * E4 / 3, 6)),
+        dumps(from_quasimodular(E2 * DELTA ** 6, 1)),
+        dumps(from_quasimodular(E2 ** 2 * E4 + E2 * E6 / 2, 4)),
+    ]
+
+    def test_output_is_pinned(self, capsys):
+        written = []
+        for doc in self.PINNED_DOCUMENTS:
+            for precision in ("1", "2", "5", "9"):
+                for extra in ([], ["--json"]):
+                    code, out, err = run(capsys, "expand", doc, "--precision", precision, *extra)
+                    assert (code, err) == (0, ""), (doc, precision, extra)
+                    written.append(out)
+        text = "".join(written)
+        assert text.count("\n") == 88
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "99cf8070a9babbb7124c4b79ff5caf44204d14b695c711546ccc231f96ba71f8")
+
+    @pytest.mark.parametrize("doc, precision, expected", [
+        (PINNED_DOCUMENTS[1], "2", ['{"coeffs":["0","0"],"precision":2,"weight":74}']),
+        (PINNED_DOCUMENTS[3], "1", ["Y^0: 0", "Y^1: 0"]),
+        (PINNED_DOCUMENTS[3], "1", ['{"precision":1,"weight":14,"ycoeffs":[["0"],["0"]]}']),
+        (PINNED_DOCUMENTS[4], "9", ['{"precision":6,"weight":8,"ycoeffs":['
+                                    '["1/3","64","-2976","3328","473632","3811200"],'
+                                    '["2/3","144","-2448","-41664","-214992","-747936"],'
+                                    '["1/3","80","720","2240","5840","10080"]]}']),
+        (PINNED_DOCUMENTS[5], "5", ["component 0: 0", "component 1: 0"]),
+        (PINNED_DOCUMENTS[6], "2", ["component 0: 3/2 - 72q", "component 1: 5/2 + 180q", "component 2: 1 + 240q",
+                                    "component 3: 0", "component 4: 0"]),
+        (PINNED_DOCUMENTS[6], "2", ['{"components":[["3/2","-72"],["5/2","180"],["1","240"],["0","0"],["0","0"]],'
+                                    '"m":4,"precision":2,"weight_label_k":8}']),
+    ], ids=["zero-expansion-json", "almostholo-zero-rows", "almostholo-zero-rows-json", "almostholo-shorter-json",
+            "zero-top-component", "m-past-depth", "m-past-depth-json"])
+    def test_edge_rows(self, capsys, doc, precision, expected):
+        extra = ["--json"] if expected[0].startswith("{") else []
+        code, out, _ = run(capsys, "expand", doc, "--precision", precision, *extra)
+        assert (code, out.splitlines()) == (0, expected)
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "form.json"
@@ -318,6 +366,11 @@ class TestConvert:
         # a zero source has no weight of its own, so the label is what --weight says
         code, out, _ = run(capsys, "convert", "0", "--to", "vvmf", "--rank", "1", "--weight", "10")
         assert code == 0 and json.loads(out)["weight_label_k"] == 10
+
+    def test_vvmf_of_no_parts_says_so(self, capsys):
+        code, out, err = run(capsys, "convert", "[]", "--to", "vvmf")
+        assert (code, out) == (2, "")
+        assert err == "error: need at least one w-basis part, got an empty list\n"
 
     def test_wbasis_needs_vectorvalued(self, capsys):
         code, _, err = run(capsys, "convert", "E4", "--to", "wbasis")

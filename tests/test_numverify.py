@@ -127,11 +127,11 @@ class TestPlanContract:
         with pytest.raises(ValueError, match="precision"):
             SamplePlan(taus=(complex(0.3, 1.1),), gammas=(S,), precision=precision)
         with pytest.raises(ValueError, match="precision"):
-            default_plan(precision=precision)
+            default_plan()._replace(precision=precision)
 
     def test_replace_keeps_the_plan_type(self):
         plan = default_plan()._replace(tolerance=1e-6)
-        assert type(plan) is SamplePlan and plan == default_plan(tolerance=1e-6)
+        assert type(plan) is SamplePlan and plan == (*default_plan()[:2], 1e-6, default_plan().precision)
 
 
 class TestResidualContract:
@@ -500,8 +500,8 @@ class TestRowSumBits:
 
 class TestResidualScaling:
     def test_doubling_precision_never_hurts(self):
-        coarse = default_plan(precision=64)
-        fine = default_plan(precision=128)
+        coarse = default_plan()._replace(precision=64)
+        fine = default_plan()._replace(precision=128)
         for form in (E2, E2 * E2 * E4, E4 * E6):
             low = check_quasimodular(form, coarse)
             high = check_quasimodular(form, fine)

@@ -46,12 +46,19 @@ class TestConstruction:
     def test_precision(self):
         assert series(1, 2, 3).precision == 3
 
-    @pytest.mark.parametrize("precision", [0, -1])
+    @pytest.mark.parametrize("precision", [0, -1, 5.0, True])
     def test_one_rejects_non_positive_precision(self, precision):
-        with pytest.raises(ValueError):
+        # checked before the kept zeros, where 5.0 or True would find those of 5 or 1
+        QSeries.zero(1), QSeries.zero(5)
+        with pytest.raises(ValueError, match="precision"):
             QSeries.one(precision)
         with pytest.raises(ValueError):
             QSeries.zero(precision)
+
+    def test_one_zero_per_precision(self):
+        assert QSeries.zero(5) is QSeries.zero(5) and QSeries.zero(5) == QSeries([0] * 5)
+        assert QSeries.zero() is QSeries.zero(64)
+        assert QSeries.one(5) == QSeries([1, 0, 0, 0, 0]) and QSeries.one(1) == QSeries([1])
 
     def test_truncate_never_extends(self):
         s = series(1, 2, 3)

@@ -38,7 +38,7 @@ from qmforms import (
     w_compose,
     w_decompose,
 )
-from qmforms import almostholo, linalg, vectorvalued
+from qmforms import almostholo, linalg, qseries, vectorvalued
 
 from _oracles import det_one_elements, exact_rank, random_form, sym_power_by_tensors
 
@@ -252,6 +252,17 @@ class TestWrapping:
         tail = sum(e.truncation_error for e in F.evaluate(tau, 1))
         assert tail == pytest.approx(expected, rel=1e-12, abs=0)
 
+    def test_padding_zero_is_summed_once_per_point(self, monkeypatch):
+        # at precision 4 the completion of E2*Delta^6 keeps one zero coefficient,
+        # and Yhat^1 pads with the kept zero series of that precision
+        qseries._zero.cache_clear()
+        F = from_quasimodular(E2 * DELTA ** 6, 1)
+        sums = []
+        float_coeffs = qseries.QSeries._float_coeffs
+        monkeypatch.setattr(qseries.QSeries, "_float_coeffs", lambda s: sums.append(s) or float_coeffs(s))
+        values = [F.evaluate(complex(0.3, 1.1), 4) for _ in range(5)]
+        assert len(sums) == 2 and all(v == values[0] for v in values)
+
 
 class TestModularity:
     def test_battery(self):
@@ -383,6 +394,11 @@ class TestWBasis:
     def test_depth_zero_required(self):
         with pytest.raises(ValueError):
             w_compose([E2, QuasiModularForm(0, {})])
+
+    @pytest.mark.parametrize("m", [None, 0, 2])
+    def test_no_parts_is_refused_as_such(self, m):
+        with pytest.raises(ValueError, match="^need at least one w-basis part, got an empty list$"):
+            w_compose([], m)
 
     @pytest.mark.parametrize(
         "m, label, name",
