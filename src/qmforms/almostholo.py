@@ -186,7 +186,8 @@ def reconstruct(parts):
             raise NotHolomorphicError(
                 f"not holomorphic: Yhat^{r} coefficient does not cancel"
             )
-    return coefficient(0)
+    # only parts[0] reaches Yhat^0
+    return parts[0].coeffs[0]
 
 
 def raise_op(form):

@@ -12,6 +12,13 @@ Higher weights may need more: ``E4^10`` (weight 40) leaves an exact residual
 of 6.2e-8 at 64 coefficients (ROADMAP items 5 and 8).  Float64 rounding
 alone FAILs true forms from weight 24 on, and ``check_vv`` of
 ``from_quasimodular(E4, m)`` from m = 36 on (ROADMAP items 5 and 9).
+
+Each law has a half that no form enters: the images gamma tau and the
+factors j(gamma, tau)^w.  They are built once per plan points and elements
+and weight w (``_images``, at most ``CACHE_KEYS`` keys, the least recently
+used out first) and serve all three checks: ``check_scalar`` at the weight,
+``check_vv`` at k - m and ``check_quasimodular`` at each k - r, r <= depth.
+The plan's weight range is computed once per points and elements.
 """
 
 import cmath
@@ -19,9 +26,10 @@ import json
 import math
 from collections import namedtuple
 from functools import lru_cache
+from itertools import product
 
 from .almostholo import completion
-from .qseries import DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, _row_sums
+from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, _row_sums
 from .vectorvalued import GroupElement, S, T, _sym_rows
 
 MIN_IM_TAU = 0.3
@@ -29,14 +37,16 @@ MIN_IM_IMAGE = 0.25
 DEFAULT_TOLERANCE = 1e-8
 
 
-class SamplePlan(namedtuple("SamplePlan", "taus gammas tolerance precision",
-                            defaults=(DEFAULT_TOLERANCE, DEFAULT_PRECISION))):
-    """Sample points, group elements, tolerance, and expansion precision."""
+class SamplePlan(namedtuple("SamplePlan", "taus gammas tolerance precision")):
+    """Sample points, group elements, tolerance, and expansion precision.
+
+    The points and elements are kept as tuples, so a plan is hashable and its
+    ``(taus, gammas)`` can key the tables its checks share."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __new__(cls, taus, gammas, tolerance=DEFAULT_TOLERANCE, precision=DEFAULT_PRECISION):
+        self = super().__new__(cls, tuple(taus), tuple(gammas), tolerance, precision)
         if not self.taus or not self.gammas:
             raise ValueError("a sample plan needs at least one tau and one gamma")
         # written so that NaN fails every comparison
@@ -120,17 +130,28 @@ def _call_evaluator(evaluator, tau):
     return Evaluation(complex(result), 0.0)
 
 
-def _require_weight(plan, weight):
-    """Refuse a weight whose factor j^weight, j = c tau + d, would overflow
-    float64 on the plan: |weight ln|j|| must stay within 1023 ln 2."""
-    logs = [math.log(abs(gamma.j(tau))) for gamma in plan.gammas for tau in plan.taus]
+@lru_cache(maxsize=CACHE_KEYS)
+def _weight_range(taus, gammas):
+    """The least and greatest weight whose factor j^weight, j = c tau + d,
+    stays within float64 at every sample: |weight ln|j|| <= 1023 ln 2."""
+    logs = [math.log(abs(gamma.j(tau))) for gamma in gammas for tau in taus]
     span = 1023 * math.log(2)
     top = math.floor(span / max(logs)) if max(logs) > 0 else math.inf
     bottom = -math.floor(span / -min(logs)) if min(logs) < 0 else -math.inf
+    return bottom, top
+
+
+@lru_cache(maxsize=CACHE_KEYS)
+def _images(taus, gammas, weight):
+    """The half of a law at ``weight`` that no form enters: per group element,
+    per base point, the image gamma tau and the factor j(gamma, tau)^weight.
+    A weight outside ``_weight_range`` is refused, and its refusal not kept."""
+    bottom, top = _weight_range(taus, gammas)
     if not bottom <= weight <= top:
         raise ValueError(
             f"weight {weight} is outside {bottom}..{top}, the weights this sample plan can check"
         )
+    return tuple(tuple((gamma.act(tau), gamma.j(tau) ** weight) for tau in taus) for gamma in gammas)
 
 
 def _plain_sum(values):
@@ -142,65 +163,65 @@ def _plain_sum(values):
     return total
 
 
-def _residuals(plan, label, base, sides):
+def _residuals(plan, label, sides):
     """One residual per (gamma, tau) of the plan, in the Euclidean norm.
 
-    ``base(tau)`` evaluates the form at a base point, once per tau;
-    ``sides(gamma, tau, base)`` returns, from that value, the left-hand
+    ``sides`` yields, gamma by gamma and tau by tau within, the left-hand
     ``(value, tail)`` pairs, the automorphy factor and the right-hand pairs
     before that factor.  The law is lhs_i = factor * rhs_i, and the
     truncation error of the sample is sum lhs_i.tail + |factor| sum rhs_i.tail.
     """
-    bases = [base(tau) for tau in plan.taus]
     out = []
-    for gamma in plan.gammas:
-        for tau, at_tau in zip(plan.taus, bases):
-            lhs, factor, rhs = sides(gamma, tau, at_tau)
-            scaled = [factor * value for value, _ in rhs]
-            absolute = math.hypot(*[abs(x - y) for (x, _), y in zip(lhs, scaled)])
-            rhs_norm = math.hypot(*map(abs, scaled))
-            error = _plain_sum([tail for _, tail in lhs]) + abs(factor) * _plain_sum([tail for _, tail in rhs])
-            out.append(Residual(label, gamma, tau, absolute, absolute / max(1.0, rhs_norm), error))
+    for (gamma, tau), (lhs, factor, rhs) in zip(product(plan.gammas, plan.taus), sides):
+        scaled = [factor * value for value, _ in rhs]
+        absolute = math.hypot(*[abs(x - y) for (x, _), y in zip(lhs, scaled)])
+        rhs_norm = math.hypot(*map(abs, scaled))
+        error = _plain_sum([tail for _, tail in lhs]) + abs(factor) * _plain_sum([tail for _, tail in rhs])
+        out.append(Residual(label, gamma, tau, absolute, absolute / max(1.0, rhs_norm), error))
     return out
 
 
 def check_scalar(evaluator, weight, plan, label="scalar form"):
     """Residuals of f(gamma tau) = j^weight f(tau) over the plan."""
-    _require_weight(plan, weight)
-
-    def sides(gamma, tau, base):
-        return [_call_evaluator(evaluator, gamma.act(tau))], gamma.j(tau) ** weight, [base]
-
-    return _residuals(plan, label, lambda tau: _call_evaluator(evaluator, tau), sides)
+    images = _images(plan.taus, plan.gammas, weight)
+    bases = [_call_evaluator(evaluator, tau) for tau in plan.taus]
+    sides = (([_call_evaluator(evaluator, image)], factor, [base])
+             for row in images for (image, factor), base in zip(row, bases))
+    return _residuals(plan, label, sides)
 
 
 def check_quasimodular(form, plan, label=None):
     """Residuals of the depth-d law
     f(gamma tau) = sum_r j^(k-r) c^r LAMBDA^r fhat_r(tau)."""
-    k = form.weight
-    _require_weight(plan, k)
+    k, depth = form.weight, form.depth
+    # the factors j^(k-r) of every r, and each group element's (c LAMBDA)^r
+    tables = [_images(plan.taus, plan.gammas, k - r) for r in range(depth + 1)]
+    powers = [_powers(gamma.c * LAMBDA, depth) for gamma in plan.gammas]
     full = completion(form, plan.precision)
-    expansions = [full.coefficient(r) for r in range(form.depth + 1)]
-    factors = {gamma: list(enumerate(_powers(gamma.c * LAMBDA, form.depth))) for gamma in plan.gammas}
+    expansions = [full.coefficient(r) for r in range(depth + 1)]
+    bases = [_evaluations(expansions, tau) for tau in plan.taus]
 
-    def sides(gamma, tau, base):
-        j = gamma.j(tau)
-        row = [(r, j ** (k - r) * factor) for r, factor in factors[gamma]]
-        return [expansions[0].evaluate(gamma.act(tau))], 1, _row_sums([row], base)
+    def sides():
+        for c_powers, *rows in zip(powers, *tables):
+            # samples[r] is (gamma tau, j^(k-r)) at this base point
+            for base, *samples in zip(bases, *rows):
+                row = [(r, j_power * c_power) for r, ((_, j_power), c_power) in enumerate(zip(samples, c_powers))]
+                yield [expansions[0].evaluate(samples[0][0])], 1, _row_sums([row], base)
 
-    label = str(form) if label is None else label
-    return _residuals(plan, label, lambda tau: _evaluations(expansions, tau), sides)
+    return _residuals(plan, str(form) if label is None else label, sides())
 
 
 def check_vv(form, plan, label=None):
     """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the
     Euclidean norm."""
-    k, m = form.weight_label, form.m
-    _require_weight(plan, k - m)
+    k, m, n = form.weight_label, form.m, plan.precision
+    images = _images(plan.taus, plan.gammas, k - m)
+    bases = [form.evaluate(tau, n) for tau in plan.taus]
 
-    def sides(gamma, tau, base):
-        lhs = form.evaluate(gamma.act(tau), plan.precision)
-        return lhs, gamma.j(tau) ** (k - m), _row_sums(_sym_rows(gamma, m), base)
+    def sides():
+        for gamma, row in zip(plan.gammas, images):
+            sym_rows = _sym_rows(gamma, m)
+            for (image, factor), base in zip(row, bases):
+                yield form.evaluate(image, n), factor, _row_sums(sym_rows, base)
 
-    label = str(form) if label is None else label
-    return _residuals(plan, label, lambda tau: form.evaluate(tau, plan.precision), sides)
+    return _residuals(plan, str(form) if label is None else label, sides())

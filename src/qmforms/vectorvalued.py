@@ -18,8 +18,8 @@ from math import comb
 from . import linalg
 from .almostholo import _graded_weight, _lowered, completion
 from .eisenstein import dim_modular, monomial_basis
-from .qseries import (CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _kronecker_product, _natural,
-                      _powers, _row_sums)
+from .qseries import (CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, QSeries, _evaluations, _kronecker_product,
+                      _natural, _powers, _row_sums)
 from .quasimodular import E2, QuasiModularForm, _monomial_series, monomial
 
 _set = object.__setattr__
@@ -118,12 +118,15 @@ def _sym_rows(gamma, m):
 
 
 @lru_cache(maxsize=CACHE_KEYS)
-def _component_weights(depth, m):
-    """Row i holds (r, LAMBDA^r binom(m-r, i), m-r-i) for r = 0..min(depth, m-i):
-    the weights of component i of ``VectorValuedForm.evaluate`` before tau^(m-r-i)."""
+def _component_rows(depth, m, tau):
+    """Row i holds (r, LAMBDA^r binom(m-r, i) tau^(m-r-i)) for r = 0..min(depth, m-i):
+    the weights of component i of ``VectorValuedForm.evaluate`` at tau, kept
+    per (depth, m, tau)."""
     lam_powers = _powers(LAMBDA, depth)
+    # by **: repeated multiplication (_powers) rounds differently
+    tau_powers = [tau ** e for e in range(m + 1)]
     return tuple(
-        tuple((r, lam_powers[r] * comb(m - r, i), m - r - i) for r in range(min(depth, m - i) + 1))
+        tuple((r, lam_powers[r] * comb(m - r, i) * tau_powers[m - r - i]) for r in range(min(depth, m - i) + 1))
         for i in range(m + 1)
     )
 
@@ -178,12 +181,10 @@ class VectorValuedForm:
         """
         tau = complex(tau)
         full = completion(self.source, precision)
-        depth, m = self.depth, self.m
-        values = _evaluations([full.coefficient(r) for r in range(depth + 1)], tau)
-        # by **: repeated multiplication (_powers) rounds differently
-        tau_powers = [tau ** e for e in range(m + 1)]
-        rows = [[(r, w * tau_powers[e]) for r, w, e in row] for row in _component_weights(depth, m)]
-        return tuple(map(Evaluation._make, _row_sums(rows, values)))
+        # a completion drops zero top coefficients; the rows reach the depth
+        coeffs = full.coeffs + (QSeries.zero(full.precision),) * (self.depth + 1 - len(full.coeffs))
+        values = _evaluations(coeffs, tau)
+        return tuple(map(Evaluation._make, _row_sums(_component_rows(self.depth, self.m, tau), values)))
 
     def __str__(self):
         return f"VV(m={self.m}, k={self.weight_label}, source={self.source})"

@@ -169,6 +169,11 @@ class TestReconstruct:
             f = random_form(rng, max_weight=20, max_depth=6)
             assert reconstruct(component_forms(f, N)) == f.qexpansion(N)
 
+    def test_returns_the_kept_constant_coefficient(self):
+        # only parts[0] reaches Yhat^0, so its coefficient is the answer itself
+        f = E2 ** 3 * E4 - E2 ** 2 * E6 * Fraction(5, 3)
+        assert reconstruct(component_forms(f, N)) is completion(f, N).coeffs[0]
+
     def test_corrupted_family_fails(self):
         parts = component_forms(E2 * E2 * E4, N)
         corrupted = list(parts)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qmforms import almostholo, numverify, vectorvalued
-from qmforms.qseries import CACHE_KEYS, LAMBDA, _row_sums, yhat
+from qmforms.qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _row_sums, yhat
 from qmforms import (
     E2,
     E4,
@@ -132,6 +132,20 @@ class TestPlanContract:
     def test_replace_keeps_the_plan_type(self):
         plan = default_plan()._replace(tolerance=1e-6)
         assert type(plan) is SamplePlan and plan == (*default_plan()[:2], 1e-6, default_plan().precision)
+
+
+    def test_plan_from_lists_keeps_tuples_and_residual_bits(self):
+        tuples = default_plan()
+        lists = SamplePlan(list(tuples.taus), list(tuples.gammas))
+        assert type(lists.taus) is tuple and type(lists.gammas) is tuple
+        assert hash(lists) == hash(tuples) and lists == tuples
+        assert type(tuples._replace(taus=list(tuples.taus)).taus) is tuple
+        form = E2 ** 2 * E4 - E6 * E2 * Fraction(3, 2)
+        series = form.qexpansion(tuples.precision)
+        for check in (lambda plan: check_vv(from_quasimodular(form, 3), plan),
+                      lambda plan: check_quasimodular(form, plan),
+                      lambda plan: check_scalar(series.evaluate, form.weight, plan)):
+            assert residual_bits(check(lists)) == residual_bits(check(tuples))
 
 
 class TestResidualContract:
@@ -360,6 +374,39 @@ class TestWorkPerCheck:
         check_scalar(evaluator, 4, plan)
         assert len(seen) == len(plan.gammas) * len(plan.taus) + len(plan.taus)
         assert all(seen.count(tau) == 1 for tau in plan.taus)
+
+
+def residual_bits(residuals):
+    return [(r.gamma, r.tau, r.absolute.hex(), r.relative.hex(), r.truncation_error.hex()) for r in residuals]
+
+
+class TestPlanTables:
+    """The images, automorphy factors and component rows kept per plan,
+    weight and (depth, m, tau) give every check what a cold build gives."""
+
+    OTHER = SamplePlan(taus=(complex(0.2, 1.3), complex(-0.25, 1.0)),
+                       gammas=(T * T, S, GroupElement(1, 0, 1, 1)))
+    FORMS = [E4, E2 * E4, E2 ** 2 * E6 + E4 * E6, E2 ** 3 * E4 ** 2 - E2 * E6 ** 2 * Fraction(2, 7)]
+
+    def checks(self):
+        """Every check of the forms at m = depth and depth + 1, over both plans in turn."""
+        out = []
+        for form in self.FORMS:
+            evaluate = form.qexpansion(DEFAULT_PRECISION).evaluate
+            for plan in (default_plan(), self.OTHER):
+                out += [(check_vv, from_quasimodular(form, m), plan) for m in (form.depth, form.depth + 1)]
+                out += [(check_quasimodular, form, plan), (check_scalar, evaluate, form.weight, plan)]
+        return out
+
+    def test_no_table_leaks_across_plans_or_keys(self):
+        checks = self.checks()
+        warm = [residual_bits(check(*args)) for check, *args in checks]
+        for table in (numverify._images, numverify._weight_range, vectorvalued._component_rows):
+            table.cache_clear()
+        # cold again, in the reverse order, so a leak in either direction shows
+        cold = [residual_bits(check(*args)) for check, *args in reversed(checks)][::-1]
+        assert cold == warm
+        assert len({len(bits) for bits in warm}) == 2
 
 
 class TestValueMemo:
