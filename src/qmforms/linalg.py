@@ -15,12 +15,11 @@ inverse modulo it.  Solving the same matrix again only lifts the new
 right-hand side and checks it on every row.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .qseries import CACHE_KEYS
+from .qseries import CACHE_KEYS, _fractions
 
 #: the primes tried in turn, fixed so that every run is reproducible
 PRIMES = tuple(2 ** 61 - d for d in (1, 31, 45, 229, 259, 283, 339, 391))
@@ -167,4 +166,4 @@ def solve_unique(rows, rhs):
     # the pivot system's solution is unique, so one failed row proves inconsistency
     if any(_dot(row, nums) != den * y for row, y in zip(rows, rhs)):
         raise InconsistentSystem("no exact solution")
-    return [Fraction(n, den) for n in nums]
+    return _fractions(nums, den)

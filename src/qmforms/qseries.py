@@ -8,7 +8,10 @@ Kronecker substitution: each operand packed into one bigint, a square packed
 once, and only the low half of the packed product formed; a constant operand
 only scales the other.  The normalized derivative is D = q d/dq.  Evaluation
 at tau sums the float coefficients against a table of the powers of q, kept
-per (tau, N) with N the longest series evaluated in the call.
+per (tau, N) with N the longest series evaluated in the call.  The
+``Fraction`` view ``coeffs`` is built by ``_fractions``, which sets each
+reduced Fraction's two slots after one gcd: the constructor's type checks
+and renormalization of known ints were most of a view's cost.
 """
 
 import cmath
@@ -90,9 +93,10 @@ def _evaluations(series, tau):
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
-    reals, imags, aq = _q_table(tau, max(s.precision for s in series))
+    lengths = [len(s.numerators) for s in series]
+    reals, imags, aq = _q_table(tau, max(lengths))
     out = []
-    for s in series:
+    for s, length in zip(series, lengths):
         values = s._values
         if values is None:
             values = s._values = {}
@@ -110,7 +114,7 @@ def _evaluations(series, tau):
             for c, x, y in zip(s._float_coeffs(), reals, imags):
                 re += c * x
                 im += c * y
-            tail = aq ** s.precision / (1.0 - aq) if aq < 1.0 else math.inf
+            tail = aq ** length / (1.0 - aq) if aq < 1.0 else math.inf
             evaluation = values[tau] = Evaluation(complex(re, im), tail)
         out.append(evaluation)
     return out
@@ -198,6 +202,22 @@ def _lowest_terms(nums, den):
     """``nums`` (itself when the gcd is 1) and ``den`` > 0, their gcd divided out."""
     g = math.gcd(den, *nums)
     return ([n // g for n in nums] if g > 1 else nums), den // g
+
+
+def _fractions(nums, den):
+    """A list of the reduced ``Fraction`` n / den of each int n of ``nums``, for an int
+    ``den`` > 0: one gcd each, then the two slots set as CPython 3.12's private
+    ``Fraction._from_coprime_ints`` does, without the constructor's checks."""
+    out, new = [], object.__new__
+    for n in nums:
+        g = math.gcd(n, den)
+        f = new(Fraction)
+        if g == 1:
+            f._numerator, f._denominator = n, den
+        else:
+            f._numerator, f._denominator = n // g, den // g
+        out.append(f)
+    return out
 
 
 def _natural(value, what, even=False):
@@ -357,11 +377,7 @@ class QSeries:
         """The coefficients as reduced ``Fraction``s, built on the first call
         only: the series, the tuple and each ``Fraction`` never change."""
         if self._fractions is None:
-            den = self.denominator
-            if den == 1:
-                self._fractions = tuple(map(Fraction, self.numerators))
-            else:
-                self._fractions = tuple(Fraction(n, den) for n in self.numerators)
+            self._fractions = tuple(_fractions(self.numerators, self.denominator))
         return self._fractions
 
     @property
@@ -374,7 +390,7 @@ class QSeries:
 
     def coefficient(self, n):
         """Coefficient of q^n (n must lie below the precision)."""
-        return Fraction(self.numerators[_natural(n, "coefficient index")], self.denominator)
+        return _fractions((self.numerators[_natural(n, "coefficient index")],), self.denominator)[0]
 
     def valuation(self):
         """Index of the first nonzero coefficient, or the precision if zero."""
@@ -413,9 +429,9 @@ class QSeries:
             n = min(self.precision, other.precision)
             # a constant operand (nothing past q^0 below q^n) only scales the other
             if not any(other.numerators[1:n]):
-                return self.truncate(n) * Fraction(other.numerators[0], other.denominator)
+                return self.truncate(n) * other.coefficient(0)
             if not any(self.numerators[1:n]):
-                return other.truncate(n) * Fraction(self.numerators[0], self.denominator)
+                return other.truncate(n) * self.coefficient(0)
             # a square hands over one operand, which is then packed once
             a = self.numerators[:n]
             nums = _kronecker_product(a, a if other is self else other.numerators[:n])
@@ -478,10 +494,10 @@ def _signed_sum(terms):
 def format_series(series):
     """Human-readable q-expansion, e.g. ``1 + 240q + 2160q^2``."""
     terms = []
-    for n, num in enumerate(series.numerators):
+    mags = _fractions(map(abs, series.numerators), series.denominator)
+    for n, (num, mag) in enumerate(zip(series.numerators, mags)):
         if not num:
             continue
-        mag = Fraction(abs(num), series.denominator)
         text = _decimal_text(mag)
         if n == 0:
             body = text

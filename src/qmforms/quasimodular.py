@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import comb, prod
 
 from . import linalg
-from .qseries import (DEFAULT_PRECISION, QSeries, _decimal_text, _exact, _lowest_terms, _natural, _over_lcm, _power,
-                      _precision, _prefix_cache, _signed_sum, _weighted_sum)
+from .qseries import (DEFAULT_PRECISION, QSeries, _decimal_text, _exact, _fractions, _lowest_terms, _natural, _over_lcm,
+                      _power, _precision, _prefix_cache, _signed_sum, _weighted_sum)
 from .eisenstein import eisenstein_series, monomial_basis
 
 
@@ -81,7 +81,7 @@ class QuasiModularForm:
     def monomials(self):
         """The reduced ``Fraction`` coefficient of each (a, b, c), built once."""
         if self._monomials is None:
-            self._monomials = {key: Fraction(n, self.denominator) for key, n in self.numerators.items()}
+            self._monomials = dict(zip(self.numerators, _fractions(self.numerators.values(), self.denominator)))
         return self._monomials
 
     @property
