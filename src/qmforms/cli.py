@@ -42,7 +42,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-#: largest accepted --precision; expansions cost O(N) memory per cached series
+#: largest accepted --precision, a power of two so no cache rebuild passes it; O(N) memory per cached series
 MAX_PRECISION = 2 ** 14
 
 

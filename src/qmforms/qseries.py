@@ -11,7 +11,9 @@ at tau sums the float coefficients against a table of the powers of q, kept
 per (tau, N) with N the longest series evaluated in the call.  The
 ``Fraction`` view ``coeffs`` is built by ``_fractions``, which sets each
 reduced Fraction's two slots after one gcd: the constructor's type checks
-and renormalization of known ints were most of a view's cost.
+and renormalization of known ints were most of a view's cost.  An expansion
+cache (``_prefix_cache``) rebuilds a key at the next power of two, so at
+most once per power of two its requests cross.
 """
 
 import cmath
@@ -136,8 +138,11 @@ def _power(base, exponent, one):
 def _prefix_cache(build):
     """Memoize ``build(*key, precision)``, keeping per key the longest
     result built so far: a shorter request truncates it (a hit), a longer
-    one rebuilds and replaces it (a miss).  At most ``CACHE_KEYS`` keys stay,
-    least recently used out first; a left-out precision gets build's default.
+    one rebuilds it at the least power of two at or above the request (a
+    miss; a key's first build is at the request).  So a key is rebuilt at
+    most once per power of two its requests cross, and an entry is under
+    twice its longest request.  At most ``CACHE_KEYS`` keys stay, least
+    recently used out first; a left-out precision gets build's default.
     Each key argument must pass ``_natural``, and the precision ``_precision``."""
     entries = OrderedDict()
     counts = {"hits": 0, "misses": 0}
@@ -155,7 +160,8 @@ def _prefix_cache(build):
         _precision(precision)
         series = entries.get(key)
         if series is None or series.precision < precision:
-            entries[key] = series = build(*args)
+            grown = precision if series is None else 1 << (precision - 1).bit_length()
+            entries[key] = series = build(*key, grown)
             counts["misses"] += 1
         else:
             counts["hits"] += 1

@@ -480,8 +480,34 @@ class TestPrefixCache:
         calls.clear()
         self.FORM.qexpansion(40)
         assert calls == []
+        # a longer request rebuilds at the least power of two above it
         self.FORM.qexpansion(129)
-        assert calls and set(calls) == {129}
+        assert calls and set(calls) == {256}
+        calls.clear()
+        self.FORM.qexpansion(200)
+        self.FORM.qexpansion(256)
+        assert calls == []
+        self.FORM.qexpansion(257)
+        assert calls and set(calls) == {512}
+
+    def test_rising_requests_rebuild_once_per_power_of_two(self, monkeypatch):
+        n_max = 256
+        e2s, e4s, e6s = (generator_powers(k, top, n_max) for k, top in ((2, 1), (4, 2), (6, 1)))
+        want = convolution(e2s[1], convolution(e4s[2], e6s[1]))
+        clear_expansion_caches()
+        calls = count_products(monkeypatch)
+        for n in range(1, n_max + 1):
+            series = _monomial_series(1, 2, 1, n)
+            assert series.precision == n and series.denominator == 1 and list(series.numerators) == want[:n]
+        # 9 builds of (1, 2, 1) at 1, 2, 4, ..., 256, and 9 of its modular part (0, 2, 1)
+        assert _monomial_series.cache_info().misses == 18
+        assert set(calls) == {1 << j for j in range(9)}
+
+    def test_first_build_is_at_the_request(self, monkeypatch):
+        clear_expansion_caches()
+        calls = count_products(monkeypatch)
+        self.FORM.qexpansion(51)
+        assert calls and set(calls) == {51}
 
     def test_cache_clear_empties_the_caches(self, monkeypatch):
         clear_expansion_caches()
@@ -562,6 +588,11 @@ class TestPrefixCache:
         for n in range(1, 201):
             E4.qexpansion(n)
         assert eisenstein_series.cache_info().currsize == 1
+        clear_expansion_caches()
+        for n in range(1, 201):
+            eisenstein_series(4, n)
+        # built at 1, 2, 4, ..., 256: once per power of two the requests cross
+        assert eisenstein_series.cache_info().misses <= 9
 
     def test_refused_request_keeps_the_entry(self):
         clear_expansion_caches()
