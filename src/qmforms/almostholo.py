@@ -7,7 +7,6 @@ classical E2 - 3/(pi*y).  Everything here stays rational; Yhat acquires its
 numeric value only in ``evaluate``.
 """
 
-from fractions import Fraction
 from math import comb
 
 from .qseries import (DEFAULT_PRECISION, Evaluation, QSeries, _evaluations, _natural, _powers, _precision, _row_sums,
@@ -193,17 +192,15 @@ def reconstruct(parts):
 def raise_op(form):
     """The reduced weight-raising operator (weight k -> k + 2).
 
-    New Yhat^r coefficient: D(coeffs[r]) + (k - r + 1)/12 * coeffs[r-1].
+    New Yhat^r coefficient: D(coeffs[r]) + (k - r + 1)/12 * coeffs[r-1], as
+    the one weighted sum (12 D(coeffs[r]) + (k - r + 1) coeffs[r-1]) / 12.
     The constant term of raise_op(completion(f)) is D of the expansion of f.
     """
-    k = form.weight
-    out = []
-    for r in range(form.degree + 2):
-        term = form.coefficient(r).derive()
-        if r >= 1:
-            term = term + Fraction(k - r + 1, 12) * form.coeffs[r - 1]
-        out.append(term)
-    return AlmostHolomorphicForm(k + 2, out)
+    k, n = form.weight, form.precision
+    below = (QSeries.zero(n),) + form.coeffs  # coeffs[r - 1], zero at r = 0
+    return AlmostHolomorphicForm(k + 2, [
+        _weighted_sum([(12, form.coefficient(r).derive()), (k - r + 1, below[r])], n, 12)
+        for r in range(form.degree + 2)])
 
 
 def lower_op(form):

@@ -136,9 +136,9 @@ def _build(tree):
             form = form * _build(operand)
         elif op == "/":
             divisor = _build(operand)
-            if set(divisor.monomials) != {(0, 0, 0)}:
+            if set(divisor.numerators) != {(0, 0, 0)}:
                 raise ExpressionError("division only by nonzero rational constants")
-            form = form / divisor.monomials[(0, 0, 0)]
+            form = form * divisor.denominator / divisor.numerators[(0, 0, 0)]
         else:
             term = _build(operand)
             try:

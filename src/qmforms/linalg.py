@@ -5,8 +5,9 @@ solved by Dixon's p-adic lifting with the minor's inverse modulo p and
 rational reconstruction (Dixon, Numer. Math. 40, 1982; von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 5).  Every answer is checked exactly
 in integers, so a prime dividing a minor costs the next prime, never a wrong
-result.  Callers clear denominators: a Fraction in the matrix or the
-right-hand side is a ``TypeError``.
+result.  Integers go in and come out: callers clear denominators (a Fraction
+in the matrix or the right-hand side is a ``TypeError``), and a solution is
+integer numerators over one positive denominator.
 
 The factorization depends on the matrix alone, so ``solve_unique`` keeps it
 (``_factor``, at most ``CACHE_KEYS`` matrices, the least recently used
@@ -19,7 +20,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .qseries import CACHE_KEYS, _fractions
+from .qseries import CACHE_KEYS
 
 #: the primes tried in turn, fixed so that every run is reproducible
 PRIMES = tuple(2 ** 61 - d for d in (1, 31, 45, 229, 259, 283, 339, 391))
@@ -148,10 +149,11 @@ def _factor(rows):
 
 
 def solve_unique(rows, rhs):
-    """The unique x with M x = rhs as Fractions, M a list of rows of ints and
-    rhs a list of ints (else ``TypeError``), from the pivot rows' square
-    system, checked on every row in integers.  Raises ``UnderdeterminedSystem``
-    if M lacks full column rank and ``InconsistentSystem`` if no solution exists."""
+    """The unique x with M x = rhs as ``(nums, den)``, x = nums / den with
+    den > 0, for M a list of rows of ints and rhs a list of ints (else
+    ``TypeError``): from the pivot rows' square system, checked on every row
+    as M nums = den rhs in integers.  Raises ``UnderdeterminedSystem`` if M
+    lacks full column rank and ``InconsistentSystem`` if no solution exists."""
     if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     # a Fraction or float would pass // and % and never stop lifting
@@ -166,4 +168,4 @@ def solve_unique(rows, rhs):
     # the pivot system's solution is unique, so one failed row proves inconsistency
     if any(_dot(row, nums) != den * y for row, y in zip(rows, rhs)):
         raise InconsistentSystem("no exact solution")
-    return _fractions(nums, den)
+    return nums, den

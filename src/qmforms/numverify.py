@@ -18,7 +18,6 @@ factors j(gamma, tau)^w.  They are built once per plan points and elements
 and weight w (``_images``, at most ``CACHE_KEYS`` keys, the least recently
 used out first) and serve all three checks: ``check_scalar`` at the weight,
 ``check_vv`` at k - m and ``check_quasimodular`` at each k - r, r <= depth.
-The plan's weight range is computed once per points and elements.
 """
 
 import cmath
@@ -131,22 +130,15 @@ def _call_evaluator(evaluator, tau):
 
 
 @lru_cache(maxsize=CACHE_KEYS)
-def _weight_range(taus, gammas):
-    """The least and greatest weight whose factor j^weight, j = c tau + d,
-    stays within float64 at every sample: |weight ln|j|| <= 1023 ln 2."""
+def _images(taus, gammas, weight):
+    """The half of a law at ``weight`` that no form enters: per group element,
+    per base point, the image gamma tau and the factor j(gamma, tau)^weight.
+    A weight whose factor leaves float64 at some sample, |weight ln|j|| >
+    1023 ln 2, is refused, and its refusal not kept."""
     logs = [math.log(abs(gamma.j(tau))) for gamma in gammas for tau in taus]
     span = 1023 * math.log(2)
     top = math.floor(span / max(logs)) if max(logs) > 0 else math.inf
     bottom = -math.floor(span / -min(logs)) if min(logs) < 0 else -math.inf
-    return bottom, top
-
-
-@lru_cache(maxsize=CACHE_KEYS)
-def _images(taus, gammas, weight):
-    """The half of a law at ``weight`` that no form enters: per group element,
-    per base point, the image gamma tau and the factor j(gamma, tau)^weight.
-    A weight outside ``_weight_range`` is refused, and its refusal not kept."""
-    bottom, top = _weight_range(taus, gammas)
     if not bottom <= weight <= top:
         raise ValueError(
             f"weight {weight} is outside {bottom}..{top}, the weights this sample plan can check"

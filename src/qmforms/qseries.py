@@ -68,10 +68,11 @@ def _row_sums(rows, pairs):
 
 
 def _weighted_sum(terms, precision, den=1):
-    """The exact sum of weight * series over ``(weight, QSeries)`` pairs, each
-    weight an int or Fraction, over ``den`` and truncated to ``precision``:
-    every term over one common denominator, its integer numerators added in
-    one pass, one reduction at the end.  The exact counterpart of ``_row_sums``."""
+    """The exact sum of weight * series over ``(weight, QSeries)`` pairs, over
+    ``den`` and truncated to ``precision``: every term over one common
+    denominator, its integer numerators added in one pass, one reduction at
+    the end.  The exact counterpart of ``_row_sums``.  The package passes int
+    weights and a rational scale as ``den``; a Fraction weight sums exactly too."""
     # a bad precision is refused before any term is built
     total = [0] * _precision(precision)
     terms = list(terms)
@@ -224,6 +225,12 @@ def _fractions(nums, den):
             f._numerator, f._denominator = n // g, den // g
         out.append(f)
     return out
+
+
+def _fraction_map(numerators, den):
+    """The ``Fraction`` view of a dict of int numerators over ``den`` > 0: each
+    key's reduced n / den, built by ``_fractions``."""
+    return dict(zip(numerators, _fractions(numerators.values(), den)))
 
 
 def _natural(value, what, even=False):
@@ -433,18 +440,15 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             n = min(self.precision, other.precision)
-            # a constant operand (nothing past q^0 below q^n) only scales the other
-            if not any(other.numerators[1:n]):
-                return self.truncate(n) * other.coefficient(0)
-            if not any(self.numerators[1:n]):
-                return other.truncate(n) * self.coefficient(0)
+            a, b = self.numerators[:n], other.numerators[:n]
+            if not any(a[1:]):
+                a, b = b, a
+            # a constant operand b (nothing past q^0 below q^n) only scales the other;
             # a square hands over one operand, which is then packed once
-            a = self.numerators[:n]
-            nums = _kronecker_product(a, a if other is self else other.numerators[:n])
+            nums = _kronecker_product(a, a if other is self else b) if any(b[1:]) else [b[0] * x for x in a]
             return QSeries._from_ints(nums, self.denominator * other.denominator)
-        other = _exact(other)
-        num = other.numerator
-        return QSeries._from_ints([num * n for n in self.numerators], other.denominator * self.denominator)
+        num, den = _exact(other).numerator, other.denominator
+        return QSeries._from_ints([num * n for n in self.numerators], den * self.denominator)
 
     __rmul__ = __mul__
 

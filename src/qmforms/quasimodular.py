@@ -3,8 +3,8 @@
 A form of even weight k is stored as its canonical polynomial representation:
 a rational combination of monomials E2^a E4^b E6^c with 2a + 4b + 6c = k,
 kept like a ``QSeries`` as integer numerators by (a, b, c) over one positive
-denominator in lowest terms, so the ring operations never build a
-``Fraction``; ``monomials`` is the ``Fraction`` view, built on first use.
+denominator in lowest terms, in which all arithmetic, ``/`` and ``recognize``
+included, stays; only the view ``monomials`` and ``str`` show ``Fraction``s.
 The E2-degree is the depth.  The reduced transformation components are
 
     fhat_r = (1/r!) * d^r f / dE2^r,
@@ -16,12 +16,11 @@ numerically.  Differentiation D = q d/dq acts through the Ramanujan rules
     D E2 = (E2^2 - E4)/12,   D E4 = (E2 E4 - E6)/3,   D E6 = (E2 E6 - E4^2)/2.
 """
 
-from fractions import Fraction
 from math import comb, prod
 
 from . import linalg
-from .qseries import (DEFAULT_PRECISION, QSeries, _decimal_text, _exact, _fractions, _lowest_terms, _natural, _over_lcm,
-                      _power, _precision, _prefix_cache, _signed_sum, _weighted_sum)
+from .qseries import (DEFAULT_PRECISION, QSeries, _decimal_text, _exact, _fraction_map, _lowest_terms, _natural,
+                      _over_lcm, _power, _precision, _prefix_cache, _signed_sum, _weighted_sum)
 from .eisenstein import eisenstein_series, monomial_basis
 
 
@@ -81,7 +80,7 @@ class QuasiModularForm:
     def monomials(self):
         """The reduced ``Fraction`` coefficient of each (a, b, c), built once."""
         if self._monomials is None:
-            self._monomials = dict(zip(self.numerators, _fractions(self.numerators.values(), self.denominator)))
+            self._monomials = _fraction_map(self.numerators, self.denominator)
         return self._monomials
 
     @property
@@ -124,10 +123,14 @@ class QuasiModularForm:
             return NotImplemented
         return self + (-other)
 
+    def _scaled(self, num, den):
+        """self * num / den for ints num and den > 0."""
+        return QuasiModularForm._from_valid(self.weight, {k: num * n for k, n in self.numerators.items()},
+                                            den * self.denominator)
+
     def __mul__(self, other):
         if not isinstance(other, QuasiModularForm):
-            num, den = _exact(other).numerator, other.denominator * self.denominator
-            return QuasiModularForm._from_valid(self.weight, {k: num * n for k, n in self.numerators.items()}, den)
+            return self._scaled(_exact(other).numerator, other.denominator)
         product = {}
         for (a1, b1, c1), n1 in self.numerators.items():
             for (a2, b2, c2), n2 in other.numerators.items():
@@ -138,8 +141,10 @@ class QuasiModularForm:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        scalar = _exact(scalar)
-        return self * Fraction(scalar.denominator, scalar.numerator)
+        num, den = _exact(scalar).numerator, scalar.denominator
+        if not num:
+            raise ZeroDivisionError(f"Fraction({den}, 0)")
+        return self._scaled(den if num > 0 else -den, abs(num))
 
     def __pow__(self, exponent):
         return _power(self, exponent, ONE)
@@ -230,7 +235,7 @@ ONE = QuasiModularForm(0, {(0, 0, 0): 1})
 E2 = QuasiModularForm(2, {(1, 0, 0): 1})
 E4 = QuasiModularForm(4, {(0, 1, 0): 1})
 E6 = QuasiModularForm(6, {(0, 0, 1): 1})
-DELTA = QuasiModularForm(12, {(0, 3, 0): Fraction(1, 1728), (0, 0, 2): Fraction(-1, 1728)})
+DELTA = QuasiModularForm._from_valid(12, {(0, 3, 0): 1, (0, 0, 2): -1}, 1728)
 
 
 def weight_op(form):
@@ -253,7 +258,7 @@ def derivative_lift(modular_form, p):
     derivatives = [modular_form]
     for _ in range(p):
         derivatives.append(derivatives[-1].derive())
-    return tuple(derivatives[p - r] * Fraction(comb(p, r) * prod(range(l + p - r, l + p)), 12 ** r)
+    return tuple(derivatives[p - r]._scaled(comb(p, r) * prod(range(l + p - r, l + p)), 12 ** r)
                  for r in range(p + 1))
 
 
@@ -287,12 +292,11 @@ def recognize(series, weight, depth_bound):
     columns = [_monomial_series(a, b, c, n).numerators for (a, b, c) in keys]
     rows = list(zip(*columns))
     try:
-        solution = linalg.solve_unique(rows, series.numerators)
+        nums, den = linalg.solve_unique(rows, series.numerators)
     except linalg.UnderdeterminedSystem as exc:
         raise UnderdeterminedError(f"underdetermined: {exc}") from exc
     except linalg.InconsistentSystem:
         raise NoMatchError(
             f"no match: series is not a weight-{weight} form of depth <= {depth_bound}"
         ) from None
-    nums, den = _over_lcm((x.numerator, x.denominator) for x in solution)
     return QuasiModularForm._from_valid(weight, dict(zip(keys, nums)), den * series.denominator)

@@ -170,6 +170,19 @@ def exact_solve(rows, rhs):
     return [Fraction(int(v.p), int(v.q)) for v in solution]
 
 
+def solved(rows, rhs):
+    """``linalg.solve_unique(rows, rhs)`` as a list of Fractions, after checking
+    its ``(nums, den)`` in plain integers: den is a positive int, nums one int
+    per column, and M nums = den rhs on every row."""
+    from qmforms.linalg import solve_unique
+
+    nums, den = solve_unique(rows, rhs)
+    assert type(den) is int and den > 0
+    assert len(nums) == len(rows[0]) and all(type(n) is int for n in nums)
+    assert all(sum(a * n for a, n in zip(row, nums)) == den * y for row, y in zip(rows, rhs))
+    return [Fraction(n, den) for n in nums]
+
+
 def kron(a, b):
     """Kronecker product of integer matrices as nested lists."""
     return [

@@ -1,16 +1,22 @@
 """The Fraction views built by ``qseries._fractions`` against the constructor:
-the helper entry by entry, then every view of a series, a form and a solve."""
+the helper entry by entry, then every view of a series and a form, and the
+value of a solve's integers."""
 
 import random
 from fractions import Fraction
+from functools import partial
+from operator import mul
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmforms import qseries
-from qmforms.linalg import solve_unique
+from qmforms import (QSeries, QuasiModularForm, completion, component_forms, derivative_lift, dumps, linalg, loads,
+                     parse_form, qseries, raise_op, reconstruct, recognize)
+from qmforms.eisenstein import eisenstein_series
+from qmforms.quasimodular import _generator_power, _monomial_series
 
 from _fraction_view import DENOMINATORS, assert_same_fractions, fixed_cases
-from _oracles import random_form
+from _oracles import random_form, solved
 
 
 def constructor_fractions(nums, den):
@@ -67,4 +73,51 @@ class TestViews:
             rows = [[rng.randint(-50, 50) for _ in range(size)] for _ in range(size + 2)]
             rhs = [sum(a * n for a, n in zip(row, nums)) for row in rows]
             rows = [[den * a for a in row] for row in rows]
-            assert_same_pairs(solve_unique(rows, rhs), constructor_fractions(nums, den))
+            assert_same_pairs(solved(rows, rhs), constructor_fractions(nums, den))
+
+
+def _refuse(nums, den):
+    raise AssertionError("built a Fraction view inside the package")
+
+
+#: per path, the call (built from a fresh form, before the guard) that must build no Fraction
+PATHS = {
+    "parse_form with /": lambda f: partial(parse_form, "(E4^3 - E6^2)/1728 - E2*E4*E6/-6"),
+    "cold qexpansion": lambda f: partial(f.qexpansion, 32),
+    "recognize": lambda f: partial(recognize, f.qexpansion(32), f.weight, f.depth),
+    "loads(dumps(f))": lambda f: lambda: loads(dumps(f)),
+    "reconstruct(component_forms(f, N))": lambda f: lambda: reconstruct(component_forms(f, 32)),
+    "raise_op(completion(f, N))": lambda f: lambda: raise_op(completion(f, 32)),
+    "derivative_lift": lambda f: partial(derivative_lift, f.e2_coefficient(0), 3),
+    "QSeries product with a constant operand": lambda f: partial(mul, f.qexpansion(32), QSeries.one(32)),
+}
+
+
+class TestNoFractionInside:
+    """Integers inside, Fractions only at the edge: with the constructor and
+    the view builder both refusing, each exact path still gives its answer."""
+
+    @staticmethod
+    def cold(setup):
+        for cache in (_monomial_series, _generator_power, eisenstein_series, linalg._factor):
+            cache.cache_clear()
+        # a fresh form keeps no expansion or completion that would answer a path
+        return setup(QuasiModularForm(12, {(3, 0, 1): 1, (2, 2, 0): Fraction(-5, 6), (0, 3, 0): Fraction(1, 7)}))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_path_builds_no_fraction(self, path, monkeypatch):
+        want = self.cold(PATHS[path])()
+        run = self.cold(PATHS[path])
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("built a Fraction inside the package")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        # the code object is shared by every module that imported the builder
+        monkeypatch.setattr(qseries._fractions, "__code__", _refuse.__code__)
+        for view in (partial(Fraction, 1, 2), lambda: QSeries._from_ints([1], 3).coeffs):
+            with pytest.raises(AssertionError, match="built a Fraction"):
+                view()
+        got = run()
+        monkeypatch.undo()
+        assert got == want

@@ -9,7 +9,7 @@ from qmforms import linalg
 from qmforms.linalg import PRIMES, InconsistentSystem, UnderdeterminedSystem, rank, solve_unique
 from qmforms.qseries import CACHE_KEYS
 
-from _oracles import exact_rank, exact_solve
+from _oracles import exact_rank, exact_solve, solved
 
 
 @pytest.fixture(autouse=True)
@@ -90,10 +90,25 @@ class TestSolveUnique:
         rows = random_matrix(rng, 9, 5)
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)]
         rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in rows], x)
-        assert solve_unique(rows, rhs) == x
+        assert solved(rows, rhs) == x
 
     def test_square_integer_system(self):
-        assert solve_unique([[2, 1], [1, 3]], [3, 5]) == [Fraction(4, 5), Fraction(7, 5)]
+        assert solved([[2, 1], [1, 3]], [3, 5]) == [Fraction(4, 5), Fraction(7, 5)]
+
+    def test_answer_is_integers_over_a_positive_denominator(self):
+        # x = (-1/2, 1/3): the sign stays on the numerator
+        rows, rhs = [[2, 0], [0, 3], [2, 3], [-6, 6]], [-1, 1, 0, 5]
+        nums, den = solve_unique(rows, rhs)
+        assert all(type(n) is int for n in [*nums, den]) and den > 0
+        assert [sum(a * n for a, n in zip(row, nums)) for row in rows] == [den * y for y in rhs]
+        assert solved(rows, rhs) == [Fraction(-1, 2), Fraction(1, 3)]
+
+    def test_errors_are_unchanged(self):
+        assert issubclass(UnderdeterminedSystem, ValueError) and issubclass(InconsistentSystem, ValueError)
+        with pytest.raises(UnderdeterminedSystem, match=r"^rank 1 < 2 unknowns at this precision$"):
+            solve_unique([[1, 2], [2, 4]], [1, 2])
+        with pytest.raises(InconsistentSystem, match=r"^no exact solution$"):
+            solve_unique([[1, 0], [0, 1], [1, 1]], [1, 1, 3])
 
     def test_rank_deficient_is_underdetermined(self):
         rows = random_matrix(random.Random(6), 6, 4, rank_bound=3)
@@ -165,7 +180,7 @@ class TestSolveUniqueMatchesSympy:
         for _ in range(3):
             rows, x, rhs = big_system(rng, nrows, ncols, 110, cleared)
             assert x[0].denominator > 1
-            assert solve_unique(rows, rhs) == exact_solve(rows, rhs) == x
+            assert solved(rows, rhs) == exact_solve(rows, rhs) == x
 
     @pytest.mark.parametrize("nrows, ncols, cleared", [(12, 6, False), (10, 5, True)])
     def test_inconsistent_tall_system(self, nrows, ncols, cleared):
@@ -181,7 +196,7 @@ class TestSolveUniqueMatchesSympy:
         rows, _, _ = big_system(random.Random(3), 10, 6, 30)
         rhs, x = ten_thousand_bit_system(rows)
         start = time.perf_counter()
-        assert solve_unique(rows, rhs) == x
+        assert solved(rows, rhs) == x
         assert time.perf_counter() - start < 1.0
 
     def test_candidates_are_tried_after_2_4_8_digits(self, monkeypatch):
@@ -195,7 +210,7 @@ class TestSolveUniqueMatchesSympy:
         monkeypatch.setattr(linalg, "_candidates", recording)
         rows, _, _ = big_system(random.Random(3), 10, 6, 30)
         rhs, x = ten_thousand_bit_system(rows)
-        assert solve_unique(rows, rhs) == x
+        assert solved(rows, rhs) == x
         p = linalg._factor(tuple(map(tuple, rows)))[1]
         # 2^8 digits of about 61 bits are the first to exceed twice the 10 001-bit solution
         assert moduli == [p ** 2 ** k for k in range(1, 9)]
@@ -210,7 +225,7 @@ class TestSolveUniqueMatchesSympy:
 
         monkeypatch.setattr(linalg, "_candidates", recording)
         p = PRIMES[0]
-        assert solve_unique([[1]], [p ** 5 + 3]) == [p ** 5 + 3]
+        assert solved([[1]], [p ** 5 + 3]) == [p ** 5 + 3]
         # the sixth digit leaves residual 0: no try at p^8
         assert moduli == [p ** 2, p ** 4]
 
@@ -242,13 +257,13 @@ class TestFactorCache:
     def test_new_rhs_is_only_lifted(self, monkeypatch, cleared):
         rng = random.Random(41 + cleared)
         rows, x, rhs = big_system(rng, 12, 6, 110, cleared)
-        assert solve_unique(rows, rhs) == x
+        assert solved(rows, rhs) == x
         calls = recording_eliminations(monkeypatch)
         for _ in range(3):
             x = [Fraction(rng.randrange(-2 ** 90, 2 ** 90), rng.randrange(1, 2 ** 30)) for _ in range(6)]
             rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in rows], x)
-            assert solve_unique(rows, rhs) == exact_solve(rows, rhs) == x
-        assert solve_unique(rows, [0] * 12) == [0] * 6
+            assert solved(rows, rhs) == exact_solve(rows, rhs) == x
+        assert solved(rows, [0] * 12) == [0] * 6
         assert calls == []
         assert linalg._factor.cache_info().hits == 4
 
@@ -273,7 +288,7 @@ class TestFactorCache:
             solve_unique(rows, [2, 2, 4])
         # a failed factorization is not kept
         monkeypatch.undo()
-        assert solve_unique(rows, [2, 2, 4]) == [2, 0]
+        assert solved(rows, [2, 2, 4]) == [2, 0]
 
     def test_keeps_at_most_cache_keys_matrices(self):
         assert linalg._factor.cache_info().maxsize == CACHE_KEYS
@@ -287,11 +302,11 @@ class TestUnluckyPrime:
     def test_solution_is_right(self):
         x = [Fraction(2, 3), Fraction(-7, 5)]
         rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in self.ROWS], x)
-        assert solve_unique(self.ROWS, rhs) == x
+        assert solved(self.ROWS, rhs) == x
         with pytest.raises(InconsistentSystem):
             solve_unique(self.ROWS, [rhs[0], rhs[1], rhs[2] + 1])
         # every 2x2 minor is +-p, so an integer right-hand side may leave p as a denominator
-        assert solve_unique(self.ROWS, [1, 2, 3]) == [1 - Fraction(1, self.P), Fraction(1, self.P)]
+        assert solved(self.ROWS, [1, 2, 3]) == [1 - Fraction(1, self.P), Fraction(1, self.P)]
 
     def test_rank_is_right(self):
         assert rank(self.ROWS) == exact_rank(self.ROWS) == 2
@@ -323,7 +338,7 @@ class TestUnluckyPrime:
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
             rhs, x = integral([sum(a * b for a, b in zip(row, x)) for row in rows], x)
             if exact_rank(rows) == 4:
-                assert solve_unique(rows, rhs) == x
+                assert solved(rows, rhs) == x
         assert 3 in used and PRIMES[0] in used
 
 

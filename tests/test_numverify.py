@@ -401,7 +401,7 @@ class TestPlanTables:
     def test_no_table_leaks_across_plans_or_keys(self):
         checks = self.checks()
         warm = [residual_bits(check(*args)) for check, *args in checks]
-        for table in (numverify._images, numverify._weight_range, vectorvalued._component_rows):
+        for table in (numverify._images, vectorvalued._component_rows):
             table.cache_clear()
         # cold again, in the reverse order, so a leak in either direction shows
         cold = [residual_bits(check(*args)) for check, *args in reversed(checks)][::-1]

@@ -185,6 +185,19 @@ class TestProduct:
                     total = total + f.reduced_component(r) * g.reduced_component(t - r)
                 assert h.reduced_component(t) == total
 
+    def test_division_by_a_scalar(self):
+        # the quotient is taken in integers: the sign of a negative divisor
+        # moves onto the numerators, and the denominator stays positive
+        quotient = E4 / Fraction(-2, 3)
+        assert quotient == E4 * Fraction(-3, 2) == (E4 * -3) / 2
+        assert quotient.numerators == {(0, 1, 0): -3} and quotient.denominator == 2
+        assert (E4 * 6) / 4 == E4 * Fraction(3, 2) and ((E4 * 6) / 4).denominator == 2
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                E4 / zero
+        with pytest.raises(TypeError):
+            E4 / 1.5
+
 
 class TestDerivative:
     def test_ramanujan_rules(self):
