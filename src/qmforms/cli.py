@@ -45,6 +45,10 @@ EXIT_USAGE = 2
 #: largest accepted --precision, a power of two so no cache rebuild passes it; O(N) memory per cached series
 MAX_PRECISION = 2 ** 14
 
+#: largest accepted rank parameter m of a vectorvalued document or ``convert --rank``; ``verify``
+#: of a rank-m document takes time about cubic in m, and ``expand`` prints m + 1 rows
+MAX_RANK = 2 ** 8
+
 
 class UsageError(Exception):
     pass
@@ -72,8 +76,15 @@ def _load_input(text):
     except RecursionError:
         raise UsageError("JSON nested too deeply") from None
     if isinstance(doc, list):
-        return [from_document(entry) for entry in doc]
-    return from_document(doc)
+        return [_capped(from_document(entry)) for entry in doc]
+    return _capped(from_document(doc))
+
+
+def _capped(form):
+    """``form``, if it is no vectorvalued form of a rank parameter past ``MAX_RANK``."""
+    if isinstance(form, VectorValuedForm):
+        _check_rank(form.m)
+    return form
 
 
 def _single_form(text):
@@ -87,6 +98,12 @@ def _check_precision(precision):
     if not 1 <= precision <= MAX_PRECISION:
         raise UsageError(f"--precision must be an integer from 1 to {MAX_PRECISION}")
     return precision
+
+
+def _check_rank(m):
+    if m > MAX_RANK:
+        raise UsageError(f"the rank parameter m must be at most {MAX_RANK}, got {m}")
+    return m
 
 
 def cmd_expand(args):
@@ -118,6 +135,8 @@ def cmd_convert(args):
     form = _load_input(args.form)
     target = args.to
     _check_precision(args.precision)
+    if args.rank is not None:
+        _check_rank(args.rank)
     if target == "components":
         if not isinstance(form, QuasiModularForm):
             raise UsageError("--to components needs a quasimodular form")
@@ -132,7 +151,7 @@ def cmd_convert(args):
                 raise UsageError("w-basis parts must be quasimodular documents")
             vv = w_compose(form, m=args.rank, weight_label=args.weight)
         elif isinstance(form, QuasiModularForm):
-            rank = args.rank if args.rank is not None else form.depth
+            rank = args.rank if args.rank is not None else _check_rank(form.depth)
             vv = from_quasimodular(form, rank, args.weight)
         else:
             raise UsageError("--to vvmf needs a quasimodular form or an array of w-basis parts")

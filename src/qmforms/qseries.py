@@ -4,16 +4,19 @@ Every holomorphic object downstream is carried by a ``QSeries``: a finite
 list of Fourier coefficients in q = exp(2*pi*i*tau), kept as integer
 numerators over one common denominator.  Arithmetic is exact and truncates
 to the shorter operand; precision is never extended silently.  Products use
-Kronecker substitution: each operand packed into one bigint, a square packed
-once, and only the low half of the packed product formed; a constant operand
-only scales the other.  The normalized derivative is D = q d/dq.  Evaluation
-at tau sums the float coefficients against a table of the powers of q, kept
-per (tau, N) with N the longest series evaluated in the call.  The
-``Fraction`` view ``coeffs`` is built by ``_fractions``, which sets each
-reduced Fraction's two slots after one gcd: the constructor's type checks
-and renormalization of known ints were most of a view's cost.  An expansion
-cache (``_prefix_cache``) rebuilds a key at the next power of two, so at
-most once per power of two its requests cross.
+Kronecker substitution at the two points x = +-2^s: the even- and the
+odd-indexed coefficients of each operand packed apart into bigints, two
+products of half the bit length, a square's operand packed once, and only
+the low bits of each product formed; a constant operand only scales the
+other.  The normalized derivative is D = q d/dq.  Evaluation at tau sums
+the float coefficients against a table of the powers of q, kept per
+(tau, N) with N the longest series evaluated in the call.  The ``Fraction``
+view ``coeffs`` is built by ``_fractions``, which sets each reduced
+Fraction's two slots after one gcd: the constructor's type checks and
+renormalization of known ints were most of a view's cost.  Over the
+denominator 1 neither ``_fractions`` nor ``_lowest_terms`` takes a gcd.
+An expansion cache (``_prefix_cache``) rebuilds a key at the next power of
+two, so at most once per power of two its requests cross.
 """
 
 import cmath
@@ -74,11 +77,15 @@ def _weighted_sum(terms, precision, den=1):
     the end.  The exact counterpart of ``_row_sums``.  The package passes int
     weights and a rational scale as ``den``; a Fraction weight sums exactly too."""
     # a bad precision is refused before any term is built
-    total = [0] * _precision(precision)
+    n = _precision(precision)
     terms = list(terms)
     scales, common = _over_lcm((w.numerator, w.denominator * s.denominator) for w, s in terms)
-    for scale, (_, s) in zip(scales, terms):
-        total = [t + scale * n for t, n in zip(total, s.numerators)]
+    rows = zip(scales, (s.numerators for _, s in terms))
+    # the first term's scaled numerators start the sum; no terms sum to zero
+    scale, nums = next(rows, (0, (0,) * n))
+    total = [scale * x for x in nums[:n]]
+    for scale, nums in rows:
+        total = [t + scale * x for t, x in zip(total, nums)]
     return QSeries._from_ints(total, common * den)
 
 
@@ -206,18 +213,22 @@ def _over_lcm(pairs):
 
 
 def _lowest_terms(nums, den):
-    """``nums`` (itself when the gcd is 1) and ``den`` > 0, their gcd divided out."""
+    """``nums`` (itself when the gcd is 1) and ``den`` > 0, their gcd divided out;
+    over ``den`` 1 nothing divides out, and no gcd is taken."""
+    if den == 1:
+        return nums, 1
     g = math.gcd(den, *nums)
     return ([n // g for n in nums] if g > 1 else nums), den // g
 
 
 def _fractions(nums, den):
     """A list of the reduced ``Fraction`` n / den of each int n of ``nums``, for an int
-    ``den`` > 0: one gcd each, then the two slots set as CPython 3.12's private
-    ``Fraction._from_coprime_ints`` does, without the constructor's checks."""
+    ``den`` > 0: one gcd each (none over ``den`` 1), then the two slots set as
+    CPython 3.12's private ``Fraction._from_coprime_ints`` does, without the
+    constructor's checks."""
     out, new = [], object.__new__
     for n in nums:
-        g = math.gcd(n, den)
+        g = math.gcd(n, den) if den != 1 else 1
         f = new(Fraction)
         if g == 1:
             f._numerator, f._denominator = n, den
@@ -310,36 +321,56 @@ def _decimal_int(text):
     return -n if sign == "-" else n
 
 
+def _short_product(x, y, bits):
+    """An int congruent to x*y modulo 2^bits (``y is x`` squares x): with
+    x = x0 + 2^h x1 split at h = ceil(7 bits/10) >= bits/2 bits, it is
+    x0 y0 + 2^h ((x0 mod 2^(bits-h)) y1 + x1 (y0 mod 2^(bits-h))), the terms
+    left out being multiples of 2^bits."""
+    low = -(-7 * bits // 10)
+    cut = (1 << (bits - low)) - 1
+    x0, x1 = x & ((1 << low) - 1), x >> low
+    if y is x:
+        return x0 * x0 + ((x0 & cut) * x1 << low + 1)
+    y0, y1 = y & ((1 << low) - 1), y >> low
+    return x0 * y0 + ((x0 & cut) * y1 + x1 * (y0 & cut) << low)
+
+
 def _kronecker_product(a, b):
     """Integer coefficients of a*b below q^len(a), for len(a) == len(b), by
-    Kronecker substitution: the operands packed into byte-aligned slots of w
-    bits, where every product coefficient c has |c| < 2^(w-1).  Operand and
-    product slots alike hold value + 2^(w-1), so that they pack and read back
-    without borrows.  When ``b is a`` the operand is packed once and squared.
-    Only the n = len(a) low slots are formed (a short product): with
-    A = A0 + B^h A1, split at h = ceil(7n/10) >= n/2 slots of B = 2^w, the
-    slots below n are those of A0 B0 + B^h ((A0 mod B^(n-h)) B1 + A1 (B0 mod B^(n-h)))."""
+    Kronecker substitution at the two points x = +-2^s (Harvey's KS2).  With
+    A(x) = E(x^2) + x O(x^2), the even- and the odd-indexed coefficients E and O
+    are packed apart at y = 2^w, w = 2s, in byte-aligned slots of w bits, where
+    every product coefficient c has |c| < 2^(w-1); A(+-2^s) = E(2^w) +- 2^s O(2^w).
+    Two products of half the bit length, P+- = A(+-2^s) B(+-2^s), give the even
+    coefficients of a*b in the slots of (P+ + P-)/2 and the odd ones in those of
+    (P+ - P-)/2^(s+1).  Slots hold value + 2^(w-1), so that they pack and read
+    back without borrows.  When ``b is a`` each evaluation is squared.  Both are
+    short products (``_short_product``): only their bits below the n = len(a)
+    wanted slots, (n+1)s + 1 of them, are formed."""
     n = len(a)
     bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length()
     width = bits // 8 + 1
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    s, half = 4 * width, 1 << (8 * width - 1)
+    even_bias = int.from_bytes((bytes(width - 1) + b"\x80") * ((n + 1) // 2), "little")
+    odd_bias = even_bias >> 8 * width if n & 1 else even_bias  # one slot fewer for odd n
 
-    low = 8 * width * -(-7 * n // 10)  # the bits of h slots
-    cut = (1 << (8 * width * n - low)) - 1  # mod B^(n-h)
+    def pack(nums, bias):
+        return int.from_bytes(b"".join([(x + half).to_bytes(width, "little") for x in nums]), "little") - bias
 
-    def split(nums):
-        packed = int.from_bytes(b"".join((x + half).to_bytes(width, "little") for x in nums), "little") - bias
-        return packed & ((1 << low) - 1), packed >> low
+    def evaluations(nums):
+        even, odd = pack(nums[::2], even_bias), pack(nums[1::2], odd_bias) << s
+        return even + odd, even - odd
 
-    a0, a1 = split(a)
-    if b is a:
-        product = a0 * a0 + ((a0 & cut) * a1 << low + 1)
-    else:
-        b0, b1 = split(b)
-        product = a0 * b0 + ((a0 & cut) * b1 + a1 * (b0 & cut) << low)
-    slots = ((product + bias) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
-    return [int.from_bytes(slots[i:i + width], "little") - half for i in range(0, width * n, width)]
+    ap, am = evaluations(a)
+    bp, bm = (ap, am) if b is a else evaluations(b)
+    top = s * (n + 1) + 1
+    plus, minus = _short_product(ap, bp, top), _short_product(am, bm, top)
+    out = [0] * n
+    for i, packed, bias in ((0, (plus + minus) >> 1, even_bias), (1, (plus - minus) >> s + 1, odd_bias)):
+        size = (bias.bit_length() + 7) // 8  # width bytes per wanted slot: the bias's top byte is 0x80
+        slots = ((packed + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        out[i::2] = [int.from_bytes(slots[j:j + width], "little") - half for j in range(0, size, width)]
+    return out
 
 
 class QSeries:

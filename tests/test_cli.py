@@ -12,7 +12,7 @@ from qmforms import (
     DELTA, E2, E4, E6, QuasiModularForm, certify_dim_vv, cli, completion, dim_vv, dumps, from_quasimodular, loads,
     parse_form,
 )
-from qmforms.cli import MAX_PRECISION, _check_precision, main
+from qmforms.cli import MAX_PRECISION, MAX_RANK, _check_precision, main
 from qmforms.exprparse import ExpressionError
 
 
@@ -467,6 +467,55 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and str(MAX_PRECISION) in err
         assert _check_precision(MAX_PRECISION) == MAX_PRECISION == 2 ** 14
+
+
+class TestRankCap:
+    """A rank parameter m past ``MAX_RANK``, in a document or from ``convert``,
+    is one usage error before anything is expanded."""
+
+    @staticmethod
+    def rank_document(m, source=E4):
+        return json.dumps({"format": "vectorvalued", "version": 1, "m": m, "weight_label_k": source.weight,
+                           "source": json.loads(dumps(source))})
+
+    @pytest.mark.parametrize("m", [MAX_RANK + 1, 10 ** 8])
+    @pytest.mark.parametrize("argv", [["expand", "--precision", "2"], ["verify"], ["convert", "--to", "wbasis"],
+                                      ["convert", "--to", "quasimodular"]])
+    def test_rank_cap_of_a_document(self, capsys, argv, m):
+        doc = self.rank_document(m)
+        code, out, err = run(capsys, argv[0], doc, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: the rank parameter m must be at most {MAX_RANK}, got {m}\n"
+        # the same in an array of documents
+        code, out, err = run(capsys, "convert", f"[{dumps(E4)},{doc}]", "--to", "vvmf")
+        assert (code, out, err.count("\n")) == (2, "", 1) and str(MAX_RANK) in err
+
+    def test_rank_cap_ends_the_1e8_document_at_once(self):
+        # before the cap this expand printed 10^8 + 1 rows; the child's time limit keeps a regression out
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from qmforms.cli import main; sys.exit(main(sys.argv[1:]))",
+             "expand", self.rank_document(10 ** 8), "--precision", "2"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: the rank parameter m must be at most {MAX_RANK}, got 100000000\n"
+
+    def test_rank_at_the_cap_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "expand", self.rank_document(MAX_RANK), "--precision", "2")
+        assert code == 0 and len(out.splitlines()) == MAX_RANK + 1
+        code, out, _ = run(capsys, "convert", "E4", "--to", "vvmf", "--rank", str(MAX_RANK))
+        assert code == 0 and loads(out) == from_quasimodular(E4, MAX_RANK)
+
+    @pytest.mark.parametrize("form, rank", [("E4", MAX_RANK + 1), ("E4", 10 ** 8),
+                                            (f"[{dumps(E4)},{dumps(E4 * 0)}]", MAX_RANK + 1),
+                                            (f"E2^{MAX_RANK + 1}", None)],
+                             ids=["rank", "rank-1e8", "parts", "depth"])
+    def test_rank_cap_of_convert(self, capsys, form, rank):
+        extra = [] if rank is None else ["--rank", str(rank)]
+        code, out, err = run(capsys, "convert", form, "--to", "vvmf", *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: the rank parameter m must be at most {MAX_RANK}, got {rank or MAX_RANK + 1}\n"
 
 
 class TestDims:

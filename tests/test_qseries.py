@@ -11,7 +11,8 @@ from qmforms import E2, E4, E6, QSeries, format_series
 from qmforms.eisenstein import delta_series, eisenstein_series
 from qmforms.numverify import check_quasimodular, check_vv, default_plan
 from qmforms import qseries
-from qmforms.qseries import CACHE_KEYS, Evaluation, _evaluations, _kronecker_product, _q_table, _row_sums, _weighted_sum
+from qmforms.qseries import (CACHE_KEYS, Evaluation, _evaluations, _kronecker_product, _lowest_terms, _q_table,
+                             _row_sums, _short_product, _weighted_sum)
 from qmforms.vectorvalued import from_quasimodular
 
 from _oracles import ascending_complex_sum, convolution, delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
@@ -225,6 +226,27 @@ class TestKroneckerProduct:
         assert _kronecker_product(zeros, other) == zeros
         assert _kronecker_product(other, zeros) == zeros
 
+    # the even- and the odd-indexed coefficients are packed apart, at the points +-2^s
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 255, 256, 257])
+    def test_one_packed_half_is_zero(self, n):
+        rng = random.Random(n)
+
+        def vanishing(parity, bits):
+            return [0 if i % 2 == parity else x for i, x in enumerate(signed_ints(rng, n, bits))]
+
+        for parity in (0, 1):
+            half, other_half, full = vanishing(parity, 70), vanishing(1 - parity, 130), signed_ints(rng, n, 40)
+            for a in (half, [abs(x) for x in half], [-abs(x) for x in half]):
+                for b in (half, other_half, full, [abs(x) for x in full], [-abs(x) for x in other_half]):
+                    self.check(a, b)
+                    self.check(b, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-2 ** 400, 2 ** 400), st.integers(-2 ** 400, 2 ** 400), st.integers(1, 800))
+    def test_short_product_is_the_product_modulo_a_power_of_two(self, x, y, bits):
+        assert _short_product(x, y, bits) % 2 ** bits == x * y % 2 ** bits
+        assert _short_product(x, x, bits) % 2 ** bits == x * x % 2 ** bits
+
     def test_a_series_squared_hands_over_one_operand(self):
         e4 = eisenstein_series(4, 30)
         with mock.patch.object(qseries, "_kronecker_product", wraps=_kronecker_product) as spy:
@@ -256,6 +278,15 @@ class TestCanonicalForm:
         assert (QSeries([Fraction(1, 2), 0]) + Fraction(1, 2)).denominator == 1
         assert QSeries([Fraction(1, 3), 1]).derive() == QSeries([0, 1])
         assert (QSeries([Fraction(1, 3), Fraction(2, 3)]) - QSeries([Fraction(1, 3), Fraction(-1, 3)])) == series(0, 1)
+
+    def test_denominator_one_takes_no_gcd(self):
+        nums = [0, -3, 6, 2 ** 300, -9]
+        with mock.patch.object(qseries.math, "gcd", side_effect=AssertionError("took a gcd")):
+            assert _lowest_terms(nums, 1) == (nums, 1) and _lowest_terms(nums, 1)[0] is nums
+            assert qseries._fractions(nums, 1) == [Fraction(n) for n in nums]
+            assert QSeries._from_ints(nums).coeffs == tuple(Fraction(n) for n in nums)
+        assert _lowest_terms(nums, 3)[0] is nums
+        assert _lowest_terms([0, -3, 6, -9], 3) == ([0, -1, 2, -3], 1)
 
     def test_zero_series_has_denominator_one(self):
         z = QSeries([Fraction(1, 3), 0]) * 0
