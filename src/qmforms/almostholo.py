@@ -9,8 +9,8 @@ numeric value only in ``evaluate``.
 
 from math import comb
 
-from .qseries import (DEFAULT_PRECISION, Evaluation, QSeries, _evaluations, _natural, _powers, _precision, _row_sums,
-                      _weighted_sum, yhat)
+from .qseries import (DEFAULT_PRECISION, QSeries, _evaluations, _natural, _powers, _precision, _row_sums, _weighted_sum,
+                      yhat)
 
 
 class NotHolomorphicError(ValueError):
@@ -99,7 +99,7 @@ class AlmostHolomorphicForm:
         """Numeric value sum_r coeffs[r](tau) * (-3/(pi*Im tau))^r."""
         tau = complex(tau)
         values = _evaluations(self.coeffs, tau)
-        return Evaluation(*_row_sums([list(enumerate(_powers(yhat(tau.imag), self.degree)))], values)[0])
+        return _row_sums([list(enumerate(_powers(yhat(tau.imag), self.degree)))], values)[0]
 
     def __str__(self):
         lines = [f"Y^{r}: {series}" for r, series in enumerate(self.coeffs)]

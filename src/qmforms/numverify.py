@@ -11,13 +11,15 @@ checks, 64 coefficients then keep truncation far below the 1e-8 tolerance.
 Higher weights may need more: ``E4^10`` (weight 40) leaves an exact residual
 of 6.2e-8 at 64 coefficients (ROADMAP items 5 and 8).  Float64 rounding
 alone FAILs true forms from weight 24 on, and ``check_vv`` of
-``from_quasimodular(E4, m)`` from m = 36 on (ROADMAP items 5 and 9).
+``from_quasimodular(E4, m)`` from m = 36 on (ROADMAP items 5 and 9), and
+it refuses a rank whose weights leave float64 at some sample.
 
 Each law has a half that no form enters: the images gamma tau and the
 factors j(gamma, tau)^w.  They are built once per plan points and elements
 and weight w (``_images``, at most ``CACHE_KEYS`` keys, the least recently
 used out first) and serve all three checks: ``check_scalar`` at the weight,
-``check_vv`` at k - m and ``check_quasimodular`` at each k - r, r <= depth.
+``check_vv`` at k - m and ``check_quasimodular`` at each k - r, r <= depth,
+through one table of rows per weight and depth (``_quasimodular_rows``).
 """
 
 import cmath
@@ -29,7 +31,7 @@ from itertools import product
 
 from .almostholo import completion
 from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, _row_sums
-from .vectorvalued import GroupElement, S, T, _sym_rows
+from .vectorvalued import IDENTITY, GroupElement, S, T, _sym_rows
 
 MIN_IM_TAU = 0.3
 MIN_IM_IMAGE = 0.25
@@ -146,13 +148,24 @@ def _images(taus, gammas, weight):
     return tuple(tuple((gamma.act(tau), gamma.j(tau) ** weight) for tau in taus) for gamma in gammas)
 
 
-def _plain_sum(values):
-    """The float sum of ``values`` added left to right from 0.0: ``sum`` of
-    floats compensates from Python 3.12 on, and would change the bits."""
-    total = 0.0
-    for x in values:
-        total += x
-    return total
+@lru_cache(maxsize=CACHE_KEYS)
+def _quasimodular_rows(taus, gammas, weight, depth):
+    """Per (gamma, tau), the image gamma tau and one ``_row_sums`` row of the
+    weights j^(weight-r) (c LAMBDA)^r of fhat_r, r <= depth, from ``_images``."""
+    tables = [_images(taus, gammas, weight - r) for r in range(depth + 1)]
+    c_powers = [_powers(gamma.c * LAMBDA, depth) for gamma in gammas]
+    # samples[r] is (gamma tau, j^(weight-r)) at one base point
+    return tuple((samples[0][0], (tuple((r, j * c) for r, ((_, j), c) in enumerate(zip(samples, powers))),))
+                 for powers, *rows in zip(c_powers, *tables) for samples in zip(*rows))
+
+
+@lru_cache(maxsize=CACHE_KEYS)
+def _largest_rank(taus, gammas):
+    """The largest m whose Sym^m(gamma) entries, <= max(|a|+|c|, |b|+|d|)^m, and
+    ``_component_rows`` weights at points and images, <= max(2, 1 + |tau|)^m, are < 2^1024."""
+    growth = [2] + [max(abs(g.a) + abs(g.c), abs(g.b) + abs(g.d)) for g in gammas]
+    growth += [1 + abs(g.act(complex(tau))) for g in (IDENTITY,) + gammas for tau in taus]
+    return math.ceil(1024 * math.log(2) / math.log(max(growth))) - 1
 
 
 def _residuals(plan, label, sides):
@@ -160,16 +173,22 @@ def _residuals(plan, label, sides):
 
     ``sides`` yields, gamma by gamma and tau by tau within, the left-hand
     ``(value, tail)`` pairs, the automorphy factor and the right-hand pairs
-    before that factor.  The law is lhs_i = factor * rhs_i, and the
-    truncation error of the sample is sum lhs_i.tail + |factor| sum rhs_i.tail.
+    before that factor, as many as on the left.  The law is lhs_i = factor *
+    rhs_i, and the truncation error of the sample is sum lhs_i.tail +
+    |factor| sum rhs_i.tail, added left to right (``sum`` of floats compensates).
     """
     out = []
     for (gamma, tau), (lhs, factor, rhs) in zip(product(plan.gammas, plan.taus), sides):
-        scaled = [factor * value for value, _ in rhs]
-        absolute = math.hypot(*[abs(x - y) for (x, _), y in zip(lhs, scaled)])
-        rhs_norm = math.hypot(*map(abs, scaled))
-        error = _plain_sum([tail for _, tail in lhs]) + abs(factor) * _plain_sum([tail for _, tail in rhs])
-        out.append(Residual(label, gamma, tau, absolute, absolute / max(1.0, rhs_norm), error))
+        diffs, norms, left, right = [], [], 0.0, 0.0
+        for (x, left_tail), (y, right_tail) in zip(lhs, rhs):
+            y = factor * y
+            diffs.append(abs(x - y))
+            norms.append(abs(y))
+            left += left_tail
+            right += right_tail
+        absolute = math.hypot(*diffs)
+        error = left + abs(factor) * right
+        out.append(Residual(label, gamma, tau, absolute, absolute / max(1.0, math.hypot(*norms)), error))
     return out
 
 
@@ -185,35 +204,23 @@ def check_scalar(evaluator, weight, plan, label="scalar form"):
 def check_quasimodular(form, plan, label=None):
     """Residuals of the depth-d law
     f(gamma tau) = sum_r j^(k-r) c^r LAMBDA^r fhat_r(tau)."""
-    k, depth = form.weight, form.depth
-    # the factors j^(k-r) of every r, and each group element's (c LAMBDA)^r
-    tables = [_images(plan.taus, plan.gammas, k - r) for r in range(depth + 1)]
-    powers = [_powers(gamma.c * LAMBDA, depth) for gamma in plan.gammas]
+    rows = _quasimodular_rows(plan.taus, plan.gammas, form.weight, form.depth)
     full = completion(form, plan.precision)
-    expansions = [full.coefficient(r) for r in range(depth + 1)]
-    bases = [_evaluations(expansions, tau) for tau in plan.taus]
-
-    def sides():
-        for c_powers, *rows in zip(powers, *tables):
-            # samples[r] is (gamma tau, j^(k-r)) at this base point
-            for base, *samples in zip(bases, *rows):
-                row = [(r, j_power * c_power) for r, ((_, j_power), c_power) in enumerate(zip(samples, c_powers))]
-                yield [expansions[0].evaluate(samples[0][0])], 1, _row_sums([row], base)
-
-    return _residuals(plan, str(form) if label is None else label, sides())
+    expansions = [full.coefficient(r) for r in range(form.depth + 1)]
+    bases = [_evaluations(expansions, tau) for tau in plan.taus] * len(plan.gammas)
+    sides = (([expansions[0].evaluate(image)], 1, _row_sums(row, base)) for (image, row), base in zip(rows, bases))
+    return _residuals(plan, str(form) if label is None else label, sides)
 
 
 def check_vv(form, plan, label=None):
     """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the
     Euclidean norm."""
     k, m, n = form.weight_label, form.m, plan.precision
+    if m > (top := _largest_rank(plan.taus, plan.gammas)):
+        raise ValueError(f"rank {m} is above {top}, the largest rank this sample plan can check")
     images = _images(plan.taus, plan.gammas, k - m)
     bases = [form.evaluate(tau, n) for tau in plan.taus]
-
-    def sides():
-        for gamma, row in zip(plan.gammas, images):
-            sym_rows = _sym_rows(gamma, m)
-            for (image, factor), base in zip(row, bases):
-                yield form.evaluate(image, n), factor, _row_sums(sym_rows, base)
-
-    return _residuals(plan, str(form) if label is None else label, sides())
+    sym = [_sym_rows(gamma, m) for gamma in plan.gammas]
+    sides = ((form.evaluate(image, n), factor, _row_sums(rows, base))
+             for rows, row in zip(sym, images) for (image, factor), base in zip(row, bases))
+    return _residuals(plan, str(form) if label is None else label, sides)

@@ -10,7 +10,8 @@ products of half the bit length, a square's operand packed once, and only
 the low bits of each product formed; a constant operand only scales the
 other.  The normalized derivative is D = q d/dq.  Evaluation at tau sums
 the float coefficients against a table of the powers of q, kept per
-(tau, N) with N the longest series evaluated in the call.  The ``Fraction``
+(tau, N) with N the longest series evaluated in the call, and ends a sum
+where no later term can change it under round to nearest.  The ``Fraction``
 view ``coeffs`` is built by ``_fractions``, which sets each reduced
 Fraction's two slots after one gcd: the constructor's type checks and
 renormalization of known ints were most of a view's cost.  Over the
@@ -23,10 +24,11 @@ import cmath
 import decimal
 import functools
 import math
+from bisect import bisect_right
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, islice
+from operator import mul, neg
 
 #: default number of stored coefficients (of q^0 ... q^(N-1))
 DEFAULT_PRECISION = 64
@@ -54,19 +56,18 @@ class Evaluation(namedtuple("Evaluation", "value truncation_error")):
 
 
 def _row_sums(rows, pairs):
-    """For each row of ``(column, weight)`` entries, ``(sum w * value, sum |w| * tail)``
-    over the ``(value, tail)`` pairs at its columns, added in its order from 0j
-    and 0.0.  A row may leave out a zero weight: its terms are then signed zeros
-    (of finite pairs), which a total that starts at +0.0 ignores."""
-    out = []
+    """For each row of ``(column, weight)`` entries, ``Evaluation(sum w * value,
+    sum |w| * tail)`` over the ``(value, tail)`` pairs at its columns, added in
+    its order from 0j and 0.0.  A row may leave out a zero weight: its terms are
+    then signed zeros (of finite pairs), which a total from +0.0 ignores."""
+    out, new = [], tuple.__new__
     for row in rows:
-        total = 0j
-        error = 0.0
+        total, error = 0j, 0.0
         for k, w in row:
             value, tail = pairs[k]
             total += w * value
             error += abs(w) * tail
-        out.append((total, error))
+        out.append(new(Evaluation, (total, error)))
     return out
 
 
@@ -99,12 +100,22 @@ def _evaluations(series, tau):
     of powers of q = exp(2*pi*i*tau): the double-precision truncated sum,
     accumulated in ascending order of n so that extending the precision never
     perturbs the shared coefficients' part, and the tail |q|^N / (1 - |q|).
-    Each series keeps its values by tau, at most ``CACHE_KEYS`` of them."""
+    Each series keeps its values by tau, at most ``CACHE_KEYS`` of them.
+
+    A sum ends at n = k once big (1 + 8u) tails[k] < ulp(T)/4 for both totals
+    T, big the largest |coefficient| and tails[k] the largest |Re q^n| or
+    |Im q^n| at n >= k: rounding is monotonic, so each later term d has
+    |d| < ulp(T)/4, under half the gap on either side of T, and T + d rounds
+    to T (round to nearest; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2.1-2.2).  A zero total (never -0.0) never ends a
+    sum.  k is predicted where big tails[k] < 2^-57 |c0 + c1 q| in both
+    parts, checked once, and on a miss the rest is summed.  The rule holds for
+    left-to-right sums only: ``math.fsum`` (ROADMAP item 5) must re-derive it."""
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
     lengths = [len(s.numerators) for s in series]
-    reals, imags, aq = _q_table(tau, max(lengths))
+    reals, imags, tails, aq = _q_table(tau, max(lengths))
     out = []
     for s, length in zip(series, lengths):
         values = s._values
@@ -114,16 +125,21 @@ def _evaluations(series, tau):
         if evaluation is None:
             if len(values) >= CACHE_KEYS:
                 values.clear()
-            # two plain float sums: sum() of floats compensates from Python
-            # 3.12 on, and it or math.fsum would change the rounding of every
-            # value.  They round exactly like the complex total += c * q^n,
-            # whose parts c*x - 0*y and c*y + 0*x differ from c*x and c*y at
-            # most in the sign of a zero, as does a zero coefficient's term:
-            # a total that starts at +0.0 ignores both
+            coeffs = s._float_coeffs()
+            lead = min(abs(coeffs[0] + coeffs[1] * reals[1]), abs(coeffs[1] * imags[1])) if length > 1 else 0.0
+            cut = bisect_right(tails, -lead * 2.0 ** -57 / s._big, hi=length, key=neg) if lead else length
+            # two plain float sums, not sum() (compensated from Python 3.12 on) or math.fsum: they round
+            # like the complex total += c * q^n, whose parts c*x - 0*y and c*y + 0*x differ from c*x and
+            # c*y at most in the sign of a zero, as a zero coefficient's term does; a total from +0.0 ignores both
+            terms = zip(coeffs, reals, imags)
             re = im = 0.0
-            for c, x, y in zip(s._float_coeffs(), reals, imags):
+            for c, x, y in islice(terms, cut):
                 re += c * x
                 im += c * y
+            if not s._big * (1 + 8 * 2.0 ** -53) * tails[cut] < min(math.ulp(re), math.ulp(im)) / 4:
+                for c, x, y in terms:
+                    re += c * x
+                    im += c * y
             tail = aq ** length / (1.0 - aq) if aq < 1.0 else math.inf
             evaluation = values[tau] = Evaluation(complex(re, im), tail)
         out.append(evaluation)
@@ -189,11 +205,14 @@ def _prefix_cache(build):
 
 @functools.lru_cache(maxsize=CACHE_KEYS)
 def _q_table(tau, precision):
-    """``(reals, imags, |q|)``: the real and the imaginary parts of q^0, ...,
-    q^(precision-1) for q = exp(2*pi*i*tau), and |q|."""
+    """``(reals, imags, tails, |q|)``: the real and the imaginary parts of q^0,
+    ..., q^(precision-1) for q = exp(2*pi*i*tau); at each n = 0..precision the
+    largest |Re q^k| or |Im q^k| over k >= n (0.0 at n = precision); and |q|."""
     q = cmath.exp(2j * math.pi * tau)
     powers = _powers(q, precision - 1)
-    return tuple(p.real for p in powers), tuple(p.imag for p in powers), abs(q)
+    reals, imags = tuple(p.real for p in powers), tuple(p.imag for p in powers)
+    tails = accumulate(map(max, map(abs, reversed(reals)), map(abs, reversed(imags))), max, initial=0.0)
+    return reals, imags, tuple(tails)[::-1], abs(q)
 
 
 def _exact(value):
@@ -377,7 +396,7 @@ class QSeries:
     """A power series in q truncated to a fixed number of coefficients, kept
     as integer numerators over one positive denominator in lowest terms."""
 
-    __slots__ = ("numerators", "denominator", "_floats", "_fractions", "_values")
+    __slots__ = ("numerators", "denominator", "_floats", "_big", "_fractions", "_values")
 
     def __init__(self, coeffs):
         self._set(*_over_lcm((c.numerator, c.denominator) for c in map(_exact, coeffs)))
@@ -397,7 +416,7 @@ class QSeries:
         self._floats = self._fractions = self._values = None
 
     def _float_coeffs(self):
-        """The coefficients as floats, converted on the first call only."""
+        """The coefficients as floats, and their largest magnitude as ``_big``, on the first call only."""
         if self._floats is None:
             den = self.denominator
             try:
@@ -405,6 +424,7 @@ class QSeries:
                 self._floats = tuple(n / den for n in self.numerators)
             except OverflowError:
                 raise ValueError("a coefficient is outside the float64 range |x| < 2^1024") from None
+            self._big = max(map(abs, self._floats))
         return self._floats
 
     @classmethod

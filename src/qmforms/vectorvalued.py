@@ -18,8 +18,8 @@ from math import comb
 from . import linalg
 from .almostholo import _graded_weight, _lowered, completion
 from .eisenstein import dim_modular, monomial_basis
-from .qseries import (CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, QSeries, _evaluations, _kronecker_product,
-                      _natural, _powers, _row_sums)
+from .qseries import (CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _kronecker_product, _natural, _powers,
+                      _row_sums)
 from .quasimodular import E2, QuasiModularForm, _monomial_series, monomial
 
 _set = object.__setattr__
@@ -134,7 +134,7 @@ def _component_rows(depth, m, tau):
 class VectorValuedForm:
     """A rank-(m+1) modular object built from a quasi-modular source."""
 
-    __slots__ = ("source", "m", "weight_label")
+    __slots__ = ("source", "m", "weight_label", "_components")
 
     def __init__(self, source, m, weight_label=None):
         _natural(m, "the rank parameter m")
@@ -147,6 +147,7 @@ class VectorValuedForm:
         self.source = source
         self.m = m
         self.weight_label = _natural(weight_label, "weight label", even=True)
+        self._components = None
 
     @property
     def weight(self):
@@ -181,10 +182,11 @@ class VectorValuedForm:
         """
         tau = complex(tau)
         full = completion(self.source, precision)
-        # a completion drops zero top coefficients; the rows reach the depth
-        coeffs = full.coeffs + (QSeries.zero(full.precision),) * (self.depth + 1 - len(full.coeffs))
-        values = _evaluations(coeffs, tau)
-        return tuple(map(Evaluation._make, _row_sums(_component_rows(self.depth, self.m, tau), values)))
+        # fhat_0..fhat_depth of the last completion read: it drops zero top coefficients
+        if self._components is None or self._components[0] is not full:
+            self._components = full, tuple(map(full.coefficient, range(self.depth + 1)))
+        values = _evaluations(self._components[1], tau)
+        return tuple(_row_sums(_component_rows(self.depth, self.m, tau), values))
 
     def __str__(self):
         return f"VV(m={self.m}, k={self.weight_label}, source={self.source})"

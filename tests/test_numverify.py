@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,33 @@ class TestWeightLimit:
         assert check_scalar(lambda tau: 1 + 0j, 10 ** 6, plan)[0].absolute == 0.0
 
 
+class TestRankLimit:
+    # on default_plan() the largest 1 + |tau| of a base point or image is
+    # 3.025 (at T (0.1 + 1.7i)) and the largest Sym^m entry bound 3^m, so the
+    # component weights, up to 3.025^m, leave float64 first: 3.025^641 < 2^1024
+    def test_large_ranks_are_refused_before_anything_is_built(self, monkeypatch):
+        def nothing_built(*args):
+            raise AssertionError("built before the rank check")
+
+        for module, name in ((vectorvalued, "completion"), (numverify, "_sym_rows"), (numverify, "_images")):
+            monkeypatch.setattr(module, name, nothing_built)
+        plan = default_plan()
+        for m in (700, 2048):
+            start = time.perf_counter()
+            message = rf"rank {m} is above 641, the largest rank this sample plan can check"
+            with pytest.raises(ValueError, match=message):
+                check_vv(from_quasimodular(E4, m), plan)
+            assert time.perf_counter() - start < 1.0
+
+    def test_limit_follows_the_plan(self):
+        # T^(2^20) has Sym^m entries up to (2^20 + 1)^m and moves tau by 2^20:
+        # (2^20 + 1.3)^51 < 2^1024 < (2^20 + 1)^52
+        plan = SamplePlan(taus=(complex(0.3, 1.1), complex(-0.4, 0.9)), gammas=(GroupElement(1, 2 ** 20, 0, 1),))
+        assert len(check_vv(from_quasimodular(E4, 51), plan)) == 2
+        with pytest.raises(ValueError, match=r"rank 52 is above 51,"):
+            check_vv(from_quasimodular(E4, 52), plan)
+
+
 class TestQuasiModular:
     def test_e2_pins_the_cocycle_constant(self):
         plan = default_plan()
@@ -401,7 +429,8 @@ class TestPlanTables:
     def test_no_table_leaks_across_plans_or_keys(self):
         checks = self.checks()
         warm = [residual_bits(check(*args)) for check, *args in checks]
-        for table in (numverify._images, vectorvalued._component_rows):
+        for table in (numverify._images, numverify._quasimodular_rows, numverify._largest_rank,
+                      vectorvalued._component_rows):
             table.cache_clear()
         # cold again, in the reverse order, so a leak in either direction shows
         cold = [residual_bits(check(*args)) for check, *args in reversed(checks)][::-1]

@@ -463,6 +463,90 @@ class TestEvaluations:
         assert math.isfinite(series(0, 2 ** 1024 - 2 ** 970 - 1).evaluate(1j).value.real)
 
 
+class CountingCoeffs(tuple):
+    """A float coefficient tuple that records how many items iteration has read."""
+
+    def __iter__(self):
+        self.read = 0
+        for x in tuple.__iter__(self):
+            self.read += 1
+            yield x
+
+
+class TestExitRule:
+    """``_evaluations`` ends a sum once no later term can change either total,
+    so it must give, bit for bit, what a plain loop over every term gives."""
+
+    @staticmethod
+    def plain_loop(s, tau):
+        """Both parts summed from 0.0 over every term, left to right, with q^n
+        by repeated multiplication, and the tail, as hex strings."""
+        q = cmath.exp(2j * math.pi * tau)
+        re = im = 0.0
+        qn = 1 + 0j
+        for c in s.coeffs:
+            re += float(c) * qn.real
+            im += float(c) * qn.imag
+            qn *= q
+        aq = abs(q)
+        return [re.hex(), im.hex(), (aq ** s.precision / (1.0 - aq)).hex()]
+
+    @staticmethod
+    def evaluated(s, tau):
+        """``_evaluations`` of s at tau as hex strings, and how many terms it read."""
+        s._floats = CountingCoeffs(s._float_coeffs())
+        value, tail = _evaluations([s], tau)[0]
+        return [value.real.hex(), value.imag.hex(), tail.hex()], s._floats.read
+
+    @staticmethod
+    def random_series(rng, tau):
+        length, bits = rng.randint(1, 300), rng.randint(1, 300)
+        den = rng.choice([1, rng.randint(2, 99), 10 ** rng.randint(1, 200), rng.randint(1, 10 ** 200)])
+        kind = rng.choice(["dense", "sparse", "zero", "alternating", "cancelling"])
+        if kind == "zero":
+            nums = [0] * length
+        elif kind == "alternating":
+            # terms of nearly one size and alternating sign cancel
+            base = rng.getrandbits(bits) + 1
+            nums = [(-1) ** n * (base + rng.getrandbits(max(1, bits // 8))) for n in range(length)]
+        elif kind == "cancelling":
+            # c2 = -(1 - e) c1 / (2 Re q) leaves e c1 Im q of c1 Im q + c2 Im q^2, so c0 + c1 q
+            # overstates the imaginary total by up to 2^12, and later terms of |c2| keep the bound tight
+            q = cmath.exp(2j * math.pi * tau)
+            c2 = -(1 - 2.0 ** -rng.uniform(0, 12)) / (2 * q.real) if q.real else 1.0
+            return QSeries([1, 1, Fraction(c2)] + [Fraction(rng.choice((1, -1)) * c2)] * rng.randint(0, 100))
+        else:
+            share = 1.0 if kind == "dense" else 0.3
+            nums = [rng.choice((1, -1)) * rng.getrandbits(bits) if rng.random() < share else 0 for _ in range(length)]
+        return QSeries([Fraction(n, den) for n in nums])
+
+    def test_matches_a_plain_loop_bit_for_bit(self):
+        rng = random.Random(36)
+        stopped = 0
+        for _ in range(800):
+            # Im tau log-uniform in 0.01..40; at Re tau = 0 every Im q^n is 0, and so the imaginary total
+            tau = complex(rng.choice([0.0, rng.uniform(-0.5, 0.5)]), 10 ** rng.uniform(-2, math.log10(40)))
+            s = self.random_series(rng, tau)
+            got, read = self.evaluated(s, tau)
+            assert got == self.plain_loop(s, tau), (s, tau)
+            stopped += read < s.precision
+        assert stopped > 100
+
+    def test_a_missed_cut_sums_the_rest(self, monkeypatch):
+        # c0 + c1 q predicts a total near Im q, but c2 = -1/(2 Re q) cancels c1 Im q
+        # (Im q^2 = 2 Re q Im q), so the total at the predicted cut is near c3 Im q^3
+        tau = complex(0.3, 1.1)
+        q = cmath.exp(2j * math.pi * tau)
+        s = QSeries([1, 1, Fraction(-1 / (2 * q.real))] + [1] * 61)
+        cuts = []
+        ulp = math.ulp
+        monkeypatch.setattr(math, "ulp", lambda x: cuts.append(s._floats.read) or ulp(x))
+        got, read = self.evaluated(s, tau)
+        assert got == self.plain_loop(s, tau)
+        # checked once at the cut, short of the end, then every term read
+        assert len(set(cuts)) == 1 and 0 < cuts[0] < read == s.precision
+
+
 class TestQTable:
     """``_evaluations`` takes its powers of q from ``_q_table``: one cached
     table per tau and longest precision of the call, which serves every
@@ -493,7 +577,7 @@ class TestQTable:
         assert self.counts() == (0, 2)
         _evaluations([geometric(32), geometric(8)], self.TAU)
         assert self.counts() == (1, 2)
-        reals, imags, modulus = _q_table(self.TAU, 8)
+        reals, imags, _, modulus = _q_table(self.TAU, 8)
         assert len(reals) == len(imags) == 8 and modulus == abs(cmath.exp(2j * math.pi * self.TAU))
 
     def test_one_call_mixes_precisions(self):
