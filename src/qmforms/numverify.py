@@ -1,25 +1,20 @@
 """Floating-point verification of the transformation laws.
 
-The checks compare both sides of the scalar, quasi-modular, and
-vector-valued functional equations on a fixed sample of group elements and
-base points, and report absolute and relative residuals per sample.
-``default_plan()`` is the one fixed sample, with tolerance 1e-8 and 64
-coefficients; ``_replace`` on it makes a checked plan with others.  All
-sample points keep Im tau >= 0.3 and all images keep Im(gamma tau) >= 0.25.
-For true forms of weight 4 to 22, the weights the bench ``verify`` workload
-checks, 64 coefficients then keep truncation far below the 1e-8 tolerance.
-Higher weights may need more: ``E4^10`` (weight 40) leaves an exact residual
-of 6.2e-8 at 64 coefficients (ROADMAP items 5 and 8).  Float64 rounding
-alone FAILs true forms from weight 24 on, and ``check_vv`` of
-``from_quasimodular(E4, m)`` from m = 36 on (ROADMAP items 5 and 9), and
-it refuses a rank whose weights leave float64 at some sample.
+The checks compare both sides of the scalar law and of Shimura's rank-m law on
+a fixed sample of group elements and base points, and report absolute and
+relative residuals per sample.  ``default_plan()`` is the one fixed sample,
+with tolerance 1e-8 and 64 coefficients; ``_replace`` on it makes a checked
+plan with others.  All sample points keep Im tau >= 0.3 and all images keep
+Im(gamma tau) >= 0.25, where 64 coefficients keep the truncation of true forms
+of weight 4 to 22 far below 1e-8, but not of ``E4^10``, 6.2e-8 (ROADMAP items
+5 and 8); the q-series sums round past 1e-8 on some from weight 22 on (item 5).
 
-Each law has a half that no form enters: the images gamma tau and the
-factors j(gamma, tau)^w.  They are built once per plan points and elements
-and weight w (``_images``, at most ``CACHE_KEYS`` keys, the least recently
-used out first) and serve all three checks: ``check_scalar`` at the weight,
-``check_vv`` at k - m and ``check_quasimodular`` at each k - r, r <= depth,
-through one table of rows per weight and depth (``_quasimodular_rows``).
+The rank-m form of f is the binary form P_tau(X, Y) = sum_r LAMBDA^r fhat_r(tau)
+(tau X + Y)^(m-r) X^r, and Sym^m(gamma) acts by P -> P(aX + cY, bX + dY).  Both
+sides of P_(gamma tau) = j^(k-m) Sym^m(gamma) P_tau are evaluated at (w, 1) for
+the (m+1)-th roots of unity w, a DFT that is unitary over sqrt(m + 1), so the
+residual is the Euclidean norm of the component difference (Parseval).  At
+m = 0 the one point w = 0 gives the depth-d law of ``check_quasimodular``.
 """
 
 import cmath
@@ -27,11 +22,12 @@ import json
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
+from itertools import chain, islice, product, repeat
+from operator import mul
 
 from .almostholo import completion
-from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _powers, _precision, _row_sums
-from .vectorvalued import IDENTITY, GroupElement, S, T, _sym_rows
+from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _precision
+from .vectorvalued import GroupElement, S, T
 
 MIN_IM_TAU = 0.3
 MIN_IM_IMAGE = 0.25
@@ -117,7 +113,9 @@ class Residual(namedtuple("Residual", "form gamma tau absolute relative truncati
 
 
 def max_relative(residuals):
-    return max((r.relative for r in residuals), default=0.0)
+    """The largest relative residual, NaN if any is NaN, and 0.0 for none."""
+    relatives = [r.relative for r in residuals]
+    return math.nan if any(map(math.isnan, relatives)) else max(relatives, default=0.0)
 
 
 def all_within(residuals, tolerance):
@@ -149,23 +147,33 @@ def _images(taus, gammas, weight):
 
 
 @lru_cache(maxsize=CACHE_KEYS)
-def _quasimodular_rows(taus, gammas, weight, depth):
-    """Per (gamma, tau), the image gamma tau and one ``_row_sums`` row of the
-    weights j^(weight-r) (c LAMBDA)^r of fhat_r, r <= depth, from ``_images``."""
-    tables = [_images(taus, gammas, weight - r) for r in range(depth + 1)]
-    c_powers = [_powers(gamma.c * LAMBDA, depth) for gamma in gammas]
-    # samples[r] is (gamma tau, j^(weight-r)) at one base point
-    return tuple((samples[0][0], (tuple((r, j * c) for r, ((_, j), c) in enumerate(zip(samples, powers))),))
-                 for powers, *rows in zip(c_powers, *tables) for samples in zip(*rows))
+def _largest_rank(taus, gammas):
+    """The largest m whose outer factors in ``_law_points``, |u|^m <= (1 + |gamma tau|)^m, are < 2^1024."""
+    growth = max(1 + abs(gamma.act(complex(tau))) for gamma in gammas for tau in taus)
+    return math.ceil(1024 * math.log(2) / math.log(growth)) - 1
 
 
 @lru_cache(maxsize=CACHE_KEYS)
-def _largest_rank(taus, gammas):
-    """The largest m whose Sym^m(gamma) entries, <= max(|a|+|c|, |b|+|d|)^m, and
-    ``_component_rows`` weights at points and images, <= max(2, 1 + |tau|)^m, are < 2^1024."""
-    growth = [2] + [max(abs(g.a) + abs(g.c), abs(g.b) + abs(g.d)) for g in gammas]
-    growth += [1 + abs(g.act(complex(tau))) for g in (IDENTITY,) + gammas for tau in taus]
-    return math.ceil(1024 * math.log(2) / math.log(max(growth))) - 1
+def _law_points(taus, gammas, m):
+    """At the points w of the rank-m law, the (m+1)-th roots of unity (w = 0 at m = 0), sample by sample, with
+    u = gamma tau * w + 1: z = LAMBDA w / u, z' = LAMBDA (a w + c) / (j u), outer = u^m / sqrt(m + 1), and moduli."""
+    ws = [cmath.rect(1.0, 2 * math.pi * i / (m + 1)) for i in range(m + 1)] if m else [0j]
+    left, right, outer = [], [], []
+    for gamma, tau in product(gammas, taus):
+        us = [gamma.act(tau) * w + 1 for w in ws]
+        left += [LAMBDA * w / u for w, u in zip(ws, us)]
+        right += [LAMBDA * (gamma.a * w + gamma.c) / (gamma.j(tau) * u) for w, u in zip(ws, us)]
+        outer += [u ** m / math.sqrt(m + 1) for u in us]
+    return tuple(tuple(xs) for xs in (left, right, outer, *(map(abs, xs) for xs in (left, right, outer))))
+
+
+def _horner(columns, zs, n):
+    """sum_r columns[r][i] z^r at each z of ``zs``, n of them per entry i, by Horner's rule from the top."""
+    columns = [chain.from_iterable(map(repeat, column, repeat(n))) for column in columns]
+    sums = list(columns[-1])
+    for column in columns[-2::-1]:
+        sums = [s * z + v for s, z, v in zip(sums, zs, column)]
+    return sums
 
 
 def _residuals(plan, label, sides):
@@ -176,6 +184,7 @@ def _residuals(plan, label, sides):
     before that factor, as many as on the left.  The law is lhs_i = factor *
     rhs_i, and the truncation error of the sample is sum lhs_i.tail +
     |factor| sum rhs_i.tail, added left to right (``sum`` of floats compensates).
+    The relative residual is NaN where |rhs| is past the float64 range.
     """
     out = []
     for (gamma, tau), (lhs, factor, rhs) in zip(product(plan.gammas, plan.taus), sides):
@@ -186,9 +195,9 @@ def _residuals(plan, label, sides):
             norms.append(abs(y))
             left += left_tail
             right += right_tail
-        absolute = math.hypot(*diffs)
-        error = left + abs(factor) * right
-        out.append(Residual(label, gamma, tau, absolute, absolute / max(1.0, math.hypot(*norms)), error))
+        absolute, norm = math.hypot(*diffs), math.hypot(*norms)
+        relative = absolute / max(1.0, norm) if norm < math.inf else math.nan
+        out.append(Residual(label, gamma, tau, absolute, relative, left + abs(factor) * right))
     return out
 
 
@@ -201,26 +210,37 @@ def check_scalar(evaluator, weight, plan, label="scalar form"):
     return _residuals(plan, label, sides)
 
 
+def _check_law(source, weight, m, plan, label):
+    """Residuals of the rank-m law of ``source`` at weight k: at each point of ``_law_points``,
+    outer * sum_r fhat_r(gamma tau) z^r against j^k outer * sum_r fhat_r(tau) z'^r.  The fhat_r
+    share one length, so one tail: a side's tail at a point is |outer| sum_r |z|^r tail."""
+    if m > (top := _largest_rank(plan.taus, plan.gammas)):
+        raise ValueError(f"rank {m} is above {top}, the largest rank this sample plan can check")
+    samples = [sample for row in _images(plan.taus, plan.gammas, weight) for sample in row]
+    series = completion(source, plan.precision).coeffs
+
+    def side(evaluations, zs, sizes):
+        values = _horner([[row[r].value for row in evaluations] for r in range(len(series))], zs, m + 1)
+        tails = _horner([[row[0].truncation_error for row in evaluations]] * len(series), sizes, m + 1)
+        return zip(map(mul, outers, values), map(mul, bounds, tails))
+
+    try:
+        left, right, outers, left_sizes, right_sizes, bounds = _law_points(plan.taus, plan.gammas, m)
+        lhs = side([_evaluations(series, image) for image, _ in samples], left, left_sizes)
+        rhs = side([_evaluations(series, tau) for tau in plan.taus] * len(plan.gammas), right, right_sizes)
+        residuals = _residuals(plan, label, ((islice(lhs, m + 1), factor, islice(rhs, m + 1)) for _, factor in samples))
+        if all(math.isfinite(r.relative) for r in residuals):
+            return residuals
+    except (OverflowError, ZeroDivisionError):  # |x| of a complex x, or z = LAMBDA w / u at u = 0
+        pass
+    raise ValueError(f"the rank-{m} law of {label} leaves the float64 range |x| < 2^1024 on this sample plan")
+
+
 def check_quasimodular(form, plan, label=None):
-    """Residuals of the depth-d law
-    f(gamma tau) = sum_r j^(k-r) c^r LAMBDA^r fhat_r(tau)."""
-    rows = _quasimodular_rows(plan.taus, plan.gammas, form.weight, form.depth)
-    full = completion(form, plan.precision)
-    expansions = [full.coefficient(r) for r in range(form.depth + 1)]
-    bases = [_evaluations(expansions, tau) for tau in plan.taus] * len(plan.gammas)
-    sides = (([expansions[0].evaluate(image)], 1, _row_sums(row, base)) for (image, row), base in zip(rows, bases))
-    return _residuals(plan, str(form) if label is None else label, sides)
+    """Residuals of the depth-d law f(gamma tau) = sum_r j^(k-r) (c LAMBDA)^r fhat_r(tau)."""
+    return _check_law(form, form.weight, 0, plan, str(form) if label is None else label)
 
 
 def check_vv(form, plan, label=None):
-    """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the
-    Euclidean norm."""
-    k, m, n = form.weight_label, form.m, plan.precision
-    if m > (top := _largest_rank(plan.taus, plan.gammas)):
-        raise ValueError(f"rank {m} is above {top}, the largest rank this sample plan can check")
-    images = _images(plan.taus, plan.gammas, k - m)
-    bases = [form.evaluate(tau, n) for tau in plan.taus]
-    sym = [_sym_rows(gamma, m) for gamma in plan.gammas]
-    sides = ((form.evaluate(image, n), factor, _row_sums(rows, base))
-             for rows, row in zip(sym, images) for (image, factor), base in zip(row, bases))
-    return _residuals(plan, str(form) if label is None else label, sides)
+    """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the Euclidean norm."""
+    return _check_law(form.source, form.weight_label, form.m, plan, str(form) if label is None else label)

@@ -108,14 +108,17 @@ def _evaluations(series, tau):
     |d| < ulp(T)/4, under half the gap on either side of T, and T + d rounds
     to T (round to nearest; Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 2.1-2.2).  A zero total (never -0.0) never ends a
-    sum.  k is predicted where big tails[k] < 2^-57 |c0 + c1 q| in both
-    parts, checked once, and on a miss the rest is summed.  The rule holds for
-    left-to-right sums only: ``math.fsum`` (ROADMAP item 5) must re-derive it."""
+    sum, but a part whose table is all zero (Im q^n at Re tau = 0) totals 0.0
+    at any n and is left out.  k is predicted where big tails[k] < 2^-57
+    |c0 + c1 q| in each part left in, checked once, and on a miss the rest is
+    summed.  The rule holds for left-to-right sums only: ``math.fsum`` (ROADMAP
+    item 5) must re-derive it."""
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
     lengths = [len(s.numerators) for s in series]
     reals, imags, tails, aq = _q_table(tau, max(lengths))
+    flat = not any(imags[1:2])
     out = []
     for s, length in zip(series, lengths):
         values = s._values
@@ -126,7 +129,8 @@ def _evaluations(series, tau):
             if len(values) >= CACHE_KEYS:
                 values.clear()
             coeffs = s._float_coeffs()
-            lead = min(abs(coeffs[0] + coeffs[1] * reals[1]), abs(coeffs[1] * imags[1])) if length > 1 else 0.0
+            lead = min(abs(coeffs[0] + coeffs[1] * reals[1]),
+                       math.inf if flat else abs(coeffs[1] * imags[1])) if length > 1 else 0.0
             cut = bisect_right(tails, -lead * 2.0 ** -57 / s._big, hi=length, key=neg) if lead else length
             # two plain float sums, not sum() (compensated from Python 3.12 on) or math.fsum: they round
             # like the complex total += c * q^n, whose parts c*x - 0*y and c*y + 0*x differ from c*x and
@@ -136,7 +140,8 @@ def _evaluations(series, tau):
             for c, x, y in islice(terms, cut):
                 re += c * x
                 im += c * y
-            if not s._big * (1 + 8 * 2.0 ** -53) * tails[cut] < min(math.ulp(re), math.ulp(im)) / 4:
+            ulp = math.ulp(re) if flat else min(math.ulp(re), math.ulp(im))
+            if not s._big * (1 + 8 * 2.0 ** -53) * tails[cut] < ulp / 4:
                 for c, x, y in terms:
                     re += c * x
                     im += c * y

@@ -18,8 +18,7 @@ from math import comb
 from . import linalg
 from .almostholo import _graded_weight, _lowered, completion
 from .eisenstein import dim_modular, monomial_basis
-from .qseries import (CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _kronecker_product, _natural, _powers,
-                      _row_sums)
+from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, _row_sums
 from .quasimodular import E2, QuasiModularForm, _monomial_series, monomial
 
 _set = object.__setattr__
@@ -92,29 +91,15 @@ def sym_matrix(gamma, m):
 
     gamma sends e1 to a*e1 + c*e2 and e2 to b*e1 + d*e2; the matrix is
     exactly multiplicative: sym_matrix(g*h) = sym_matrix(g) @ sym_matrix(h).
+    Column i holds the coefficients of (a + c x)^(m-i) (b + d x)^i in x, for e2.
     """
-    rows = _sym_rows(gamma, _natural(m, "the symmetric power m"))
-    return [[dict(entries).get(i, 0) for i in range(m + 1)] for entries in rows]
-
-
-@lru_cache(maxsize=CACHE_KEYS)
-def _sym_rows(gamma, m):
-    """The nonzero entries of ``sym_matrix(gamma, m)``, row by row, as
-    ``(column, entry)`` pairs, built once per (gamma, m).  Column i holds the
-    coefficients of (a + c x)^(m-i) (b + d x)^i, with x for e2: each power is
-    one multiply by the linear factor from the last, and each product one
-    ``_kronecker_product`` of operands zero-padded to m + 1 coefficients,
-    exact at degree m."""
-
-    def powers(u, v):
-        out = [[1]]
-        for _ in range(m):
-            out.append([u * x + v * y for x, y in zip(out[-1] + [0], [0] + out[-1])])
-        return out
-
-    left, right = powers(gamma.a, gamma.c), powers(gamma.b, gamma.d)
-    columns = [_kronecker_product(left[m - i] + [0] * i, right[i] + [0] * (m - i)) for i in range(m + 1)]
-    return tuple(tuple([(i, x) for i, x in enumerate(row) if x]) for row in zip(*columns))
+    columns = []
+    for i in range(_natural(m, "the symmetric power m") + 1):
+        column = [1] + [0] * m
+        for u, v in [(gamma.a, gamma.c)] * (m - i) + [(gamma.b, gamma.d)] * i:
+            column = [u * x + v * y for x, y in zip(column, [0] + column)]
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
 
 
 @lru_cache(maxsize=CACHE_KEYS)
@@ -134,7 +119,7 @@ def _component_rows(depth, m, tau):
 class VectorValuedForm:
     """A rank-(m+1) modular object built from a quasi-modular source."""
 
-    __slots__ = ("source", "m", "weight_label", "_components")
+    __slots__ = ("source", "m", "weight_label")
 
     def __init__(self, source, m, weight_label=None):
         _natural(m, "the rank parameter m")
@@ -147,7 +132,6 @@ class VectorValuedForm:
         self.source = source
         self.m = m
         self.weight_label = _natural(weight_label, "weight label", even=True)
-        self._components = None
 
     @property
     def weight(self):
@@ -182,10 +166,8 @@ class VectorValuedForm:
         """
         tau = complex(tau)
         full = completion(self.source, precision)
-        # fhat_0..fhat_depth of the last completion read: it drops zero top coefficients
-        if self._components is None or self._components[0] is not full:
-            self._components = full, tuple(map(full.coefficient, range(self.depth + 1)))
-        values = _evaluations(self._components[1], tau)
+        # fhat_0..fhat_depth: a completion drops zero top coefficients
+        values = _evaluations([full.coefficient(r) for r in range(self.depth + 1)], tau)
         return tuple(_row_sums(_component_rows(self.depth, self.m, tau), values))
 
     def __str__(self):

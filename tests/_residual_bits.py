@@ -16,8 +16,14 @@ points and their images under its six group elements): the value and the
 of ``VectorValuedForm.evaluate`` at m = d, d + 1 and d + 2, each as
 ``float.hex``.
 
+The census checks every true monomial E2^a E4^b E6^c of weight 4, 6, ..., 32
+the same way, under ``check_vv`` at m = a, a + 1 and a + 2 and under
+``check_quasimodular`` (808 checks), and counts the FAILs, which a true form
+shows only through float64 rounding or truncation (ROADMAP items 5 and 8).
+
 The battery needs neither pytest nor mpmath.  Run as a script, it prints both
-hashes, so that interpreters without the test dependencies can be compared::
+hashes and the census's FAIL count, so that interpreters without the test
+dependencies can be compared::
 
     PYTHONPATH=src python tests/_residual_bits.py
 """
@@ -109,6 +115,20 @@ def evaluator_sha256():
     return digest.hexdigest()
 
 
+def census_failures():
+    """How many census checks of true monomials FAIL on ``default_plan()``."""
+    plan = default_plan()
+    failures = 0
+    for weight in range(4, 33, 2):
+        for a, b, c in _monomials(weight):
+            form = QuasiModularForm(weight, {(a, b, c): 1})
+            checks = [check_vv(from_quasimodular(form, m), plan) for m in range(a, a + 3)]
+            failures += sum(not all_within(residuals, plan.tolerance)
+                            for residuals in checks + [check_quasimodular(form, plan)])
+    return failures
+
+
 if __name__ == "__main__":
     print(battery_sha256())
     print(evaluator_sha256())
+    print(census_failures())

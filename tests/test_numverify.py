@@ -1,21 +1,24 @@
+import cmath
 import json
 import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
+import mpmath
 import pytest
 
 from qmforms import almostholo, numverify, vectorvalued
-from qmforms.qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _row_sums, yhat
+from qmforms.qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, yhat
 from qmforms import (
     E2,
     E4,
     E6,
-    Evaluation,
     GroupElement,
     IDENTITY,
     QSeries,
+    QuasiModularForm,
     S,
     SamplePlan,
     T,
@@ -30,25 +33,18 @@ from qmforms import (
     sym_matrix,
 )
 
-from _oracles import det_one_elements, plain_float_sum, random_form
+from _oracles import all_monomials, plain_float_sum, random_form
 from _residual_bits import battery_sha256, evaluator_sha256
 
 
-class CorruptedComponents:
-    """A vector-valued object whose component tuple is deliberately wrong."""
-
-    def __init__(self, inner, slot=1, factor=1.01):
-        self.inner = inner
-        self.m = inner.m
-        self.weight_label = inner.weight_label
-        self.slot = slot
-        self.factor = factor
-
-    def evaluate(self, tau, precision=64):
-        components = list(self.inner.evaluate(tau, precision))
-        value, error = components[self.slot]
-        components[self.slot] = Evaluation(value * self.factor, error)
-        return tuple(components)
+def corrupt(form, precision=DEFAULT_PRECISION, r=1):
+    """``form`` with the completion that the checks read made wrong: q added
+    to its Yhat^r coefficient, which no transformation law allows."""
+    full = completion(form, precision)
+    coeffs = list(full.coeffs)
+    coeffs[r] += QSeries([0, 1] + [0] * (precision - 2))
+    form._completion = almostholo.AlmostHolomorphicForm(full.weight, coeffs)
+    return form
 
 
 class TestPlan:
@@ -167,6 +163,21 @@ class TestResidualContract:
             '"tau": [0.3, 1.1], "truncation_error": 1.57496990637e-192}'
         )
 
+    def test_a_rhs_norm_past_float64_is_nan_not_a_pass(self):
+        # each |rhs_i| is finite, their norm is not: absolute / inf read 0.0, a PASS
+        plan = SamplePlan(taus=(complex(0.1, 1.0),), gammas=(IDENTITY,))
+        side = [(1.3e308 + 0j, 0.0)] * 2
+        (residual,) = numverify._residuals(plan, "big", [(side, 1, side)])
+        assert residual.absolute == 0.0 and math.isnan(residual.relative)
+        assert not all_within([residual], 1e-8)
+
+    @pytest.mark.parametrize("relatives", [(math.nan, 0.5, 2.0), (0.5, 2.0, math.nan)], ids=["first", "last"])
+    def test_max_relative_is_nan_wherever_a_nan_falls(self, relatives):
+        residuals = [self.residual(relative=x) for x in relatives]
+        assert math.isnan(max_relative(residuals))
+        assert not all_within(residuals, 1e-8)
+        assert max_relative(residuals[1:] if math.isnan(relatives[0]) else residuals[:-1]) == 2.0
+
 
 class TestScalar:
     def test_e4_weight_four(self):
@@ -226,26 +237,48 @@ class TestWeightLimit:
 
 
 class TestRankLimit:
-    # on default_plan() the largest 1 + |tau| of a base point or image is
-    # 3.025 (at T (0.1 + 1.7i)) and the largest Sym^m entry bound 3^m, so the
-    # component weights, up to 3.025^m, leave float64 first: 3.025^641 < 2^1024
+    # on default_plan() the largest 1 + |gamma tau| of an image is 3.025 (at
+    # T (0.1 + 1.7i)), which bounds |u| = |gamma tau w + 1| at every point w,
+    # so the outer factors u^m stay in float64 up to 3.025^641 < 2^1024
     def test_large_ranks_are_refused_before_anything_is_built(self, monkeypatch):
         def nothing_built(*args):
             raise AssertionError("built before the rank check")
 
-        for module, name in ((vectorvalued, "completion"), (numverify, "_sym_rows"), (numverify, "_images")):
-            monkeypatch.setattr(module, name, nothing_built)
+        for name in ("completion", "_law_points", "_images"):
+            monkeypatch.setattr(numverify, name, nothing_built)
         plan = default_plan()
-        for m in (700, 2048):
+        for m in (642, 700, 2048):
             start = time.perf_counter()
             message = rf"rank {m} is above 641, the largest rank this sample plan can check"
             with pytest.raises(ValueError, match=message):
                 check_vv(from_quasimodular(E4, m), plan)
             assert time.perf_counter() - start < 1.0
 
+    def test_a_point_where_u_vanishes_is_refused(self):
+        # tau w = -1 exactly at the 4th root of unity w = i (in floats): z = LAMBDA w / u has no value at m = 3
+        tau = -1 / cmath.rect(1.0, 2 * math.pi / 4)
+        plan = SamplePlan(taus=(tau,), gammas=(IDENTITY,))
+        with pytest.raises(ValueError, match=r"rank-3 law of .* leaves the float64 range"):
+            check_vv(from_quasimodular(E4, 3), plan)
+        assert max_relative(check_vv(from_quasimodular(E4, 2), plan)) < 1e-14
+
+    @pytest.mark.parametrize("d", [170, 240])
+    def test_values_past_float64_are_refused(self, d):
+        # z^d overflows where u^d is tiny, and inf - inf is NaN (d = 170), or |x - y| of
+        # finite parts passes 2^1024 and raises OverflowError (d = 240)
+        with pytest.raises(ValueError, match=rf"rank-{d} law of .* leaves the float64 range \|x\| < 2\^1024"):
+            check_vv(from_quasimodular(E2 ** d, d), default_plan())
+
+    @pytest.mark.parametrize("m", [36, 64, 128, 256, 641])
+    def test_e4_passes_up_to_the_limit(self, m):
+        # the Sym^m product FAILed it from m = 36 on, and read NaN at m = 641
+        plan = default_plan()
+        residuals = check_vv(from_quasimodular(E4, m), plan)
+        assert all(map(math.isfinite, (x for r in residuals for x in (r.absolute, r.relative, r.truncation_error))))
+        assert all_within(residuals, plan.tolerance)
+
     def test_limit_follows_the_plan(self):
-        # T^(2^20) has Sym^m entries up to (2^20 + 1)^m and moves tau by 2^20:
-        # (2^20 + 1.3)^51 < 2^1024 < (2^20 + 1)^52
+        # T^(2^20) moves tau by 2^20: (2^20 + 1.3)^51 < 2^1024 < (2^20 + 1)^52
         plan = SamplePlan(taus=(complex(0.3, 1.1), complex(-0.4, 0.9)), gammas=(GroupElement(1, 2 ** 20, 0, 1),))
         assert len(check_vv(from_quasimodular(E4, 51), plan)) == 2
         with pytest.raises(ValueError, match=r"rank 52 is above 51,"):
@@ -287,17 +320,24 @@ class TestVectorValued:
         assert max_relative(check_vv(from_quasimodular(E2 * E2, 2), plan)) < 1e-8
 
     def test_truncation_error_sums_both_sides(self):
-        # sum_i lhs_i.te + |j^(k-m)| sum_i sum_l |Sym^m(gamma)_il| base_l.te
+        # at each 4th root of unity w, with u = gamma tau w + 1 and outer = u^3 / 2:
+        # |outer| sum_r |LAMBDA w / u|^r tail(gamma tau) on the left and
+        # |j^k outer| sum_r |LAMBDA (a w + c) / (j u)|^r tail(tau) on the right
         form = from_quasimodular(E2 ** 2 * E4, 3)
         gamma, tau = GroupElement(2, 1, 1, 1), complex(-0.4, 0.9)
         plan = SamplePlan(taus=(tau,), gammas=(gamma,))
         (residual,) = check_vv(form, plan)
-        lhs = form.evaluate(gamma.act(tau))
-        base = form.evaluate(tau)
-        matrix = vectorvalued.sym_matrix(gamma, 3)
-        expected = sum(e.truncation_error for e in lhs) + abs(gamma.j(tau) ** (8 - 3)) * sum(
-            abs(matrix[i][l]) * base[l].truncation_error for i in range(4) for l in range(4)
-        )
+        image, j = gamma.act(tau), gamma.j(tau)
+        fhat = completion(form.source, plan.precision).coeffs
+        assert len(fhat) == 3 and len({s.precision for s in fhat}) == 1
+        left, right = (fhat[0].evaluate(point).truncation_error for point in (image, tau))
+        expected = 0.0
+        for w in (cmath.exp(2j * math.pi * n / 4) for n in range(4)):
+            u = image * w + 1
+            outer = abs(u) ** 3 / 2
+            z_left, z_right = abs(LAMBDA * w / u), abs(LAMBDA * (gamma.a * w + gamma.c) / (j * u))
+            expected += outer * sum(z_left ** r for r in range(3)) * left
+            expected += abs(j ** 8) * outer * sum(z_right ** r for r in range(3)) * right
         assert residual.truncation_error == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_truncation_errors_add_without_compensation(self):
@@ -305,38 +345,70 @@ class TestVectorValued:
         # floats compensates from Python 3.12 on and gives 1.0000000000000002
         errors = (1.0, 1e-16, 1e-16)
         assert math.fsum(errors) != plain_float_sum(errors)
-
-        class Fixed:
-            m, weight_label = 2, 2
-
-            def evaluate(self, tau, precision=64):
-                return tuple(Evaluation(1j, te) for te in errors)
-
         plan = SamplePlan(taus=(complex(0.1, 1.0),), gammas=(IDENTITY,))
-        (residual,) = check_vv(Fixed(), plan, label="fixed")
+        side = [(1j, te) for te in errors]
+        (residual,) = numverify._residuals(plan, "fixed", [(side, 1, side)])
         assert residual.absolute == 0.0
         assert residual.truncation_error == 2 * plain_float_sum(errors)
 
     def test_corrupted_component_family_fails(self):
         plan = default_plan()
-        good = from_quasimodular(E2 * E2, 2)
-        assert max_relative(check_vv(good, plan)) < 1e-8
-        bad = CorruptedComponents(good)
-        assert max_relative(check_vv(bad, plan)) > 1e-3
+        assert max_relative(check_vv(from_quasimodular(E2 * E2, 2), plan)) < 1e-8
+        bad = corrupt(E2 * E2)
+        assert max_relative(check_vv(from_quasimodular(bad, 2), plan)) > 1e-3
+        assert max_relative(check_quasimodular(bad, plan)) > 1e-3
+
+    def test_every_true_monomial_to_weight_twenty_passes(self):
+        # through the Sym^m product E2^10 FAILed at m = 12 (3.5e-8)
+        plan = default_plan()
+        for weight in range(2, 21, 2):
+            for key in all_monomials(weight):
+                form = QuasiModularForm(weight, {key: 1})
+                checks = [check_vv(from_quasimodular(form, m), plan) for m in range(form.depth, form.depth + 3)]
+                for residuals in checks + [check_quasimodular(form, plan)]:
+                    assert all_within(residuals, plan.tolerance), (str(form), max_relative(residuals))
 
 
-class CountingEvaluations:
-    """Passes every ``evaluate`` through to the inner form and records its tau."""
+def dense_residual(fhat, weight, m, gamma, tau, dps=60):
+    """The absolute residual and ||rhs|| of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau)
+    in mpmath, from the float values of the series ``fhat`` at tau and gamma tau:
+    component i of F is sum_r LAMBDA^r fhat_r binom(m-r, i) tau^(m-r-i)."""
+    with mpmath.workdps(dps):
+        lam = mpmath.mpc(0, -6) / mpmath.pi
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.m = inner.m
-        self.weight_label = inner.weight_label
-        self.taus = []
+        def components(point):
+            values = [mpmath.mpc(s.evaluate(point).value) for s in fhat]
+            t = mpmath.mpc(point)
+            return [sum(lam ** r * values[r] * math.comb(m - r, i) * t ** (m - r - i)
+                        for r in range(min(len(fhat) - 1, m - i) + 1)) for i in range(m + 1)]
 
-    def evaluate(self, tau, precision=64):
-        self.taus.append(tau)
-        return self.inner.evaluate(tau, precision)
+        lhs, base = components(gamma.act(tau)), components(tau)
+        factor = mpmath.mpc(gamma.j(tau)) ** (weight - m)
+        rhs = [factor * sum(x * y for x, y in zip(row, base)) for row in sym_matrix(gamma, m)]
+        return (float(mpmath.sqrt(sum(abs(x - y) ** 2 for x, y in zip(lhs, rhs)))),
+                float(mpmath.sqrt(sum(abs(y) ** 2 for y in rhs))))
+
+
+class TestAgainstTheDenseProduct:
+    def test_corrupted_families_match_mpmath(self):
+        # the polynomial check at the roots of unity reports the residual of the dense
+        # Sym^m product, within rounding; every q-series obeys the law of a c = 0
+        # element, so there both residuals are rounding alone
+        rng = random.Random(37)
+        plan = default_plan()
+        for _ in range(4):
+            form = random_form(rng, max_weight=24, max_depth=4)
+            fhat = completion(corrupt(form, r=rng.randint(0, form.depth)), plan.precision).coeffs
+            for m in sorted({form.depth, rng.randint(form.depth, 12), 12}):
+                residuals = check_vv(from_quasimodular(form, m), plan)
+                for residual, (gamma, tau) in zip(residuals, product(plan.gammas, plan.taus)):
+                    absolute, norm = dense_residual(fhat, form.weight, m, gamma, tau)
+                    if gamma.c == 0:
+                        assert max(residual.relative, absolute / max(1.0, norm)) < 1e-12
+                        continue
+                    assert residual.relative > 1e-6
+                    assert residual.absolute == pytest.approx(absolute, rel=1e-8)
+                    assert residual.relative == pytest.approx(absolute / max(1.0, norm), rel=1e-8)
 
 
 class TestWorkPerCheck:
@@ -381,14 +453,21 @@ class TestWorkPerCheck:
         assert vv == check_vv(from_quasimodular(form * 1, 3), plan)
         assert scalar == check_quasimodular(form * 1, plan)
 
-    def test_each_base_point_is_evaluated_once(self):
+    def test_each_base_point_is_evaluated_once(self, monkeypatch):
         plan = default_plan()
-        inner = from_quasimodular(E2 * E2, 2)
-        counting = CountingEvaluations(inner)
-        residuals = check_vv(counting, plan, label=str(inner))
-        assert len(counting.taus) == len(plan.gammas) * len(plan.taus) + len(plan.taus) == 21
-        assert all(counting.taus.count(tau) == 1 for tau in plan.taus)
-        assert residuals == check_vv(inner, plan)
+        form = from_quasimodular(E2 * E2, 2)
+        expected = check_vv(form, plan)
+        taus = []
+        evaluations = numverify._evaluations
+
+        def counting(series, tau):
+            taus.append(tau)
+            return evaluations(series, tau)
+
+        monkeypatch.setattr(numverify, "_evaluations", counting)
+        assert check_vv(form, plan) == expected
+        assert len(taus) == len(plan.gammas) * len(plan.taus) + len(plan.taus) == 21
+        assert all(taus.count(tau) == 1 for tau in plan.taus)
 
     def test_check_scalar_evaluates_each_base_point_once(self):
         plan = default_plan()
@@ -409,8 +488,8 @@ def residual_bits(residuals):
 
 
 class TestPlanTables:
-    """The images, automorphy factors and component rows kept per plan,
-    weight and (depth, m, tau) give every check what a cold build gives."""
+    """The images and automorphy factors kept per plan and weight, and the
+    law's points kept per plan and rank, give every check what a cold build gives."""
 
     OTHER = SamplePlan(taus=(complex(0.2, 1.3), complex(-0.25, 1.0)),
                        gammas=(T * T, S, GroupElement(1, 0, 1, 1)))
@@ -429,8 +508,7 @@ class TestPlanTables:
     def test_no_table_leaks_across_plans_or_keys(self):
         checks = self.checks()
         warm = [residual_bits(check(*args)) for check, *args in checks]
-        for table in (numverify._images, numverify._quasimodular_rows, numverify._largest_rank,
-                      vectorvalued._component_rows):
+        for table in (numverify._images, numverify._law_points, numverify._largest_rank):
             table.cache_clear()
         # cold again, in the reverse order, so a leak in either direction shows
         cold = [residual_bits(check(*args)) for check, *args in reversed(checks)][::-1]
@@ -474,7 +552,7 @@ class TestValueMemo:
         assert series.evaluate(taus[0]) == QSeries(series.coeffs).evaluate(taus[0])
 
     def test_thinnest_margin_is_the_same_cold_and_warm(self):
-        # E2^10 at m = 11 keeps the battery's thinnest margin: 7.9e-9 against 1e-8
+        # E2^10 at m = 11 keeps a thin margin: 4.5e-9 against 1e-8 (7.9e-9 through the Sym^m product)
         plan = default_plan()
         form = E2 ** 10
 
@@ -486,13 +564,13 @@ class TestValueMemo:
 
         cold = residuals()
         assert bits(residuals()) == bits(cold)
-        assert 7.8e-9 < max_relative(cold) < plan.tolerance
+        assert 4.5e-9 < max_relative(cold) < plan.tolerance
 
 
 class TestBitIdentity:
     # the same under CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 on x86-64 Linux;
     # change it only with a change that means to move residual bits
-    BATTERY_SHA256 = "58effcd696e677c9a6860e6ad29d99a78e72989b6be2b4313e0eed63c21ceb71"
+    BATTERY_SHA256 = "e40461a07e6018882c5911b1c48cae010168d4a7b9a12e0ec813723dd00c880d"
     # likewise for the evaluator values beneath the residuals
     EVALUATOR_SHA256 = "8e27970b4150428c5ef2b1569bc21e31010270e36df1057eb0821e60d9491fb4"
 
@@ -520,27 +598,7 @@ def hex_pairs(pairs):
 
 class TestRowSumBits:
     """The row kernel gives, bit for bit, the sums that ``combine`` above adds
-    term by term, also where the ``Sym^m`` rows leave zero weights out."""
-
-    def random_pairs(self, rng, count):
-        def part():
-            return rng.choice([rng.uniform(-3, 3), rng.uniform(-3e-9, 3e-9), 0.0, -0.0])
-        return [(complex(part(), part()), rng.choice([0.0, rng.uniform(0, 1e-9)])) for _ in range(count)]
-
-    def test_sym_rows_against_the_dense_matrix(self):
-        rng = random.Random(28)
-        elements = det_one_elements(5)
-        with_zero = [g for g in elements if 0 in (g.a, g.b, g.c, g.d)]
-        elements = list(default_plan().gammas) + rng.sample(with_zero, 5) + rng.sample(elements, 10)
-        zero_entries = 0
-        for gamma in elements:
-            for m in range(13):
-                matrix = sym_matrix(gamma, m)
-                zero_entries += sum(row.count(0) for row in matrix)
-                pairs = self.random_pairs(rng, m + 1)
-                expected = [combine(zip(row, pairs)) for row in matrix]
-                assert hex_pairs(_row_sums(vectorvalued._sym_rows(gamma, m), pairs)) == hex_pairs(expected)
-        assert zero_entries > 0
+    term by term."""
 
     def test_vector_valued_components(self):
         # component i is sum_r (LAMBDA^r binom(m-r, i)) tau^(m-r-i) * fhat_r(tau)

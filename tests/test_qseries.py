@@ -532,6 +532,15 @@ class TestExitRule:
             stopped += read < s.precision
         assert stopped > 100
 
+    def test_a_zero_imaginary_table_ends_the_sum(self):
+        # at Re tau = 0 every Im q^n is 0.0, and so is the imaginary total at
+        # any cut: the real part alone decides (all 256 terms were read, against
+        # 26 at 0.5 + 1i)
+        s = QSeries((E4 ** 4).qexpansion(256).coeffs)
+        got, read = self.evaluated(s, 1j)
+        assert got == self.plain_loop(s, 1j) and got[1] == "0x0.0p+0"
+        assert read < 256
+
     def test_a_missed_cut_sums_the_rest(self, monkeypatch):
         # c0 + c1 q predicts a total near Im q, but c2 = -1/(2 Re q) cancels c1 Im q
         # (Im q^2 = 2 Re q Im q), so the total at the predicted cut is near c3 Im q^3
