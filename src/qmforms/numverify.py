@@ -1,20 +1,23 @@
 """Floating-point verification of the transformation laws.
 
-The checks compare both sides of the scalar law and of Shimura's rank-m law on
-a fixed sample of group elements and base points, and report absolute and
-relative residuals per sample.  ``default_plan()`` is the one fixed sample,
-with tolerance 1e-8 and 64 coefficients; ``_replace`` on it makes a checked
-plan with others.  All sample points keep Im tau >= 0.3 and all images keep
-Im(gamma tau) >= 0.25, where 64 coefficients keep the truncation of true forms
-of weight 4 to 22 far below 1e-8, but not of ``E4^10``, 6.2e-8 (ROADMAP items
-5 and 8); the q-series sums round past 1e-8 on some from weight 22 on (item 5).
+The checks compare both sides of Shimura's rank-m law on a fixed sample of
+group elements and base points, and report absolute and relative residuals
+per sample.  ``default_plan()`` is the one fixed sample, with tolerance 1e-8
+and 64 coefficients; ``_replace`` on it makes a checked plan with others.
+All sample points keep Im tau >= 0.3 and all images keep Im(gamma tau) >=
+0.25, where 64 coefficients keep the truncation of true forms of weight 4 to
+22 far below 1e-8, but not of ``E4^10``, 6.2e-8 (ROADMAP items 5 and 8); the
+q-series sums round past 1e-8 on some from weight 22 on (item 5).
 
 The rank-m form of f is the binary form P_tau(X, Y) = sum_r LAMBDA^r fhat_r(tau)
 (tau X + Y)^(m-r) X^r, and Sym^m(gamma) acts by P -> P(aX + cY, bX + dY).  Both
 sides of P_(gamma tau) = j^(k-m) Sym^m(gamma) P_tau are evaluated at (w, 1) for
 the (m+1)-th roots of unity w, a DFT that is unitary over sqrt(m + 1), so the
 residual is the Euclidean norm of the component difference (Parseval).  At
-m = 0 the one point w = 0 gives the depth-d law of ``check_quasimodular``.
+m = 0 the one point w = 0 gives the depth-d law of ``check_quasimodular``,
+and with one component the scalar law f(gamma tau) = j^k f(tau) of
+``check_scalar``.  All three checks are ``_check_law``, one loop over the
+samples and their points.
 """
 
 import cmath
@@ -22,8 +25,7 @@ import json
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, islice, product, repeat
-from operator import mul
+from itertools import product
 
 from .almostholo import completion
 from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _precision
@@ -155,92 +157,80 @@ def _largest_rank(taus, gammas):
 
 @lru_cache(maxsize=CACHE_KEYS)
 def _law_points(taus, gammas, m):
-    """At the points w of the rank-m law, the (m+1)-th roots of unity (w = 0 at m = 0), sample by sample, with
-    u = gamma tau * w + 1: z = LAMBDA w / u, z' = LAMBDA (a w + c) / (j u), outer = u^m / sqrt(m + 1), and moduli."""
+    """Per sample (gamma, tau), one row (z, z', outer, |z|, |z'|, |outer|) at each point w of the rank-m
+    law, the (m+1)-th roots of unity (w = 0 at m = 0): with u = gamma tau * w + 1, z = LAMBDA w / u,
+    z' = LAMBDA (a w + c) / (j u) and outer = u^m / sqrt(m + 1)."""
     ws = [cmath.rect(1.0, 2 * math.pi * i / (m + 1)) for i in range(m + 1)] if m else [0j]
-    left, right, outer = [], [], []
+    samples = []
     for gamma, tau in product(gammas, taus):
-        us = [gamma.act(tau) * w + 1 for w in ws]
-        left += [LAMBDA * w / u for w, u in zip(ws, us)]
-        right += [LAMBDA * (gamma.a * w + gamma.c) / (gamma.j(tau) * u) for w, u in zip(ws, us)]
-        outer += [u ** m / math.sqrt(m + 1) for u in us]
-    return tuple(tuple(xs) for xs in (left, right, outer, *(map(abs, xs) for xs in (left, right, outer))))
+        rows = []
+        for w in ws:
+            u = gamma.act(tau) * w + 1
+            z, z2 = LAMBDA * w / u, LAMBDA * (gamma.a * w + gamma.c) / (gamma.j(tau) * u)
+            outer = u ** m / math.sqrt(m + 1)
+            rows.append((z, z2, outer, abs(z), abs(z2), abs(outer)))
+        samples.append(tuple(rows))
+    return tuple(samples)
 
 
-def _horner(columns, zs, n):
-    """sum_r columns[r][i] z^r at each z of ``zs``, n of them per entry i, by Horner's rule from the top."""
-    columns = [chain.from_iterable(map(repeat, column, repeat(n))) for column in columns]
-    sums = list(columns[-1])
-    for column in columns[-2::-1]:
-        sums = [s * z + v for s, z, v in zip(sums, zs, column)]
-    return sums
-
-
-def _residuals(plan, label, sides):
-    """One residual per (gamma, tau) of the plan, in the Euclidean norm.
-
-    ``sides`` yields, gamma by gamma and tau by tau within, the left-hand
-    ``(value, tail)`` pairs, the automorphy factor and the right-hand pairs
-    before that factor, as many as on the left.  The law is lhs_i = factor *
-    rhs_i, and the truncation error of the sample is sum lhs_i.tail +
-    |factor| sum rhs_i.tail, added left to right (``sum`` of floats compensates).
-    The relative residual is NaN where |rhs| is past the float64 range.
-    """
-    out = []
-    for (gamma, tau), (lhs, factor, rhs) in zip(product(plan.gammas, plan.taus), sides):
-        diffs, norms, left, right = [], [], 0.0, 0.0
-        for (x, left_tail), (y, right_tail) in zip(lhs, rhs):
-            y = factor * y
-            diffs.append(abs(x - y))
-            norms.append(abs(y))
-            left += left_tail
-            right += right_tail
-        absolute, norm = math.hypot(*diffs), math.hypot(*norms)
-        relative = absolute / max(1.0, norm) if norm < math.inf else math.nan
-        out.append(Residual(label, gamma, tau, absolute, relative, left + abs(factor) * right))
-    return out
-
-
-def check_scalar(evaluator, weight, plan, label="scalar form"):
-    """Residuals of f(gamma tau) = j^weight f(tau) over the plan."""
-    images = _images(plan.taus, plan.gammas, weight)
-    bases = [_call_evaluator(evaluator, tau) for tau in plan.taus]
-    sides = (([_call_evaluator(evaluator, image)], factor, [base])
-             for row in images for (image, factor), base in zip(row, bases))
-    return _residuals(plan, label, sides)
-
-
-def _check_law(source, weight, m, plan, label):
-    """Residuals of the rank-m law of ``source`` at weight k: at each point of ``_law_points``,
-    outer * sum_r fhat_r(gamma tau) z^r against j^k outer * sum_r fhat_r(tau) z'^r.  The fhat_r
-    share one length, so one tail: a side's tail at a point is |outer| sum_r |z|^r tail."""
+def _check_law(values, weight, m, plan, label):
+    """Residuals of the rank-m law at weight k of the form whose fhat_0..fhat_d at a point ``values``
+    gives as ``Evaluation``s of one length: at each point of ``_law_points``, lhs = outer * sum_r
+    fhat_r(gamma tau) z^r against rhs = j^k (outer * sum_r fhat_r(tau) z'^r), each sum by Horner's
+    rule from the top.  The residual is the Euclidean norm of lhs - rhs over max(1, ||rhs||).  The
+    fhat_r share one tail, so a side's tail at a point is |outer| sum_r |z|^r tail, and the truncation
+    error is the left tails plus |j^k| times the right ones, each added left to right (``sum`` of
+    floats compensates).  ``values`` is called only after the rank and weight refusals."""
     if m > (top := _largest_rank(plan.taus, plan.gammas)):
         raise ValueError(f"rank {m} is above {top}, the largest rank this sample plan can check")
-    samples = [sample for row in _images(plan.taus, plan.gammas, weight) for sample in row]
-    series = completion(source, plan.precision).coeffs
-
-    def side(evaluations, zs, sizes):
-        values = _horner([[row[r].value for row in evaluations] for r in range(len(series))], zs, m + 1)
-        tails = _horner([[row[0].truncation_error for row in evaluations]] * len(series), sizes, m + 1)
-        return zip(map(mul, outers, values), map(mul, bounds, tails))
-
+    images = _images(plan.taus, plan.gammas, weight)
+    bases = [values(tau) for tau in plan.taus]
+    sides = [(values(image), factor, base) for row in images for (image, factor), base in zip(row, bases)]
+    out = []
     try:
-        left, right, outers, left_sizes, right_sizes, bounds = _law_points(plan.taus, plan.gammas, m)
-        lhs = side([_evaluations(series, image) for image, _ in samples], left, left_sizes)
-        rhs = side([_evaluations(series, tau) for tau in plan.taus] * len(plan.gammas), right, right_sizes)
-        residuals = _residuals(plan, label, ((islice(lhs, m + 1), factor, islice(rhs, m + 1)) for _, factor in samples))
-        if all(math.isfinite(r.relative) for r in residuals):
-            return residuals
+        points = _law_points(plan.taus, plan.gammas, m)
+        for (gamma, tau), (lhs, factor, rhs), rows in zip(product(plan.gammas, plan.taus), sides, points):
+            # fhat_d on both sides, then fhat_(d-1)..fhat_0 in pairs; every fhat_r has the tail of fhat_0
+            tops = lhs[-1].value, rhs[-1].value
+            left_tail, right_tail = lhs[0].truncation_error, rhs[0].truncation_error
+            lower = [(x.value, y.value) for x, y in zip(lhs[-2::-1], rhs[-2::-1])]
+            diffs, norms, left, right = [], [], 0.0, 0.0
+            for z, z2, outer, size, size2, bound in rows:
+                (x, y), s, s2 = tops, left_tail, right_tail
+                for v, v2 in lower:
+                    x, y, s, s2 = x * z + v, y * z2 + v2, s * size + left_tail, s2 * size2 + right_tail
+                x, y = outer * x, factor * (outer * y)
+                diffs.append(abs(x - y))
+                norms.append(abs(y))
+                left += bound * s
+                right += bound * s2
+            absolute, norm = math.hypot(*diffs), math.hypot(*norms)
+            relative = absolute / max(1.0, norm) if norm < math.inf else math.nan
+            out.append(Residual(label, gamma, tau, absolute, relative, left + abs(factor) * right))
+        if all(math.isfinite(r.relative) for r in out):
+            return out
     except (OverflowError, ZeroDivisionError):  # |x| of a complex x, or z = LAMBDA w / u at u = 0
         pass
     raise ValueError(f"the rank-{m} law of {label} leaves the float64 range |x| < 2^1024 on this sample plan")
 
 
+def _completion_values(form, precision):
+    """The ``Evaluation``s of fhat_0..fhat_d of ``form`` at a point, from its completion at ``precision``."""
+    return lambda tau: _evaluations(completion(form, precision).coeffs, tau)
+
+
+def check_scalar(evaluator, weight, plan, label="scalar form"):
+    """Residuals of f(gamma tau) = j^weight f(tau) over the plan: the rank-0 law of one component."""
+    return _check_law(lambda tau: [_call_evaluator(evaluator, tau)], weight, 0, plan, label)
+
+
 def check_quasimodular(form, plan, label=None):
     """Residuals of the depth-d law f(gamma tau) = sum_r j^(k-r) (c LAMBDA)^r fhat_r(tau)."""
-    return _check_law(form, form.weight, 0, plan, str(form) if label is None else label)
+    return _check_law(_completion_values(form, plan.precision), form.weight, 0, plan,
+                      str(form) if label is None else label)
 
 
 def check_vv(form, plan, label=None):
     """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the Euclidean norm."""
-    return _check_law(form.source, form.weight_label, form.m, plan, str(form) if label is None else label)
+    return _check_law(_completion_values(form.source, plan.precision), form.weight_label, form.m, plan,
+                      str(form) if label is None else label)

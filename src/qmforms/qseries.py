@@ -100,7 +100,8 @@ def _evaluations(series, tau):
     of powers of q = exp(2*pi*i*tau): the double-precision truncated sum,
     accumulated in ascending order of n so that extending the precision never
     perturbs the shared coefficients' part, and the tail |q|^N / (1 - |q|).
-    Each series keeps its values by tau, at most ``CACHE_KEYS`` of them.
+    Each series keeps its values by tau, at most ``CACHE_KEYS`` of them, and
+    the table is looked up only if some series has no value kept at tau.
 
     A sum ends at n = k once big (1 + 8u) tails[k] < ulp(T)/4 for both totals
     T, big the largest |coefficient| and tails[k] the largest |Re q^n| or
@@ -116,18 +117,19 @@ def _evaluations(series, tau):
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError(f"tau must lie in the upper half-plane, got Im tau = {tau.imag}")
-    lengths = [len(s.numerators) for s in series]
-    reals, imags, tails, aq = _q_table(tau, max(lengths))
-    flat = not any(imags[1:2])
-    out = []
-    for s, length in zip(series, lengths):
+    out, table = [], None
+    for s in series:
         values = s._values
         if values is None:
             values = s._values = {}
         evaluation = values.get(tau)
         if evaluation is None:
+            if table is None:
+                reals, imags, tails, aq = table = _q_table(tau, max(len(t.numerators) for t in series))
+                flat = not any(imags[1:2])
             if len(values) >= CACHE_KEYS:
                 values.clear()
+            length = len(s.numerators)
             coeffs = s._float_coeffs()
             lead = min(abs(coeffs[0] + coeffs[1] * reals[1]),
                        math.inf if flat else abs(coeffs[1] * imags[1])) if length > 1 else 0.0

@@ -12,13 +12,12 @@ holomorphic-weight components, the w-basis) are derived views of the source,
 so every conversion is exact.
 """
 
-from functools import lru_cache
 from math import comb
 
 from . import linalg
 from .almostholo import _graded_weight, _lowered, completion
 from .eisenstein import dim_modular, monomial_basis
-from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, _row_sums
+from .qseries import DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, _row_sums
 from .quasimodular import E2, QuasiModularForm, _monomial_series, monomial
 
 _set = object.__setattr__
@@ -102,20 +101,6 @@ def sym_matrix(gamma, m):
     return [list(row) for row in zip(*columns)]
 
 
-@lru_cache(maxsize=CACHE_KEYS)
-def _component_rows(depth, m, tau):
-    """Row i holds (r, LAMBDA^r binom(m-r, i) tau^(m-r-i)) for r = 0..min(depth, m-i):
-    the weights of component i of ``VectorValuedForm.evaluate`` at tau, kept
-    per (depth, m, tau)."""
-    lam_powers = _powers(LAMBDA, depth)
-    # by **: repeated multiplication (_powers) rounds differently
-    tau_powers = [tau ** e for e in range(m + 1)]
-    return tuple(
-        tuple((r, lam_powers[r] * comb(m - r, i) * tau_powers[m - r - i]) for r in range(min(depth, m - i) + 1))
-        for i in range(m + 1)
-    )
-
-
 class VectorValuedForm:
     """A rank-(m+1) modular object built from a quasi-modular source."""
 
@@ -161,14 +146,19 @@ class VectorValuedForm:
     def evaluate(self, tau, precision=DEFAULT_PRECISION):
         """One ``Evaluation`` per component in the basis e1^(m-i) e2^i.
 
-        Component i is sum_r LAMBDA^r fhat_r(tau) binom(m-r, i) tau^(m-r-i),
-        from (tau, 1) = tau*e1 + e2 and (1, 0) = e1.
+        Component i is sum_r LAMBDA^r fhat_r(tau) binom(m-r, i) tau^(m-r-i)
+        over r = 0..min(depth, m-i), from (tau, 1) = tau*e1 + e2 and (1, 0) = e1.
         """
-        tau = complex(tau)
+        tau, depth, m = complex(tau), self.depth, self.m
         full = completion(self.source, precision)
         # fhat_0..fhat_depth: a completion drops zero top coefficients
-        values = _evaluations([full.coefficient(r) for r in range(self.depth + 1)], tau)
-        return tuple(_row_sums(_component_rows(self.depth, self.m, tau), values))
+        values = _evaluations([full.coefficient(r) for r in range(depth + 1)], tau)
+        lam_powers = _powers(LAMBDA, depth)
+        # by **: repeated multiplication (_powers) rounds differently
+        tau_powers = [tau ** e for e in range(m + 1)]
+        rows = [[(r, lam_powers[r] * comb(m - r, i) * tau_powers[m - r - i]) for r in range(min(depth, m - i) + 1)]
+                for i in range(m + 1)]
+        return tuple(_row_sums(rows, values))
 
     def __str__(self):
         return f"VV(m={self.m}, k={self.weight_label}, source={self.source})"

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from qmforms import almostholo, numverify, vectorvalued
-from qmforms.qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, yhat
+from qmforms.qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, yhat
 from qmforms import (
     E2,
     E4,
@@ -163,13 +163,14 @@ class TestResidualContract:
             '"tau": [0.3, 1.1], "truncation_error": 1.57496990637e-192}'
         )
 
-    def test_a_rhs_norm_past_float64_is_nan_not_a_pass(self):
-        # each |rhs_i| is finite, their norm is not: absolute / inf read 0.0, a PASS
+    def test_a_rhs_norm_past_float64_is_refused_not_a_pass(self):
+        # at m = 1 both sides are |outer| * 1.5e308 at each point, |outer| = 1.05 and 0.95:
+        # each |rhs_i| is finite, their norm is not, and absolute / inf read 0.0, a PASS
         plan = SamplePlan(taus=(complex(0.1, 1.0),), gammas=(IDENTITY,))
-        side = [(1.3e308 + 0j, 0.0)] * 2
-        (residual,) = numverify._residuals(plan, "big", [(side, 1, side)])
-        assert residual.absolute == 0.0 and math.isnan(residual.relative)
-        assert not all_within([residual], 1e-8)
+        (rows,) = numverify._law_points(plan.taus, plan.gammas, 1)
+        assert all(bound * 1.5e308 < math.inf for *_, bound in rows)
+        with pytest.raises(ValueError, match=r"rank-1 law of big leaves the float64 range"):
+            numverify._check_law(lambda tau: [Evaluation(1.5e308 + 0j, 0.0)], 0, 1, plan, "big")
 
     @pytest.mark.parametrize("relatives", [(math.nan, 0.5, 2.0), (0.5, 2.0, math.nan)], ids=["first", "last"])
     def test_max_relative_is_nan_wherever_a_nan_falls(self, relatives):
@@ -206,6 +207,22 @@ class TestScalar:
         plan = default_plan()
         residuals = check_scalar(lambda tau: 1 + 0j, 0, plan)
         assert max_relative(residuals) < 1e-14
+
+    @pytest.mark.parametrize("value", [complex(1.5e308, 1.5e308), complex(math.inf, 0.0), complex(math.nan, 1.0)],
+                             ids=["abs-overflows", "inf", "nan"])
+    def test_values_past_float64_are_refused(self, value):
+        # no residual of such values means anything: the law is refused, as in check_vv
+        with pytest.raises(ValueError, match=r"rank-0 law of scalar form leaves the float64 range"):
+            check_scalar(lambda tau: value, 0, default_plan())
+
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, ValueError])
+    def test_an_evaluator_exception_propagates_unchanged(self, error):
+        def evaluator(tau):
+            raise error("from the evaluator")
+
+        with pytest.raises(error, match="from the evaluator") as raised:
+            check_scalar(evaluator, 4, default_plan())
+        assert type(raised.value) is error
 
 
 class TestWeightLimit:
@@ -341,13 +358,14 @@ class TestVectorValued:
         assert residual.truncation_error == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_truncation_errors_add_without_compensation(self):
-        # added left to right, 1 + 1e-16 + 1e-16 rounds to 1.0; sum() of
-        # floats compensates from Python 3.12 on and gives 1.0000000000000002
-        errors = (1.0, 1e-16, 1e-16)
-        assert math.fsum(errors) != plain_float_sum(errors)
+        # with a tail of 1.0 each side's tail at a point is |outer|; at m = 5 these six
+        # |outer| added left to right differ from their exact sum, which sum() of
+        # floats gives from Python 3.12 on
         plan = SamplePlan(taus=(complex(0.1, 1.0),), gammas=(IDENTITY,))
-        side = [(1j, te) for te in errors]
-        (residual,) = numverify._residuals(plan, "fixed", [(side, 1, side)])
+        (rows,) = numverify._law_points(plan.taus, plan.gammas, 5)
+        errors = [bound for *_, bound in rows]
+        assert math.fsum(errors) != plain_float_sum(errors)
+        (residual,) = numverify._check_law(lambda tau: [Evaluation(0j, 1.0)], 0, 5, plan, "fixed")
         assert residual.absolute == 0.0
         assert residual.truncation_error == 2 * plain_float_sum(errors)
 
