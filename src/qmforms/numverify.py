@@ -17,7 +17,12 @@ residual is the Euclidean norm of the component difference (Parseval).  At
 m = 0 the one point w = 0 gives the depth-d law of ``check_quasimodular``,
 and with one component the scalar law f(gamma tau) = j^k f(tau) of
 ``check_scalar``.  All three checks are ``_check_law``, one loop over the
-samples and their points.
+samples and their points.  Each distinct point of the sample is evaluated
+once.  A q-series is 1-periodic, so ``check_vv`` and ``check_quasimodular``
+read the left side of a sample at the image of gamma's coset T^n gamma
+(``_coset_image``): 12 points of ``default_plan()``, not 21.  ``check_scalar``
+reads an opaque evaluator, which need not be periodic, at the literal gamma
+tau, and the outer factors of every law keep the literal image.
 """
 
 import cmath
@@ -131,12 +136,25 @@ def _call_evaluator(evaluator, tau):
     return Evaluation(complex(result), 0.0)
 
 
+def _coset_image(gamma, tau):
+    """The point gamma' tau for gamma = +-T^n gamma', with c' > 0 and 0 <= a' < c', or tau itself
+    if c = 0 (gamma' = 1).  A 1-periodic function takes there its value at gamma tau, and as the
+    point is computed from the integers of gamma', every element of +-T^n gamma gives its bits."""
+    a, b, c, d = (gamma.a, gamma.b, gamma.c, gamma.d) if gamma.c > 0 else (-gamma.a, -gamma.b, -gamma.c, -gamma.d)
+    if not c:
+        return tau
+    n = a // c
+    return ((a - n * c) * tau + (b - n * d)) / (c * tau + d)
+
+
 @lru_cache(maxsize=CACHE_KEYS)
-def _images(taus, gammas, weight):
-    """The half of a law at ``weight`` that no form enters: per group element,
-    per base point, the image gamma tau and the factor j(gamma, tau)^weight.
-    A weight whose factor leaves float64 at some sample, |weight ln|j|| >
-    1023 ln 2, is refused, and its refusal not kept."""
+def _images(taus, gammas, weight, periodic):
+    """The half of a law at ``weight`` that no form enters: the distinct points whose values it
+    reads, base points first, and per sample (gamma, tau) the index of the point of its left side,
+    that of tau and the factor j(gamma, tau)^weight.  The left side is read at gamma tau itself, or
+    for ``periodic`` values (q-series, 1-periodic) at its ``_coset_image``, which T^n gamma shares,
+    so on ``default_plan()`` 12 points serve the 18 samples, not 21.  A weight whose factor leaves
+    float64 at some sample, |weight ln|j|| > 1023 ln 2, is refused, and its refusal not kept."""
     logs = [math.log(abs(gamma.j(tau))) for gamma in gammas for tau in taus]
     span = 1023 * math.log(2)
     top = math.floor(span / max(logs)) if max(logs) > 0 else math.inf
@@ -145,7 +163,12 @@ def _images(taus, gammas, weight):
         raise ValueError(
             f"weight {weight} is outside {bottom}..{top}, the weights this sample plan can check"
         )
-    return tuple(tuple((gamma.act(tau), gamma.j(tau) ** weight) for tau in taus) for gamma in gammas)
+    image = _coset_image if periodic else GroupElement.act
+    samples = list(product(gammas, taus))
+    lefts = [image(gamma, tau) for gamma, tau in samples]
+    index = {point: i for i, point in enumerate(dict.fromkeys([*taus, *lefts]))}
+    return tuple(index), tuple((index[left], index[tau], gamma.j(tau) ** weight)
+                               for left, (gamma, tau) in zip(lefts, samples))
 
 
 @lru_cache(maxsize=CACHE_KEYS)
@@ -173,23 +196,24 @@ def _law_points(taus, gammas, m):
     return tuple(samples)
 
 
-def _check_law(values, weight, m, plan, label):
+def _check_law(values, weight, m, plan, label, periodic=False):
     """Residuals of the rank-m law at weight k of the form whose fhat_0..fhat_d at a point ``values``
     gives as ``Evaluation``s of one length: at each point of ``_law_points``, lhs = outer * sum_r
     fhat_r(gamma tau) z^r against rhs = j^k (outer * sum_r fhat_r(tau) z'^r), each sum by Horner's
     rule from the top.  The residual is the Euclidean norm of lhs - rhs over max(1, ||rhs||).  The
     fhat_r share one tail, so a side's tail at a point is |outer| sum_r |z|^r tail, and the truncation
     error is the left tails plus |j^k| times the right ones, each added left to right (``sum`` of
-    floats compensates).  ``values`` is called only after the rank and weight refusals."""
+    floats compensates).  ``values`` is called once per distinct point of ``_images`` (the coset
+    images for ``periodic`` values), and only after the rank and weight refusals."""
     if m > (top := _largest_rank(plan.taus, plan.gammas)):
         raise ValueError(f"rank {m} is above {top}, the largest rank this sample plan can check")
-    images = _images(plan.taus, plan.gammas, weight)
-    bases = [values(tau) for tau in plan.taus]
-    sides = [(values(image), factor, base) for row in images for (image, factor), base in zip(row, bases)]
+    points, samples = _images(plan.taus, plan.gammas, weight, periodic)
+    evaluated = [values(point) for point in points]
     out = []
     try:
-        points = _law_points(plan.taus, plan.gammas, m)
-        for (gamma, tau), (lhs, factor, rhs), rows in zip(product(plan.gammas, plan.taus), sides, points):
+        for (gamma, tau), (image, base, factor), rows in zip(product(plan.gammas, plan.taus), samples,
+                                                             _law_points(plan.taus, plan.gammas, m)):
+            lhs, rhs = evaluated[image], evaluated[base]
             # fhat_d on both sides, then fhat_(d-1)..fhat_0 in pairs; every fhat_r has the tail of fhat_0
             tops = lhs[-1].value, rhs[-1].value
             left_tail, right_tail = lhs[0].truncation_error, rhs[0].truncation_error
@@ -227,10 +251,10 @@ def check_scalar(evaluator, weight, plan, label="scalar form"):
 def check_quasimodular(form, plan, label=None):
     """Residuals of the depth-d law f(gamma tau) = sum_r j^(k-r) (c LAMBDA)^r fhat_r(tau)."""
     return _check_law(_completion_values(form, plan.precision), form.weight, 0, plan,
-                      str(form) if label is None else label)
+                      str(form) if label is None else label, periodic=True)
 
 
 def check_vv(form, plan, label=None):
     """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the Euclidean norm."""
     return _check_law(_completion_values(form.source, plan.precision), form.weight_label, form.m, plan,
-                      str(form) if label is None else label)
+                      str(form) if label is None else label, periodic=True)

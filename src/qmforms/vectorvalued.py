@@ -26,7 +26,7 @@ _set = object.__setattr__
 class GroupElement:
     """An immutable integer matrix [[a, b], [c, d]] of determinant one."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("a", "b", "c", "d", "_hash")
 
     def __init__(self, a, b, c, d):
         if any(type(x) is not int for x in (a, b, c, d)):
@@ -37,6 +37,8 @@ class GroupElement:
         _set(self, "b", b)
         _set(self, "c", c)
         _set(self, "d", d)
+        # kept: every plan table is keyed by a tuple of elements, which CPython re-hashes on each lookup
+        _set(self, "_hash", hash((a, b, c, d)))
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"GroupElement is immutable: cannot set or delete '{name}'")
@@ -50,7 +52,7 @@ class GroupElement:
         return self._key() == other._key() if isinstance(other, GroupElement) else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"GroupElement(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
