@@ -237,6 +237,8 @@ def cmd_verify(args):
 def cmd_dims(args):
     if args.kmax < 0 or args.mmax < 0:
         raise UsageError("--kmax and --mmax must be non-negative")
+    # each row holds mmax + 1 cells; --kmax waits for the weight caps of ROADMAP item 9
+    _check_rank(args.mmax)
     weights = range(0, args.kmax + 1, 2)
     header = ["k\\m"] + [str(m) for m in range(args.mmax + 1)]
     rows = [header]

@@ -17,7 +17,9 @@ residual is the Euclidean norm of the component difference (Parseval).  At
 m = 0 the one point w = 0 gives the depth-d law of ``check_quasimodular``,
 and with one component the scalar law f(gamma tau) = j^k f(tau) of
 ``check_scalar``.  All three checks are ``_check_law``, one loop over the
-samples and their points.  Each distinct point of the sample is evaluated
+samples and their points, and each law's plan side (its rank and weight
+limits, its points and its rows) is one table, ``_law_table``, built once per
+plan, m and kind of values.  Each distinct point of the sample is evaluated
 once.  A q-series is 1-periodic, so ``check_vv`` and ``check_quasimodular``
 read the left side of a sample at the image of gamma's coset T^n gamma
 (``_coset_image``): 12 points of ``default_plan()``, not 21.  ``check_scalar``
@@ -148,93 +150,86 @@ def _coset_image(gamma, tau):
 
 
 @lru_cache(maxsize=CACHE_KEYS)
-def _images(taus, gammas, weight, periodic):
-    """The half of a law at ``weight`` that no form enters: the distinct points whose values it
-    reads, base points first, and per sample (gamma, tau) the index of the point of its left side,
-    that of tau and the factor j(gamma, tau)^weight.  The left side is read at gamma tau itself, or
-    for ``periodic`` values (q-series, 1-periodic) at its ``_coset_image``, which T^n gamma shares,
-    so on ``default_plan()`` 12 points serve the 18 samples, not 21.  A weight whose factor leaves
-    float64 at some sample, |weight ln|j|| > 1023 ln 2, is refused, and its refusal not kept."""
-    logs = [math.log(abs(gamma.j(tau))) for gamma in gammas for tau in taus]
-    span = 1023 * math.log(2)
-    top = math.floor(span / max(logs)) if max(logs) > 0 else math.inf
-    bottom = -math.floor(span / -min(logs)) if min(logs) < 0 else -math.inf
-    if not bottom <= weight <= top:
-        raise ValueError(
-            f"weight {weight} is outside {bottom}..{top}, the weights this sample plan can check"
-        )
-    image = _coset_image if periodic else GroupElement.act
+def _law_table(taus, gammas, m, periodic):
+    """The half of the rank-m law that no form enters, built once per plan.  A rank whose outer factors
+    |u|^m <= (1 + |gamma tau|)^m could reach 2^1024 is refused before any point w is built, and the
+    refusal not kept.  Otherwise the table holds:
+    - the weights (bottom, top) whose factor j(gamma, tau)^weight stays in float64 at every sample,
+      |weight ln|j|| <= 1023 ln 2;
+    - the distinct points whose values the law reads, base points first.  The left side of a sample
+      is read at gamma tau itself, or for ``periodic`` values (q-series, 1-periodic) at its
+      ``_coset_image``, which T^n gamma shares, so on ``default_plan()`` 12 points serve the 18
+      samples, not 21;
+    - per sample (gamma, tau): gamma, tau, the index of its left point, that of tau, and one row
+      (z, z', outer, |z|, |z'|, |outer|) at each point w of the law, the (m+1)-th roots of unity
+      (w = 0 at m = 0), with u = gamma tau * w + 1, z = LAMBDA w / u, z' = LAMBDA (a w + c) / (j u)
+      and outer = u^m / sqrt(m + 1).  A plan with a point where u = 0 has no samples (None)."""
     samples = list(product(gammas, taus))
-    lefts = [image(gamma, tau) for gamma, tau in samples]
+    images = [gamma.act(tau) for gamma, tau in samples]
+    if m > (top := math.ceil(1024 * math.log(2) / math.log(max(1 + abs(image) for image in images))) - 1):
+        raise ValueError(f"rank {m} is above {top}, the largest rank this sample plan can check")
+    logs = [math.log(abs(gamma.j(tau))) for gamma, tau in samples]
+    span = 1023 * math.log(2)
+    weights = (-math.floor(span / -min(logs)) if min(logs) < 0 else -math.inf,
+               math.floor(span / max(logs)) if max(logs) > 0 else math.inf)
+    lefts = [_coset_image(gamma, tau) for gamma, tau in samples] if periodic else images
     index = {point: i for i, point in enumerate(dict.fromkeys([*taus, *lefts]))}
-    return tuple(index), tuple((index[left], index[tau], gamma.j(tau) ** weight)
-                               for left, (gamma, tau) in zip(lefts, samples))
-
-
-@lru_cache(maxsize=CACHE_KEYS)
-def _largest_rank(taus, gammas):
-    """The largest m whose outer factors in ``_law_points``, |u|^m <= (1 + |gamma tau|)^m, are < 2^1024."""
-    growth = max(1 + abs(gamma.act(complex(tau))) for gamma in gammas for tau in taus)
-    return math.ceil(1024 * math.log(2) / math.log(growth)) - 1
-
-
-@lru_cache(maxsize=CACHE_KEYS)
-def _law_points(taus, gammas, m):
-    """Per sample (gamma, tau), one row (z, z', outer, |z|, |z'|, |outer|) at each point w of the rank-m
-    law, the (m+1)-th roots of unity (w = 0 at m = 0): with u = gamma tau * w + 1, z = LAMBDA w / u,
-    z' = LAMBDA (a w + c) / (j u) and outer = u^m / sqrt(m + 1)."""
     ws = [cmath.rect(1.0, 2 * math.pi * i / (m + 1)) for i in range(m + 1)] if m else [0j]
-    samples = []
-    for gamma, tau in product(gammas, taus):
-        rows = []
-        for w in ws:
-            u = gamma.act(tau) * w + 1
-            z, z2 = LAMBDA * w / u, LAMBDA * (gamma.a * w + gamma.c) / (gamma.j(tau) * u)
-            outer = u ** m / math.sqrt(m + 1)
-            rows.append((z, z2, outer, abs(z), abs(z2), abs(outer)))
-        samples.append(tuple(rows))
-    return tuple(samples)
+    table = []
+    try:
+        for (gamma, tau), image, left in zip(samples, images, lefts):
+            rows = []
+            for w in ws:
+                u = image * w + 1
+                z, z2 = LAMBDA * w / u, LAMBDA * (gamma.a * w + gamma.c) / (gamma.j(tau) * u)
+                outer = u ** m / math.sqrt(m + 1)
+                rows.append((z, z2, outer, abs(z), abs(z2), abs(outer)))
+            table.append((gamma, tau, index[left], index[tau], tuple(rows)))
+    except ZeroDivisionError:  # z = LAMBDA w / u at u = 0
+        return weights, tuple(index), None
+    return weights, tuple(index), tuple(table)
 
 
 def _check_law(values, weight, m, plan, label, periodic=False):
     """Residuals of the rank-m law at weight k of the form whose fhat_0..fhat_d at a point ``values``
-    gives as ``Evaluation``s of one length: at each point of ``_law_points``, lhs = outer * sum_r
-    fhat_r(gamma tau) z^r against rhs = j^k (outer * sum_r fhat_r(tau) z'^r), each sum by Horner's
-    rule from the top.  The residual is the Euclidean norm of lhs - rhs over max(1, ||rhs||).  The
-    fhat_r share one tail, so a side's tail at a point is |outer| sum_r |z|^r tail, and the truncation
-    error is the left tails plus |j^k| times the right ones, each added left to right (``sum`` of
-    floats compensates).  ``values`` is called once per distinct point of ``_images`` (the coset
-    images for ``periodic`` values), and only after the rank and weight refusals."""
-    if m > (top := _largest_rank(plan.taus, plan.gammas)):
-        raise ValueError(f"rank {m} is above {top}, the largest rank this sample plan can check")
-    points, samples = _images(plan.taus, plan.gammas, weight, periodic)
-    evaluated = [values(point) for point in points]
-    out = []
-    try:
-        for (gamma, tau), (image, base, factor), rows in zip(product(plan.gammas, plan.taus), samples,
-                                                             _law_points(plan.taus, plan.gammas, m)):
-            lhs, rhs = evaluated[image], evaluated[base]
-            # fhat_d on both sides, then fhat_(d-1)..fhat_0 in pairs; every fhat_r has the tail of fhat_0
-            tops = lhs[-1].value, rhs[-1].value
-            left_tail, right_tail = lhs[0].truncation_error, rhs[0].truncation_error
-            lower = [(x.value, y.value) for x, y in zip(lhs[-2::-1], rhs[-2::-1])]
-            diffs, norms, left, right = [], [], 0.0, 0.0
-            for z, z2, outer, size, size2, bound in rows:
-                (x, y), s, s2 = tops, left_tail, right_tail
-                for v, v2 in lower:
-                    x, y, s, s2 = x * z + v, y * z2 + v2, s * size + left_tail, s2 * size2 + right_tail
-                x, y = outer * x, factor * (outer * y)
-                diffs.append(abs(x - y))
-                norms.append(abs(y))
-                left += bound * s
-                right += bound * s2
-            absolute, norm = math.hypot(*diffs), math.hypot(*norms)
-            relative = absolute / max(1.0, norm) if norm < math.inf else math.nan
-            out.append(Residual(label, gamma, tau, absolute, relative, left + abs(factor) * right))
-        if all(math.isfinite(r.relative) for r in out):
-            return out
-    except (OverflowError, ZeroDivisionError):  # |x| of a complex x, or z = LAMBDA w / u at u = 0
-        pass
+    gives as ``Evaluation``s of one length: at each row of the plan's ``_law_table``, lhs = outer *
+    sum_r fhat_r(gamma tau) z^r against rhs = j^k (outer * sum_r fhat_r(tau) z'^r), each sum by
+    Horner's rule from the top.  The residual is the Euclidean norm of lhs - rhs over max(1, ||rhs||).
+    The fhat_r share one tail, so a side's tail at a point is |outer| sum_r |z|^r tail, and the
+    truncation error is the left tails plus |j^k| times the right ones, each added left to right
+    (``sum`` of floats compensates).  The rank is refused first (by the table), then a weight outside
+    the table's range, then a law that leaves float64; ``values`` is called once per distinct point
+    of the table (the coset images for ``periodic`` values), and only after the first two."""
+    (bottom, top), points, samples = _law_table(plan.taus, plan.gammas, m, periodic)
+    if not bottom <= weight <= top:
+        raise ValueError(f"weight {weight} is outside {bottom}..{top}, the weights this sample plan can check")
+    if samples is not None:
+        evaluated = [values(point) for point in points]
+        out = []
+        try:
+            for gamma, tau, image, base, rows in samples:
+                lhs, rhs, factor = evaluated[image], evaluated[base], gamma.j(tau) ** weight
+                # fhat_d on both sides, then fhat_(d-1)..fhat_0 in pairs; every fhat_r has the tail of fhat_0
+                tops = lhs[-1].value, rhs[-1].value
+                left_tail, right_tail = lhs[0].truncation_error, rhs[0].truncation_error
+                lower = [(x.value, y.value) for x, y in zip(lhs[-2::-1], rhs[-2::-1])]
+                diffs, norms, left, right = [], [], 0.0, 0.0
+                for z, z2, outer, size, size2, bound in rows:
+                    (x, y), s, s2 = tops, left_tail, right_tail
+                    for v, v2 in lower:
+                        x, y, s, s2 = x * z + v, y * z2 + v2, s * size + left_tail, s2 * size2 + right_tail
+                    x, y = outer * x, factor * (outer * y)
+                    diffs.append(abs(x - y))
+                    norms.append(abs(y))
+                    left += bound * s
+                    right += bound * s2
+                absolute, norm = math.hypot(*diffs), math.hypot(*norms)
+                relative = absolute / max(1.0, norm) if norm < math.inf else math.nan
+                out.append(Residual(label, gamma, tau, absolute, relative, left + abs(factor) * right))
+            if all(math.isfinite(r.relative) for r in out):
+                return out
+        except OverflowError:  # |x| of a complex x
+            pass
     raise ValueError(f"the rank-{m} law of {label} leaves the float64 range |x| < 2^1024 on this sample plan")
 
 

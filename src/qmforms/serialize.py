@@ -9,10 +9,9 @@ separators).
 
 import json
 import re
-from math import gcd
 
 from .almostholo import AlmostHolomorphicForm
-from .qseries import QSeries, _decimal_int, _decimal_text, _over_lcm
+from .qseries import QSeries, _decimal_int, _decimal_text, _lowest_terms, _over_lcm
 from .quasimodular import QuasiModularForm
 from .vectorvalued import VectorValuedForm
 
@@ -46,9 +45,9 @@ def to_document(form):
     """Build the JSON-ready dict for a form object."""
     if isinstance(form, QuasiModularForm):
         terms = [
-            {"e2": a, "e4": b, "e6": c, "num": _decimal_text(n // g), "den": _decimal_text(form.denominator // g)}
+            {"e2": a, "e4": b, "e6": c, "num": _decimal_text(num), "den": _decimal_text(den)}
             for (a, b, c), n in sorted(form.numerators.items())
-            for g in (gcd(n, form.denominator),)
+            for (num,), den in (_lowest_terms((n,), form.denominator),)
         ]
         return {
             "format": "quasimodular",

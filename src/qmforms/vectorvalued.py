@@ -12,13 +12,13 @@ holomorphic-weight components, the w-basis) are derived views of the source,
 so every conversion is exact.
 """
 
+from itertools import groupby
 from math import comb
 
 from . import linalg
 from .almostholo import _graded_weight, _lowered, completion
-from .eisenstein import dim_modular, monomial_basis
 from .qseries import DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, _row_sums
-from .quasimodular import E2, QuasiModularForm, _monomial_series, monomial
+from .quasimodular import E2, QuasiModularForm, _candidate_keys, _monomial_series, monomial
 
 _set = object.__setattr__
 
@@ -242,25 +242,25 @@ def vv_product(left, right):
     )
 
 
-def _slots(weight_label, m):
-    """The w-basis slots t <= min(m, k/2): a slot t holds weight k - 2t."""
+def _w_basis(weight_label, m):
+    """The keys (t, a, b) of the w-basis forms E2^t E4^a E6^b of weight k, slot t <= min(m, k/2)
+    first: the candidates of ``recognize`` at depth bound m.  A slot t holds weight k - 2t."""
     _natural(weight_label, "weight label", even=True)
     _natural(m, "the rank parameter m")
-    return range(min(m, weight_label // 2) + 1)
+    return _candidate_keys(weight_label, m)
 
 
 def dim_vv(weight_label, m):
     """Dimension of the holomorphic forms of rank m and weight k - m:
     the sum of the scalar dimensions in weights k - 2t for the slots
     t <= min(m, k/2)."""
-    return sum(dim_modular(weight_label - 2 * t) for t in _slots(weight_label, m))
+    return len(_w_basis(weight_label, m))
 
 
 def basis_vv(weight_label, m):
     """The w-basis forms: lifts of the monomial bases in each filtration
     slot t <= min(m, k/2)."""
-    return [iota_lift(monomial(0, a, b), t, m)
-            for t in _slots(weight_label, m) for (a, b) in monomial_basis(weight_label - 2 * t)]
+    return [iota_lift(monomial(0, a, b), t, m) for t, a, b in _w_basis(weight_label, m)]
 
 
 def certify_dim_vv(weight_label, m):
@@ -277,7 +277,6 @@ def certify_dim_vv(weight_label, m):
     k - 2t, needs precision (k - 2t) // 12 + 1.
     """
     return sum(
-        linalg.rank([_monomial_series(0, a, b, (weight_label - 2 * t) // 12 + 1).numerators
-                     for a, b in monomial_basis(weight_label - 2 * t)])
-        for t in _slots(weight_label, m)
+        linalg.rank([_monomial_series(0, a, b, (weight_label - 2 * t) // 12 + 1).numerators for _, a, b in keys])
+        for t, keys in groupby(_w_basis(weight_label, m), lambda key: key[0])
     )

@@ -517,6 +517,15 @@ class TestRankCap:
         assert (code, out) == (2, "")
         assert err == f"error: the rank parameter m must be at most {MAX_RANK}, got {rank or MAX_RANK + 1}\n"
 
+    @pytest.mark.parametrize("mmax", [MAX_RANK + 1, 10 ** 8])
+    def test_rank_cap_of_dims(self, capsys, mmax):
+        # a row holds mmax + 1 cells: 10^8 would run for minutes and take tens of GB
+        code, out, err = run(capsys, "dims", "--kmax", "4", "--mmax", str(mmax))
+        assert (code, out) == (2, "")
+        assert err == f"error: the rank parameter m must be at most {MAX_RANK}, got {mmax}\n"
+        code, out, _ = run(capsys, "dims", "--kmax", "0", "--mmax", str(MAX_RANK))
+        assert code == 0 and out.split() == ["k\\m", *map(str, range(MAX_RANK + 1)), "0", *["1"] * (MAX_RANK + 1)]
+
 
 class TestDims:
     def test_table_values(self, capsys):

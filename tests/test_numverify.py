@@ -168,7 +168,7 @@ class TestResidualContract:
         # at m = 1 both sides are |outer| * 1.5e308 at each point, |outer| = 1.05 and 0.95:
         # each |rhs_i| is finite, their norm is not, and absolute / inf read 0.0, a PASS
         plan = SamplePlan(taus=(complex(0.1, 1.0),), gammas=(IDENTITY,))
-        (rows,) = numverify._law_points(plan.taus, plan.gammas, 1)
+        _, _, ((*_, rows),) = numverify._law_table(plan.taus, plan.gammas, 1, False)
         assert all(bound * 1.5e308 < math.inf for *_, bound in rows)
         with pytest.raises(ValueError, match=r"rank-1 law of big leaves the float64 range"):
             numverify._check_law(lambda tau: [Evaluation(1.5e308 + 0j, 0.0)], 0, 1, plan, "big")
@@ -262,10 +262,11 @@ class TestRankLimit:
         def nothing_built(*args):
             raise AssertionError("built before the rank check")
 
-        for name in ("completion", "_law_points", "_images"):
+        # no completion, no value, and by the time bound no root of unity at m = 10^9
+        for name in ("completion", "_evaluations"):
             monkeypatch.setattr(numverify, name, nothing_built)
         plan = default_plan()
-        for m in (642, 700, 2048):
+        for m in (642, 700, 2048, 10 ** 9):
             start = time.perf_counter()
             message = rf"rank {m} is above 641, the largest rank this sample plan can check"
             with pytest.raises(ValueError, match=message):
@@ -279,6 +280,18 @@ class TestRankLimit:
         with pytest.raises(ValueError, match=r"rank-3 law of .* leaves the float64 range"):
             check_vv(from_quasimodular(E4, 3), plan)
         assert max_relative(check_vv(from_quasimodular(E4, 2), plan)) < 1e-14
+
+    def test_the_weight_is_refused_before_a_point_where_u_vanishes(self):
+        # the same point beside an element with |j| > 1, which bounds the weights; no value is read
+        def no_values(tau):
+            raise AssertionError("values read on a plan the law cannot check")
+
+        tau = -1 / cmath.rect(1.0, 2 * math.pi / 4)
+        plan = SamplePlan(taus=(tau, complex(0.3, 1.1)), gammas=(IDENTITY, GroupElement(1, 0, 1, 1)))
+        with pytest.raises(ValueError, match=r"weight 100000 is outside -inf\.\.1331, the weights"):
+            numverify._check_law(no_values, 10 ** 5, 3, plan, "f")
+        with pytest.raises(ValueError, match=r"rank-3 law of f leaves the float64 range"):
+            numverify._check_law(no_values, 4, 3, plan, "f")
 
     @pytest.mark.parametrize("d", [170, 240])
     def test_values_past_float64_are_refused(self, d):
@@ -419,7 +432,7 @@ class TestVectorValued:
         # |outer| added left to right differ from their exact sum, which sum() of
         # floats gives from Python 3.12 on
         plan = SamplePlan(taus=(complex(0.1, 1.0),), gammas=(IDENTITY,))
-        (rows,) = numverify._law_points(plan.taus, plan.gammas, 5)
+        _, _, ((*_, rows),) = numverify._law_table(plan.taus, plan.gammas, 5, False)
         errors = [bound for *_, bound in rows]
         assert math.fsum(errors) != plain_float_sum(errors)
         (residual,) = numverify._check_law(lambda tau: [Evaluation(0j, 1.0)], 0, 5, plan, "fixed")
@@ -590,8 +603,7 @@ class TestPlanTables:
     def test_no_table_leaks_across_plans_or_keys(self):
         checks = self.checks()
         warm = [residual_bits(check(*args)) for check, *args in checks]
-        for table in (numverify._images, numverify._law_points, numverify._largest_rank):
-            table.cache_clear()
+        numverify._law_table.cache_clear()
         # cold again, in the reverse order, so a leak in either direction shows
         cold = [residual_bits(check(*args)) for check, *args in reversed(checks)][::-1]
         assert cold == warm
