@@ -9,8 +9,8 @@ numeric value only in ``evaluate``.
 
 from math import comb
 
-from .qseries import (DEFAULT_PRECISION, QSeries, _evaluations, _natural, _powers, _precision, _row_sums, _weighted_sum,
-                      yhat)
+from .qseries import (DEFAULT_PRECISION, QSeries, _evaluations, _natural, _powers, _precision, _weighted_sum,
+                      _weighted_value, yhat)
 
 
 class NotHolomorphicError(ValueError):
@@ -98,8 +98,7 @@ class AlmostHolomorphicForm:
     def evaluate(self, tau):
         """Numeric value sum_r coeffs[r](tau) * (-3/(pi*Im tau))^r."""
         tau = complex(tau)
-        values = _evaluations(self.coeffs, tau)
-        return _row_sums([list(enumerate(_powers(yhat(tau.imag), self.degree)))], values)[0]
+        return _weighted_value(_powers(yhat(tau.imag), self.degree), _evaluations(self.coeffs, tau))
 
     def __str__(self):
         lines = [f"Y^{r}: {series}" for r, series in enumerate(self.coeffs)]
@@ -118,6 +117,16 @@ def completion(form, precision=DEFAULT_PRECISION):
             form.weight, [c.qexpansion(precision) for c in form.components()]
         )
     return full
+
+
+def _component_values(form, precision, tau):
+    """The ``Evaluation``s of fhat_0..fhat_d of ``form`` at tau, from its completion at ``precision``.
+    A completion drops its zero top coefficients; only then are they read as zero series, whose
+    values are zero and whose tails are those of the other components."""
+    coeffs = completion(form, precision).coeffs
+    if len(coeffs) <= form.depth:
+        coeffs += (QSeries.zero(coeffs[0].precision),) * (form.depth + 1 - len(coeffs))
+    return _evaluations(coeffs, tau)
 
 
 def _lowered(full, r):

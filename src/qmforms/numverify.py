@@ -34,8 +34,8 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .almostholo import completion
-from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, _precision
+from .almostholo import _component_values
+from .qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _precision
 from .vectorvalued import GroupElement, S, T
 
 MIN_IM_TAU = 0.3
@@ -233,11 +233,6 @@ def _check_law(values, weight, m, plan, label, periodic=False):
     raise ValueError(f"the rank-{m} law of {label} leaves the float64 range |x| < 2^1024 on this sample plan")
 
 
-def _completion_values(form, precision):
-    """The ``Evaluation``s of fhat_0..fhat_d of ``form`` at a point, from its completion at ``precision``."""
-    return lambda tau: _evaluations(completion(form, precision).coeffs, tau)
-
-
 def check_scalar(evaluator, weight, plan, label="scalar form"):
     """Residuals of f(gamma tau) = j^weight f(tau) over the plan: the rank-0 law of one component."""
     return _check_law(lambda tau: [_call_evaluator(evaluator, tau)], weight, 0, plan, label)
@@ -245,11 +240,11 @@ def check_scalar(evaluator, weight, plan, label="scalar form"):
 
 def check_quasimodular(form, plan, label=None):
     """Residuals of the depth-d law f(gamma tau) = sum_r j^(k-r) (c LAMBDA)^r fhat_r(tau)."""
-    return _check_law(_completion_values(form, plan.precision), form.weight, 0, plan,
+    return _check_law(lambda tau: _component_values(form, plan.precision, tau), form.weight, 0, plan,
                       str(form) if label is None else label, periodic=True)
 
 
 def check_vv(form, plan, label=None):
     """Residuals of F(gamma tau) = j^(k-m) Sym^m(gamma) F(tau) in the Euclidean norm."""
-    return _check_law(_completion_values(form.source, plan.precision), form.weight_label, form.m, plan,
+    return _check_law(lambda tau: _component_values(form.source, plan.precision, tau), form.weight_label, form.m, plan,
                       str(form) if label is None else label, periodic=True)

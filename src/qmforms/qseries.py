@@ -55,28 +55,23 @@ class Evaluation(namedtuple("Evaluation", "value truncation_error")):
     __slots__ = ()
 
 
-def _row_sums(rows, pairs):
-    """For each row of ``(column, weight)`` entries, ``Evaluation(sum w * value,
-    sum |w| * tail)`` over the ``(value, tail)`` pairs at its columns, added in
-    its order from 0j and 0.0.  A row may leave out a zero weight: its terms are
-    then signed zeros (of finite pairs), which a total from +0.0 ignores."""
-    out, new = [], tuple.__new__
-    for row in rows:
-        total, error = 0j, 0.0
-        for k, w in row:
-            value, tail = pairs[k]
-            total += w * value
-            error += abs(w) * tail
-        out.append(new(Evaluation, (total, error)))
-    return out
+def _weighted_value(weights, values):
+    """``Evaluation(sum w * value, sum |w| * tail)`` over the weights and the
+    ``(value, tail)`` pairs zipped with them, added in order from 0j and 0.0."""
+    total, error = 0j, 0.0
+    for w, (value, tail) in zip(weights, values):
+        total += w * value
+        error += abs(w) * tail
+    return Evaluation(total, error)
 
 
 def _weighted_sum(terms, precision, den=1):
     """The exact sum of weight * series over ``(weight, QSeries)`` pairs, over
     ``den`` and truncated to ``precision``: every term over one common
     denominator, its integer numerators added in one pass, one reduction at
-    the end.  The exact counterpart of ``_row_sums``.  The package passes int
-    weights and a rational scale as ``den``; a Fraction weight sums exactly too."""
+    the end.  The exact counterpart of ``_weighted_value``.  The package
+    passes int weights and a rational scale as ``den``; a Fraction weight
+    sums exactly too."""
     # a bad precision is refused before any term is built
     n = _precision(precision)
     terms = list(terms)
@@ -436,8 +431,7 @@ class QSeries:
 
     @classmethod
     def zero(cls, precision=DEFAULT_PRECISION):
-        """The zero series, one kept per precision with the values it keeps."""
-        return _zero(_precision(precision))
+        return cls._from_ints([0] * _precision(precision))
 
     @classmethod
     def one(cls, precision=DEFAULT_PRECISION):
@@ -539,11 +533,6 @@ class QSeries:
         shown = format_series(self.truncate(min(4, self.precision)))
         more = ", ..." if self.precision > 4 else ""
         return f"QSeries({shown}{more}; precision={self.precision})"
-
-
-@functools.lru_cache(maxsize=CACHE_KEYS)
-def _zero(precision):
-    return QSeries._from_ints([0] * precision)
 
 
 def _signed_sum(terms):

@@ -16,8 +16,8 @@ from itertools import groupby
 from math import comb
 
 from . import linalg
-from .almostholo import _graded_weight, _lowered, completion
-from .qseries import DEFAULT_PRECISION, LAMBDA, _evaluations, _natural, _powers, _row_sums
+from .almostholo import _component_values, _graded_weight, _lowered, completion
+from .qseries import DEFAULT_PRECISION, LAMBDA, _natural, _powers, _weighted_value
 from .quasimodular import E2, QuasiModularForm, _candidate_keys, _monomial_series, monomial
 
 _set = object.__setattr__
@@ -152,15 +152,12 @@ class VectorValuedForm:
         over r = 0..min(depth, m-i), from (tau, 1) = tau*e1 + e2 and (1, 0) = e1.
         """
         tau, depth, m = complex(tau), self.depth, self.m
-        full = completion(self.source, precision)
-        # fhat_0..fhat_depth: a completion drops zero top coefficients
-        values = _evaluations([full.coefficient(r) for r in range(depth + 1)], tau)
+        values = _component_values(self.source, precision, tau)
         lam_powers = _powers(LAMBDA, depth)
         # by **: repeated multiplication (_powers) rounds differently
         tau_powers = [tau ** e for e in range(m + 1)]
-        rows = [[(r, lam_powers[r] * comb(m - r, i) * tau_powers[m - r - i]) for r in range(min(depth, m - i) + 1)]
-                for i in range(m + 1)]
-        return tuple(_row_sums(rows, values))
+        return tuple(_weighted_value([lam_powers[r] * comb(m - r, i) * tau_powers[m - r - i]
+                                      for r in range(min(depth, m - i) + 1)], values) for i in range(m + 1))
 
     def __str__(self):
         return f"VV(m={self.m}, k={self.weight_label}, source={self.source})"

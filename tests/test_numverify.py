@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmforms import almostholo, numverify, vectorvalued
-from qmforms.qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, yhat
+from qmforms.qseries import CACHE_KEYS, DEFAULT_PRECISION, LAMBDA, Evaluation, _evaluations, yhat
 from qmforms import (
+    DELTA,
     E2,
     E4,
     E6,
@@ -241,8 +242,7 @@ class TestWeightLimit:
         def no_expansion(*args):
             raise AssertionError("expanded before the weight check")
 
-        monkeypatch.setattr(numverify, "completion", no_expansion)
-        monkeypatch.setattr(vectorvalued, "completion", no_expansion)
+        monkeypatch.setattr(almostholo, "completion", no_expansion)
         plan = default_plan()
         with pytest.raises(ValueError, match=r"\.\.1005,"):
             check_quasimodular(E4 ** 300, plan)
@@ -264,7 +264,7 @@ class TestRankLimit:
 
         # no completion, no value, and by the time bound no root of unity at m = 10^9
         for name in ("completion", "_evaluations"):
-            monkeypatch.setattr(numverify, name, nothing_built)
+            monkeypatch.setattr(almostholo, name, nothing_built)
         plan = default_plan()
         for m in (642, 700, 2048, 10 ** 9):
             start = time.perf_counter()
@@ -477,6 +477,77 @@ def dense_residual(fhat, weight, m, gamma, tau, dps=60):
                 float(mpmath.sqrt(sum(abs(y) ** 2 for y in rhs))))
 
 
+class TestLowerLeftEntryTwo:
+    """Every element of ``default_plan()`` has c in {0, 1, -1}, where a law that read sign(c) for c
+    would pass.  [[1, 0], [2, 1]] and [[-1, -1], [2, 1]] have c = 2 and the cusp -1/2, and base
+    points near it keep every image at Im >= 0.45."""
+
+    PLAN = SamplePlan(taus=(complex(-0.5, 0.5), complex(-0.45, 0.55)),
+                      gammas=(T, S, GroupElement(1, 0, 2, 1), GroupElement(-1, -1, 2, 1)))
+
+    def test_plan_reaches_c_two_above_the_image_bound(self):
+        images = [gamma.act(tau) for gamma in self.PLAN.gammas for tau in self.PLAN.taus]
+        assert min(image.imag for image in images) == pytest.approx(0.4508, abs=1e-4)
+        assert max(abs(gamma.c) for gamma in self.PLAN.gammas) == 2
+
+    @pytest.mark.parametrize("form, ranks", [
+        (E4, (0, 3)), (E2, (1, 4)), (E2 * E4, (1, 5)), (DELTA * E2 ** 2, (2, 5)),
+        (E2 ** 3 * E4 + E2 ** 2 * E6, (3, 5)),
+    ])
+    def test_true_forms_pass(self, form, ranks):
+        # rounding alone: at most 2.5e-15 (E2^3 E4 + E2^2 E6 at m = 5); a law reading sign(c) reads 9.4 there
+        assert max_relative(check_quasimodular(form, self.PLAN)) < 1e-13
+        for m in ranks:
+            assert max_relative(check_vv(from_quasimodular(form, m), self.PLAN)) < 1e-13
+
+    @pytest.mark.parametrize("form, weight", [(E2, 2), (E4, 6)])
+    def test_negative_controls_fail(self, form, weight):
+        # E2 at weight 2 reads 2.06, E4 at weight 6 reads 2.0
+        residuals = check_scalar(form.qexpansion(self.PLAN.precision).evaluate, weight, self.PLAN)
+        assert max_relative(residuals) > 1.0
+        assert not all_within(residuals, self.PLAN.tolerance)
+
+
+class TestVanishingComponents:
+    """At precision 1 every component of E2 Delta expands to zero, and its completion keeps fhat_0 alone.
+    The laws read fhat_1 as the zero series, with the tail of fhat_0, which a sample with c != 0 weights
+    on its right side by |c LAMBDA / j|."""
+
+    FORM = E2 * DELTA
+    PLAN = default_plan()._replace(precision=1)
+
+    @staticmethod
+    def tail(point):
+        """|q|^1 / (1 - |q|) at ``point``: the tail of every series of precision 1."""
+        aq = math.exp(-2 * math.pi * point.imag)
+        return aq / (1 - aq)
+
+    def test_the_vanishing_component_keeps_its_tail(self):
+        residuals = check_quasimodular(self.FORM, self.PLAN)
+        for residual in residuals:
+            gamma, tau = residual.gamma, residual.tau
+            j = gamma.j(tau)
+            expected = self.tail(gamma.act(tau)) + abs(j) ** 14 * (1 + abs(gamma.c * LAMBDA / j)) * self.tail(tau)
+            assert residual.truncation_error == pytest.approx(expected, rel=1e-12, abs=0)
+        errors = [residual.truncation_error for residual in residuals if residual.gamma == S]
+        assert errors == pytest.approx([0.0217, 0.0113, 0.110], rel=3e-3)
+
+    def test_values_are_those_without_the_padding(self):
+        # the zero series adds nothing to a value: the residuals are bit for bit those of a reader
+        # that drops fhat_1, whose truncation errors leave out its tail where c != 0
+        residuals = check_quasimodular(self.FORM, self.PLAN)
+        full = completion(self.FORM, self.PLAN.precision)
+        assert full.degree == 0
+        dropped = numverify._check_law(lambda tau: _evaluations(full.coeffs, tau), 14, 0, self.PLAN, "dropped",
+                                       periodic=True)
+        for residual, other in zip(residuals, dropped):
+            assert (residual.absolute.hex(), residual.relative.hex()) == (other.absolute.hex(), other.relative.hex())
+            if residual.gamma.c:
+                assert residual.truncation_error > other.truncation_error
+            else:
+                assert residual.truncation_error == other.truncation_error
+
+
 class TestAgainstTheDenseProduct:
     def test_corrupted_families_match_mpmath(self):
         # the polynomial check at the roots of unity reports the residual of the dense
@@ -547,13 +618,13 @@ class TestWorkPerCheck:
         form = from_quasimodular(E2 * E2, 2)
         expected = check_vv(form, plan)
         taus = []
-        evaluations = numverify._evaluations
+        evaluations = almostholo._evaluations
 
         def counting(series, tau):
             taus.append(tau)
             return evaluations(series, tau)
 
-        monkeypatch.setattr(numverify, "_evaluations", counting)
+        monkeypatch.setattr(almostholo, "_evaluations", counting)
         assert check_vv(form, plan) == expected
         # the 3 base points and the coset images of S, S*T and [[1, 0], [-1, 1]]: T's is tau
         # itself, T*S^-1 shares S's and [[2, 1], [1, 1]] shares S*T's
@@ -691,7 +762,7 @@ def hex_pairs(pairs):
 
 
 class TestRowSumBits:
-    """The row kernel gives, bit for bit, the sums that ``combine`` above adds
+    """The one-row sum gives, bit for bit, the sums that ``combine`` above adds
     term by term."""
 
     def test_vector_valued_components(self):

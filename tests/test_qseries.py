@@ -12,7 +12,7 @@ from qmforms.eisenstein import delta_series, eisenstein_series
 from qmforms.numverify import check_quasimodular, check_vv, default_plan
 from qmforms import qseries
 from qmforms.qseries import (CACHE_KEYS, Evaluation, _evaluations, _kronecker_product, _lowest_terms, _q_table,
-                             _row_sums, _short_product, _weighted_sum)
+                             _short_product, _weighted_sum, _weighted_value)
 from qmforms.vectorvalued import from_quasimodular
 
 from _oracles import ascending_complex_sum, convolution, delta_by_eta, eisenstein_by_divisors, mp_eval, mul_lists, sigma
@@ -49,16 +49,15 @@ class TestConstruction:
 
     @pytest.mark.parametrize("precision", [0, -1, 5.0, True])
     def test_one_rejects_non_positive_precision(self, precision):
-        # checked before the kept zeros, where 5.0 or True would find those of 5 or 1
-        QSeries.zero(1), QSeries.zero(5)
+        # checked before any series is built, where True would build one of precision 1
         with pytest.raises(ValueError, match="precision"):
             QSeries.one(precision)
         with pytest.raises(ValueError):
             QSeries.zero(precision)
 
     def test_one_zero_per_precision(self):
-        assert QSeries.zero(5) is QSeries.zero(5) and QSeries.zero(5) == QSeries([0] * 5)
-        assert QSeries.zero() is QSeries.zero(64)
+        assert QSeries.zero(5) == QSeries([0] * 5)
+        assert QSeries.zero() == QSeries.zero(64) == QSeries([0] * 64)
         assert QSeries.one(5) == QSeries([1, 0, 0, 0, 0]) and QSeries.one(1) == QSeries([1])
 
     def test_truncate_never_extends(self):
@@ -614,19 +613,20 @@ class TestQTable:
         assert _q_table.cache_info() == (0, 0, CACHE_KEYS, 0)
 
 
-class TestRowSums:
+class TestWeightedValue:
     def test_weighted_sum_and_tail(self):
         pairs = [Evaluation(1 + 1j, 0.5), Evaluation(2 + 0j, 0.25), Evaluation(4j, 0.0)]
-        assert _row_sums([[(0, 2.0), (1, -3j), (2, 0.5)]], pairs) == [(2 - 2j, 1.75)]
+        result = _weighted_value([2.0, -3j, 0.5], pairs)
+        assert type(result) is Evaluation and result == (2 - 2j, 1.75)
 
     def test_empty_sum(self):
-        assert _row_sums([[]], []) == [(0j, 0.0)]
-        assert _row_sums([], [(1j, 1.0)]) == []
+        assert _weighted_value([], []) == (0j, 0.0)
+        assert _weighted_value([], [(1j, 1.0)]) == (0j, 0.0)
 
-    def test_each_row_reads_its_own_columns(self):
+    def test_zip_stops_at_the_shorter_input(self):
         pairs = [(1 + 0j, 1.0), (1j, 2.0), (-1 + 0j, 4.0)]
-        rows = [[(2, 3)], [(1, -1), (0, 2)], [(0, 1), (0, 1)]]
-        assert _row_sums(rows, pairs) == [(-3 + 0j, 12.0), (2 - 1j, 4.0), (2 + 0j, 2.0)]
+        assert _weighted_value([3, -1], pairs) == (3 - 1j, 5.0)
+        assert _weighted_value([3, -1, 2, 7], pairs) == (1 - 1j, 13.0)
 
 
 class TestWeightedSum:

@@ -252,16 +252,16 @@ class TestWrapping:
         tail = sum(e.truncation_error for e in F.evaluate(tau, 1))
         assert tail == pytest.approx(expected, rel=1e-12, abs=0)
 
-    def test_padding_zero_is_summed_once_per_point(self, monkeypatch):
+    def test_padded_component_reads_the_zero_series(self):
         # at precision 4 the completion of E2*Delta^6 keeps one zero coefficient,
-        # and Yhat^1 pads with the kept zero series of that precision
-        qseries._zero.cache_clear()
+        # and fhat_1 is read as the zero series of that precision
         F = from_quasimodular(E2 * DELTA ** 6, 1)
-        sums = []
-        float_coeffs = qseries.QSeries._float_coeffs
-        monkeypatch.setattr(qseries.QSeries, "_float_coeffs", lambda s: sums.append(s) or float_coeffs(s))
-        values = [F.evaluate(complex(0.3, 1.1), 4) for _ in range(5)]
-        assert len(sums) == 2 and all(v == values[0] for v in values)
+        tau = complex(0.3, 1.1)
+        assert completion(F.source, 4).degree == 0
+        fhat = almostholo._component_values(F.source, 4, tau)
+        assert fhat == [completion(F.source, 4).coeffs[0].evaluate(tau), qseries.QSeries.zero(4).evaluate(tau)]
+        assert fhat[1] == (0j, fhat[0].truncation_error)
+        assert [F.evaluate(tau, 4) for _ in range(2)] == [F.evaluate(tau, 4)] * 2
 
 
 class TestModularity:
