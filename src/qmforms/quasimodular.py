@@ -212,18 +212,18 @@ class QuasiModularForm:
 
 
 @_prefix_cache
-def _generator_power(weight, exponent, precision):
-    # E_k^0 is built without E_k, so a monomial builds only the series it uses
-    return eisenstein_series(weight, precision) ** exponent if exponent else QSeries.one(precision)
-
-
-@_prefix_cache
 def _monomial_series(a, b, c, precision):
-    # the modular part E4^b E6^c is a key of its own, which every E2-degree
-    # of a completion (the components of E2^a E4^b E6^c) reads
-    if a:
-        return _generator_power(2, a, precision) * _monomial_series(0, b, c, precision)
-    return _generator_power(4, b, precision) * _generator_power(6, c, precision)
+    # each key is one product of keys below it; E4^b E6^c is a key, as each E2-degree of a completion reads it
+    if a and (b or c) or b and c:
+        low = (a, 0, 0) if a else (0, b, 0)
+        return _monomial_series(*low, precision) * _monomial_series(0, b - low[1], c, precision)
+    if not (a or b or c):
+        return QSeries.one(precision)
+    if (a + b + c) % 2:  # a power E_k^e is E_k^(e-1) E_k, or (E_k^(e/2))^2 for even e
+        rest = _monomial_series(a - a % 2, b - b % 2, c - c % 2, precision)
+        return rest * eisenstein_series(2 if a else 4 if b else 6, precision)
+    half = _monomial_series(a // 2, b // 2, c // 2, precision)
+    return half * half
 
 
 def monomial(a, b, c):

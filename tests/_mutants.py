@@ -13,8 +13,9 @@ and tier-1 does not collect it.  Run from the repository root::
 
 It prints one line per mutant, ``killed`` or ``SURVIVED``, and the running
 time.  A survivor is a gap to close with a killing test, or a mutant to argue
-equivalent in its entry here; the exit code is 0 either way.  It is 1 when the
-unmutated copy fails, or when a mutant's text is not found once.
+equivalent in its entry here.  The exit code is 1 when a mutant survives, when
+the unmutated copy fails, or when a mutant's text is not found once, and 0
+when every mutant is killed.
 """
 
 import os
@@ -89,7 +90,7 @@ def main():
             survivors += code == 0
             print(f"{name}: {'SURVIVED' if code == 0 else f'killed (pytest exit {code})'}")
     print(f"{len(MUTANTS)} mutants, {survivors} survived, in {time.perf_counter() - start:.0f} s")
-    return 1 if stale else 0
+    return 1 if stale or survivors else 0
 
 
 if __name__ == "__main__":

@@ -220,6 +220,16 @@ class TestRaising:
             lhs = raise_op(completion(f, N)).coeffs[0]
             assert lhs == f.qexpansion(N).derive()
 
+    @settings(max_examples=100, deadline=None)
+    @given(forms(range(0, 25, 2), 12), st.integers(1, 96))
+    @example(E2 ** 3 * E4 + E2 ** 2 * E6, 32)
+    @example(DELTA * E2 ** 2 - E2 ** 5 * E6, 32)
+    @example(E2 * E4 ** 2, 32)
+    def test_completion_takes_the_derivative_to_raising(self, f, precision):
+        # the completion intertwines D with the raising operator, so each Ramanujan
+        # rule of QuasiModularForm.derive, E2's own included, is read at the series
+        assert completion(f.derive(), precision) == raise_op(completion(f, precision))
+
 
 class TestLowering:
     def test_e2(self):

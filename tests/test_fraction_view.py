@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qmforms import (QSeries, QuasiModularForm, completion, component_forms, derivative_lift, dumps, linalg, loads,
                      parse_form, qseries, raise_op, reconstruct, recognize)
 from qmforms.eisenstein import eisenstein_series
-from qmforms.quasimodular import _generator_power, _monomial_series
+from qmforms.quasimodular import _monomial_series
 
 from _fraction_view import DENOMINATORS, assert_same_fractions, fixed_cases
 from _oracles import random_form, solved
@@ -99,7 +99,7 @@ class TestNoFractionInside:
 
     @staticmethod
     def cold(setup):
-        for cache in (_monomial_series, _generator_power, eisenstein_series, linalg._factor):
+        for cache in (_monomial_series, eisenstein_series, linalg._factor):
             cache.cache_clear()
         # a fresh form keeps no expansion or completion that would answer a path
         return setup(QuasiModularForm(12, {(3, 0, 1): 1, (2, 2, 0): Fraction(-5, 6), (0, 3, 0): Fraction(1, 7)}))

@@ -477,35 +477,52 @@ def dense_residual(fhat, weight, m, gamma, tau, dps=60):
                 float(mpmath.sqrt(sum(abs(y) ** 2 for y in rhs))))
 
 
-class TestLowerLeftEntryTwo:
+class LowerLeftEntry:
     """Every element of ``default_plan()`` has c in {0, 1, -1}, where a law that read sign(c) for c
-    would pass.  [[1, 0], [2, 1]] and [[-1, -1], [2, 1]] have c = 2 and the cusp -1/2, and base
-    points near it keep every image at Im >= 0.45."""
+    would pass.  Each subclass gives a ``PLAN`` with larger |c| and base points near the cusp -d/c
+    that keep every image well above the real line: true forms pass there, and negative controls fail."""
 
-    PLAN = SamplePlan(taus=(complex(-0.5, 0.5), complex(-0.45, 0.55)),
-                      gammas=(T, S, GroupElement(1, 0, 2, 1), GroupElement(-1, -1, 2, 1)))
-
-    def test_plan_reaches_c_two_above_the_image_bound(self):
-        images = [gamma.act(tau) for gamma in self.PLAN.gammas for tau in self.PLAN.taus]
-        assert min(image.imag for image in images) == pytest.approx(0.4508, abs=1e-4)
-        assert max(abs(gamma.c) for gamma in self.PLAN.gammas) == 2
+    def images(self):
+        return [gamma.act(tau) for gamma in self.PLAN.gammas for tau in self.PLAN.taus]
 
     @pytest.mark.parametrize("form, ranks", [
         (E4, (0, 3)), (E2, (1, 4)), (E2 * E4, (1, 5)), (DELTA * E2 ** 2, (2, 5)),
         (E2 ** 3 * E4 + E2 ** 2 * E6, (3, 5)),
     ])
     def test_true_forms_pass(self, form, ranks):
-        # rounding alone: at most 2.5e-15 (E2^3 E4 + E2^2 E6 at m = 5); a law reading sign(c) reads 9.4 there
         assert max_relative(check_quasimodular(form, self.PLAN)) < 1e-13
         for m in ranks:
             assert max_relative(check_vv(from_quasimodular(form, m), self.PLAN)) < 1e-13
 
     @pytest.mark.parametrize("form, weight", [(E2, 2), (E4, 6)])
     def test_negative_controls_fail(self, form, weight):
-        # E2 at weight 2 reads 2.06, E4 at weight 6 reads 2.0
         residuals = check_scalar(form.qexpansion(self.PLAN.precision).evaluate, weight, self.PLAN)
         assert max_relative(residuals) > 1.0
         assert not all_within(residuals, self.PLAN.tolerance)
+
+
+class TestLowerLeftEntryTwo(LowerLeftEntry):
+    """c = 2 and the cusp -1/2.  True forms read at most 2.5e-15 (E2^3 E4 + E2^2 E6 at m = 5), where a
+    law reading sign(c) reads 9.4; E2 at weight 2 reads 2.06, and E4 at weight 6 reads 2.0."""
+
+    PLAN = SamplePlan(taus=(complex(-0.5, 0.5), complex(-0.45, 0.55)),
+                      gammas=(T, S, GroupElement(1, 0, 2, 1), GroupElement(-1, -1, 2, 1)))
+
+    def test_plan_reaches_c_two_above_the_image_bound(self):
+        assert min(image.imag for image in self.images()) == pytest.approx(0.4508, abs=1e-4)
+        assert max(abs(gamma.c) for gamma in self.PLAN.gammas) == 2
+
+
+class TestLowerLeftEntryThree(LowerLeftEntry):
+    """c = 3 and the cusp -1/3.  True forms read at most 3.6e-15; on E2^3 E4 + E2^2 E6 a law reading
+    sign(c) reads 4.7, and 2.5 at m = 5.  E2 at weight 2 reads 1.79, and E4 at weight 6 reads 1.91."""
+
+    PLAN = SamplePlan(taus=(complex(-0.33, 0.36), complex(-0.34, 0.35)),
+                      gammas=(T, S, GroupElement(1, 0, 3, 1), GroupElement(4, 1, 3, 1)))
+
+    def test_plan_reaches_c_three_above_the_image_bound(self):
+        assert min(image.imag for image in self.images()) == pytest.approx(0.3086, abs=1e-4)
+        assert max(abs(gamma.c) for gamma in self.PLAN.gammas) == 3
 
 
 class TestVanishingComponents:

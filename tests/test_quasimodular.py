@@ -28,7 +28,7 @@ from qmforms import (
 
 from qmforms.eisenstein import eisenstein_series
 from qmforms.qseries import CACHE_KEYS
-from qmforms.quasimodular import _generator_power, _monomial_series
+from qmforms.quasimodular import _monomial_series
 from qmforms import linalg
 
 from _oracles import all_monomials, convolution, eisenstein_by_divisors, pow_list, random_form
@@ -424,7 +424,7 @@ class TestQExpansionIsExact:
 
 
 def clear_expansion_caches():
-    for cache in (_monomial_series, _generator_power, eisenstein_series):
+    for cache in (_monomial_series, eisenstein_series):
         cache.cache_clear()
 
 
@@ -512,8 +512,9 @@ class TestPrefixCache:
         for n in range(1, n_max + 1):
             series = _monomial_series(1, 2, 1, n)
             assert series.precision == n and series.denominator == 1 and list(series.numerators) == want[:n]
-        # 9 builds of (1, 2, 1) at 1, 2, 4, ..., 256, and 9 of its modular part (0, 2, 1)
-        assert _monomial_series.cache_info().misses == 18
+        # 9 builds at 1, 2, 4, ..., 256 of each of the seven keys: (1, 2, 1), its modular part
+        # (0, 2, 1), and the generator powers E2, E4^2, E4, E6 and the series 1 below them
+        assert _monomial_series.cache_info().misses == 63
         assert set(calls) == {1 << j for j in range(9)}
 
     def test_first_build_is_at_the_request(self, monkeypatch):
@@ -529,13 +530,11 @@ class TestPrefixCache:
         built = len(calls)
         _monomial_series(1, 2, 1, 32)
         assert built > 0 and len(calls) == built
+        # one product per key but the series 1: E2, E4, E6, E4^2, E4^2 E6 and E2 E4^2 E6
+        assert built == 6
         _monomial_series.cache_clear()
         _monomial_series(1, 2, 1, 32)
-        assert len(calls) == built + 2  # the powers are still cached
-        _monomial_series.cache_clear()
-        _generator_power.cache_clear()
-        _monomial_series(1, 2, 1, 32)
-        assert len(calls) == 2 * built + 2
+        assert len(calls) == 2 * built  # the generator powers went with the rest
 
     def test_form_keeps_its_last_expansion(self, monkeypatch):
         form = E2 ** 3 * E4 * E6 + DELTA * E2 ** 2
@@ -572,6 +571,16 @@ class TestPrefixCache:
         series = monomial(0, 3000, 0).qexpansion(8)
         assert list(series.coeffs) == pow_list(eisenstein_by_divisors(4, 8), 3000)
 
+    @pytest.mark.parametrize("order", [range(1, 13), range(12, 0, -1)], ids=["rising", "falling"])
+    def test_each_generator_power_is_one_product(self, order, monkeypatch):
+        """E4^1, ..., E4^12 cold take 12 series products in either order: E4^e is the
+        square of E4^(e/2) or E4^(e-1) times E4, each a key of the one cache."""
+        clear_expansion_caches()
+        calls = count_products(monkeypatch)
+        for b in order:
+            assert list(_monomial_series(0, b, 0, 32).numerators) == generator_powers(4, b, 32)[b]
+        assert calls == [32] * 12
+
     def test_least_recently_used_key_goes_first(self):
         clear_expansion_caches()
         keys = [(0, b, 0) for b in range(CACHE_KEYS + 1)]
@@ -579,7 +588,8 @@ class TestPrefixCache:
             _monomial_series(*key, 1)
         info = _monomial_series.cache_info()
         assert info.currsize == info.maxsize == CACHE_KEYS
-        assert _generator_power.cache_info().currsize == CACHE_KEYS
+        # each power built once, from the one power below it that it reads, which is still cached
+        assert (info.hits, info.misses) == (CACHE_KEYS, CACHE_KEYS + 1)
         _monomial_series(*keys[-1], 1)
         assert _monomial_series.cache_info().misses == info.misses
         _monomial_series(*keys[0], 1)
@@ -591,8 +601,9 @@ class TestPrefixCache:
         for n in (32, 16, 32, 64):  # build, truncate, truncate, rebuild
             _monomial_series(1, 2, 1, n)
         info = _monomial_series.cache_info()
-        # each build of (1, 2, 1) also builds its modular part (0, 2, 1)
-        assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 4, CACHE_KEYS, 2)
+        # each build of (1, 2, 1) builds all seven keys, and reads the series 1 twice more:
+        # it is E2^0, E4^0 and E6^0
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (6, 14, CACHE_KEYS, 7)
         _monomial_series.cache_clear()
         assert _monomial_series.cache_info() == (0, 0, CACHE_KEYS, 0)
 
@@ -629,7 +640,6 @@ class TestPrefixCache:
     @pytest.mark.parametrize("build, key, equal_key, name", [
         (eisenstein_series, (4.0,), (4,), "weight"),
         (eisenstein_series, (True,), (4,), "weight"),
-        (_generator_power, (4, True), (4, 1), "exponent"),
         (_monomial_series, (True, 0, 0), (1, 0, 0), "a"),
         (_monomial_series, (0, 1.0, 0), (0, 1, 0), "b"),
     ])
